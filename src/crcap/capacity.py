@@ -23,6 +23,7 @@ from .power_allocation import (
     ScenarioConfig,
     _CapField,
     _SlGrid,
+    _cap_field,
     average_power_threshold,
     solve_lambda,
 )
@@ -184,17 +185,9 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     knowledge (infinite threshold) it is the p_avg -> infinity limit.
     """
     ns = config.numerics
-    capf = _CapField(config.cl_csi, config.i_peak, config.epsilon, ns)
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     val, _ = _refine(lambda p: _saturated_value(capf, ns, p), ns)
     return val
-
-
-def _csi_for_alpha(alpha: float) -> CsiKnowledge:
-    if alpha <= 0.0:
-        return CsiKnowledge.perfect()
-    if alpha >= 1.0:
-        return CsiKnowledge.no_csi()
-    return CsiKnowledge.estimated(alpha)
 
 
 def capacity_sweep(config: ScenarioConfig, param: str,
@@ -216,9 +209,9 @@ def capacity_sweep(config: ScenarioConfig, param: str,
         elif param == "epsilon":
             c = config.replace(epsilon=v)
         elif param == "alpha_s":
-            c = config.replace(sl_csi=_csi_for_alpha(v))
+            c = config.replace(sl_csi=CsiKnowledge.from_alpha(v))
         elif param == "alpha_p":
-            c = config.replace(cl_csi=_csi_for_alpha(v))
+            c = config.replace(cl_csi=CsiKnowledge.from_alpha(v))
         else:
             raise ValueError(f"unknown sweep parameter {param!r}")
         out.append(ergodic_capacity(c))

@@ -41,7 +41,7 @@ from .capacity import (
     low_budget_asymptote,
 )
 from .fading import CsiKnowledge
-from .monte_carlo import simulate_policy, verify_outage
+from .monte_carlo import verify_outage
 from .onoff import optimize_threshold
 from .power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from .special_functions import NumericsError
@@ -308,18 +308,10 @@ def _scenario_at(run: RunConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "epsilon":
         return scen.replace(epsilon=value)
     if axis == "alpha_s":
-        return scen.replace(sl_csi=_csi_at_alpha(value))
+        return scen.replace(sl_csi=CsiKnowledge.from_alpha(value))
     if axis == "alpha_p":
-        return scen.replace(cl_csi=_csi_at_alpha(value))
+        return scen.replace(cl_csi=CsiKnowledge.from_alpha(value))
     raise ConfigError(f"unknown sweep axis {axis!r}")
-
-
-def _csi_at_alpha(alpha: float) -> CsiKnowledge:
-    if alpha <= 0.0:
-        return CsiKnowledge.perfect()
-    if alpha >= 1.0:
-        return CsiKnowledge.no_csi()
-    return CsiKnowledge.estimated(alpha)
 
 
 def _axis_column(axis: str) -> str:
@@ -517,10 +509,8 @@ def cmd_verify(run: RunConfig, out_dir: str, threads: int, strict: bool,
         policy.lam = policy.lam * corrupt_lambda
         policy._budget_interp = None
 
-    report = simulate_policy(policy, scen, run.n_samples, run.seed,
-                             threads=threads)
-    outage_ok, _ = verify_outage(policy, scen, run.n_samples, run.seed,
-                                 threads=threads)
+    outage_ok, report = verify_outage(policy, scen, run.n_samples, run.seed,
+                                      threads=threads)
 
     checks = []
     rate_tol = 3.0 * report.rate_ci + result.quadrature_error_estimate

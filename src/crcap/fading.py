@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy.special import chndtrix
 
 from .special_functions import bessel_i0_log, marcum_q1
 
@@ -85,6 +86,19 @@ class CsiKnowledge:
     @classmethod
     def estimated(cls, alpha: float) -> "CsiKnowledge":
         return cls(CsiLevel.ESTIMATED, float(alpha))
+
+    @classmethod
+    def from_alpha(cls, alpha: float) -> "CsiKnowledge":
+        """Knowledge with MMSE error variance alpha.
+
+        0 or less is perfect, 1 or more is none, anything between is an
+        estimate.
+        """
+        if alpha <= 0.0:
+            return cls.perfect()
+        if alpha >= 1.0:
+            return cls.no_csi()
+        return cls.estimated(alpha)
 
     @property
     def error_variance(self) -> float:
@@ -212,46 +226,25 @@ def conditional_support_bound(m, alpha: float, tail_mass: float = 1e-10):
     return out if out.ndim else float(out)
 
 
-def conditional_power_inv_cdf(p, m, alpha: float, tol: float = 1e-10):
-    """Quantile of the conditional true-power law, by bisection.
+def conditional_power_inv_cdf(p, m, alpha: float):
+    """Quantile of the conditional true-power law.
 
-    Vectorized over p and m (broadcast together). Iterates until the cdf
-    residual at the midpoint is within tol for every lane.
+    Given m, 2g/alpha is noncentral chi-square with 2 degrees of freedom
+    and noncentrality 2m/alpha, so the quantile is alpha/2 times scipy's
+    inverse of that cdf (chndtrix). At tail levels 1 - p near 1e-6 the
+    cdf residual at the result is about 1e-13, so the tail mass above
+    the quantile is right to about 1e-7 of itself. Vectorized over p and
+    m (broadcast together).
     """
     alpha = _check_alpha(alpha)
     p_arr = np.asarray(p, dtype=float)
     m_arr = np.asarray(m, dtype=float)
-    scalar = p_arr.ndim == 0 and m_arr.ndim == 0
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("quantile level must lie strictly between 0 and 1")
     if np.any(m_arr < 0.0):
         raise ValueError("estimate power must be nonnegative")
-    p_b, m_b = (a.ravel() for a in np.broadcast_arrays(p_arr, m_arr))
-
-    lo = np.zeros_like(p_b)
-    hi = np.maximum(m_b + alpha, alpha)
-    # grow the bracket until the cdf at hi clears every requested level
-    for _ in range(200):
-        short = conditional_power_cdf(hi, m_b, alpha) < p_b
-        if not np.any(short):
-            break
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        raise RuntimeError("failed to bracket conditional quantile")
-
-    done = np.zeros(p_b.shape, dtype=bool)
-    for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        c = conditional_power_cdf(mid, m_b, alpha)
-        done = np.abs(c - p_b) <= tol
-        if np.all(done):
-            break
-        below = c < p_b
-        lo = np.where(below & ~done, mid, lo)
-        hi = np.where(~below & ~done, mid, hi)
-    mid = 0.5 * (lo + hi)
-    out = mid.reshape(np.broadcast_shapes(p_arr.shape, m_arr.shape))
-    return float(out) if scalar else out
+    out = 0.5 * alpha * chndtrix(p_arr, 2.0, 2.0 * m_arr / alpha)
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fading import CsiKnowledge, CsiLevel, marginal_power_quantile
-from .power_allocation import ScenarioConfig, _CapField, interference_power_cap
+from .power_allocation import ScenarioConfig, _cap_field, interference_power_cap
 from .special_functions import exp_integral_e1
 
 __all__ = ["OnOffPolicy", "on_level", "onoff_rate", "optimize_threshold"]
@@ -125,7 +125,7 @@ def onoff_rate(tau: float, config: ScenarioConfig) -> float:
         raise ValueError("threshold must be nonnegative")
     ns = config.numerics
     budget = config.p_avg * float(np.exp(tau))
-    capf = _CapField(config.cl_csi, config.i_peak, config.epsilon, ns)
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     if capf.is_constant:
         return float(_rate_above(tau, min(budget, capf.constant))[0])
     t_star = np.atleast_1d(capf.crossing_state(budget))
@@ -154,8 +154,8 @@ def optimize_threshold(config: ScenarioConfig,
     [0, the 1 - 1e-8 quantile of the direct gain].
     """
     _require_perfect_direct(config)
-    capf = _CapField(config.cl_csi, config.i_peak, config.epsilon,
-                     config.numerics)
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon,
+                      config.numerics)
     if capf.is_constant and config.p_avg >= capf.constant:
         # budget exceeds the constant cap: always-on at the cap is optimal
         return 0.0, onoff_rate(0.0, config)

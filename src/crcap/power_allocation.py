@@ -44,6 +44,7 @@ smooth and converges spectrally; see _CapField.crossing_state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,7 +53,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import adaptive_integral, panel_rule, panel_rule_batch
+from .quadrature import panel_rule, panel_rule_batch
 from .special_functions import NumericsError
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
 
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
+_CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +430,11 @@ class _CapField:
     cap equals a given level, and quadrature rules over the state. For
     estimated knowledge the conditional quantile is tabulated once on a
     dense grid and evaluated through monotone (PCHIP) interpolation; the
-    exact bisection stays available through interference_power_cap.
+    exact quantile stays available through interference_power_cap.
+
+    Build instances through _cap_field: one instance per cross-link
+    setup is shared by every policy and thread in the process, so the
+    class must stay immutable after __init__.
     """
 
     def __init__(self, csi: CsiKnowledge, i_peak: float, epsilon: float,
@@ -448,8 +454,7 @@ class _CapField:
             self.constant = None
             self.upper = -(1.0 - csi.alpha) * np.log(settings.tail_mass)
             grid = np.linspace(0.0, self.upper, 1025)
-            q = fading.conditional_power_inv_cdf(1.0 - epsilon, grid, csi.alpha,
-                                                 tol=settings.bisect_tol)
+            q = fading.conditional_power_inv_cdf(1.0 - epsilon, grid, csi.alpha)
             self._q_of_m = PchipInterpolator(grid, q, extrapolate=True)
             self._m_of_q = PchipInterpolator(q, grid, extrapolate=True)
             self._q_lo = float(q[0])
@@ -536,6 +541,13 @@ class _CapField:
             return float(self.constant)
         t, w = self.full_rule(panels)
         return float(w @ self.cap(t))
+
+
+@functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
+def _cap_field(csi: CsiKnowledge, i_peak: float, epsilon: float,
+               settings: NumericSettings) -> _CapField:
+    """The shared cap table for one cross-link setup, built on first use."""
+    return _CapField(csi, i_peak, epsilon, settings)
 
 
 def _expected_capped_power(A: np.ndarray, w: np.ndarray, capf: _CapField,
@@ -692,7 +704,7 @@ def average_power_threshold(config: ScenarioConfig) -> float:
     state space can spend, beyond which capacity changes at tail-mass
     level.
     """
-    capf = _CapField(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
     if capf.is_constant:
         return float(capf.constant)
     if capf.level is CsiLevel.PERFECT:
@@ -724,7 +736,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     a panel edge always sits on the zero-power kink.
     """
     ns = config.numerics
-    capf = _CapField(config.cl_csi, config.i_peak, config.epsilon, ns)
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     p_star = average_power_threshold(config)
     panels = ns.base_panels * 2
     p_star_numeric = p_star if np.isfinite(p_star) else capf.mean_cap(panels)

@@ -49,6 +49,12 @@ def test_csi_knowledge_rejects_bad_alpha():
         CsiKnowledge.estimated(-0.2)
 
 
+def test_csi_knowledge_from_alpha():
+    assert CsiKnowledge.from_alpha(0.0) == CsiKnowledge.perfect()
+    assert CsiKnowledge.from_alpha(1.0) == CsiKnowledge.no_csi()
+    assert CsiKnowledge.from_alpha(0.25) == CsiKnowledge.estimated(0.25)
+
+
 def test_marginal_power_law():
     g = np.array([0.0, 0.5, 2.0])
     np.testing.assert_allclose(marginal_power_pdf(g), np.exp(-g), rtol=1e-14)
@@ -110,13 +116,25 @@ def test_conditional_inv_cdf_roundtrip():
             assert conditional_power_cdf(g, m, alpha) == pytest.approx(p, abs=1e-8)
 
 
+def test_conditional_inv_cdf_deep_tail_is_relatively_accurate():
+    # the cap table asks for the 1 - epsilon quantile; at a tiny epsilon
+    # the tail mass above the quantile must be right relative to epsilon,
+    # checked through the package's own Marcum Q
+    eps = 1e-6
+    for m in (0.0, 1.0, 10.0):
+        for alpha in (1e-4, 0.5, 0.9):
+            q = conditional_power_inv_cdf(1.0 - eps, m, alpha)
+            tail = 1.0 - conditional_power_cdf(q, m, alpha)
+            assert abs(tail - eps) <= 1e-6 * eps, (m, alpha, tail)
+
+
 def test_conditional_inv_cdf_frozen_values():
     # m=0, alpha=0.5: quantile(0.95) = -0.5 ln 0.05
-    assert conditional_power_inv_cdf(0.95, 0.0, 0.5, tol=1e-13) == pytest.approx(
+    assert conditional_power_inv_cdf(0.95, 0.0, 0.5) == pytest.approx(
         1.497866136776995, rel=1e-11)
     # independent ncx2 route for m=1, alpha=0.5
     ref = 0.25 * stats.ncx2.ppf(0.95, 2, 4.0)
-    assert conditional_power_inv_cdf(0.95, 1.0, 0.5, tol=1e-13) == pytest.approx(
+    assert conditional_power_inv_cdf(0.95, 1.0, 0.5) == pytest.approx(
         ref, rel=1e-10)
 
 

@@ -13,6 +13,7 @@ from scipy import special
 from crcap.capacity import ergodic_capacity
 from crcap.fading import CsiKnowledge
 from crcap.onoff import OnOffPolicy, on_level, onoff_rate, optimize_threshold
+from crcap import power_allocation
 from crcap.power_allocation import NumericSettings, ScenarioConfig
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
@@ -154,3 +155,20 @@ def test_cross_knowledge_rate_ordering_not_monotone():
 def test_rate_rejects_negative_threshold():
     with pytest.raises(ValueError):
         onoff_rate(-0.1, scenario(NONE))
+
+
+def test_threshold_search_builds_the_cap_table_once(monkeypatch):
+    fast = NumericSettings(quad_points=8, base_panels=4, max_refinements=2)
+    cfg = ScenarioConfig(sl_csi=PERFECT, cl_csi=EST, p_avg=1.0, i_peak=10.0,
+                         epsilon=0.05, numerics=fast)
+    builds = []
+    init = power_allocation._CapField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(power_allocation._CapField, "__init__", counting_init)
+    power_allocation._cap_field.cache_clear()
+    optimize_threshold(cfg)
+    assert len(builds) == 1

@@ -6,11 +6,14 @@ this package; both routes agreed before the digits were pinned.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from crcap import power_allocation
 from crcap.fading import CsiKnowledge, conditional_power_pdf
 from crcap.power_allocation import (
     NumericSettings,
@@ -151,6 +154,37 @@ def test_threshold_estimated_cross_frozen():
     # independent ncx2 + quad route gave 4.243169
     cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5))
     assert average_power_threshold(cfg) == pytest.approx(4.243169, rel=1e-5)
+
+
+def test_cap_table_shared_across_budgets_not_across_epsilon():
+    power_allocation._cap_field.cache_clear()
+    est = CsiKnowledge.estimated(0.5)
+    low = solve_lambda(scenario(CsiKnowledge.perfect(), est, p_avg=0.5))
+    high = solve_lambda(scenario(CsiKnowledge.perfect(), est, p_avg=2.0))
+    other = solve_lambda(scenario(CsiKnowledge.perfect(), est, p_avg=0.5,
+                                  eps=0.1))
+    assert low._capf is high._capf
+    assert other._capf is not low._capf
+    assert power_allocation._cap_field.cache_info().currsize == 2
+
+
+def test_cap_table_shared_between_threads():
+    # the CLI solves sweep points on a thread pool, all reading one table
+    fast = NumericSettings(quad_points=8, base_panels=4, max_refinements=2)
+    cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5), ns=fast)
+    power_allocation._cap_field.cache_clear()
+    expected = solve_lambda(cfg).lam
+    power_allocation._cap_field.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(solve_lambda, cfg) for _ in range(16)]
+            lams = [f.result(timeout=120).lam for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert lams == [expected] * 16
+    assert power_allocation._cap_field.cache_info().currsize == 1
 
 
 # ----------------------------------------------------------------------
