@@ -123,8 +123,12 @@ def _refine(evaluate, ns: NumericSettings):
 
 def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
     """Solve the policy for config and integrate its ergodic capacity."""
-    policy = solve_lambda(config)
-    val, err = _refine(lambda p: _capacity_at(policy, p), config.numerics)
+    return _capacity_of(solve_lambda(config))
+
+
+def _capacity_of(policy: PowerPolicy) -> CapacityResult:
+    """Integrate the ergodic capacity of an already solved policy."""
+    val, err = _refine(lambda p: _capacity_at(policy, p), policy.config.numerics)
     return CapacityResult(capacity=val, lam=policy.lam,
                           p_avg_star=policy.p_avg_star, regime=policy.regime,
                           quadrature_error_estimate=err)

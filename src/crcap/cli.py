@@ -36,6 +36,7 @@ import numpy as np
 
 from .capacity import (
     CapacityResult,
+    _capacity_of,
     ergodic_capacity,
     high_budget_asymptote,
     low_budget_asymptote,
@@ -501,8 +502,8 @@ def cmd_onoff(run: RunConfig, out_dir: str, threads: int, strict: bool) -> int:
 def cmd_verify(run: RunConfig, out_dir: str, threads: int, strict: bool,
                corrupt_lambda: Optional[float] = None) -> int:
     scen = run.scenario
-    result = ergodic_capacity(scen)
     policy = solve_lambda(scen)
+    result = _capacity_of(policy)
     if corrupt_lambda is not None and policy.regime == "power_limited" \
             and scen.sl_csi.level.value != "none":
         policy = copy.copy(policy)

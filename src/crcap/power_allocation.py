@@ -71,6 +71,9 @@ __all__ = [
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
+_ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
+_RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
+_CHUNK_ELEMS = 4_000_000    # largest intermediate array of the rate kernels
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +319,17 @@ def _conditional_matrix(m_nodes: np.ndarray, alpha: float, panels: int,
 
 
 def _invert_rate_matrix(g: np.ndarray, wg: np.ndarray, lam: float) -> np.ndarray:
-    """Row-wise bisection of sum_n wg[j,n] g[j,n] / (1 + P g[j,n]) = lam.
+    """Row-wise root of r_j(P) = sum_n wg[j,n] g[j,n] / (1 + P g[j,n]) = lam.
 
-    Rows whose conditional mean is at or below lam get P = 0. The upper
-    bracket 1/lam always works since g/(1+Pg) < 1/P pointwise.
+    Rows whose conditional mean is at or below lam get P = 0. Each active
+    row runs Newton steps with the analytic derivative
+    -sum wg g^2 / (1 + P g)^2 inside a bracket [lo, hi] kept from the sign
+    of the residual; a step leaving the (inclusive) bracket is replaced by
+    its midpoint. The start 1/lam - 1/mean is Jensen's upper bound on the
+    root (g / (1 + P g) is concave in g), and 1/lam brackets from above
+    since g/(1+Pg) < 1/P pointwise. r_j is convex and decreasing, so a
+    Newton step from below the root never overshoots it. Raises
+    NumericsError if a row has not converged after _ROW_INVERSION_STEPS.
     """
     mean = (wg * g).sum(axis=1)
     active = mean > lam
@@ -328,18 +338,117 @@ def _invert_rate_matrix(g: np.ndarray, wg: np.ndarray, lam: float) -> np.ndarray
         return out
     ga = g[active]
     wa = wg[active]
+    tol = 1e-13 * max(1.0, 1.0 / lam)
     lo = np.zeros(ga.shape[0])
     hi = np.full(ga.shape[0], 1.0 / lam)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        r = (wa * (ga / (1.0 + mid[:, None] * ga))).sum(axis=1)
-        above = r > lam
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.max(hi - lo) <= 1e-13 * max(1.0, 1.0 / lam):
-            break
-    out[active] = 0.5 * (lo + hi)
+    P = 1.0 / lam - 1.0 / mean[active]
+    todo = np.arange(ga.shape[0])
+    for _ in range(_ROW_INVERSION_STEPS):
+        gt, x = ga[todo], P[todo]
+        s = 1.0 / (1.0 + x[:, None] * gt)
+        q = wa[todo] * gt * s
+        r = q.sum(axis=1) - lam
+        step = r / (q * gt * s).sum(axis=1)
+        above = r > 0.0
+        lo[todo] = l = np.where(above, x, lo[todo])
+        hi[todo] = h = np.where(above, hi[todo], x)
+        x = x + step
+        outside = (x < l) | (x > h)
+        P[todo] = np.where(outside, 0.5 * (l + h), x)
+        done = (~outside & (np.abs(step) <= tol)) | (h - l <= tol)
+        todo = todo[~done]
+        if todo.size == 0:
+            out[active] = P
+            return out
+    raise NumericsError(f"row inversion at lam={lam:.6g} did not converge in "
+                        f"{_ROW_INVERSION_STEPS} steps")
+
+
+def _rate_rows_direct(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """sum_n wg[j,n] log1p(P[j,k] g[j,n]) as a direct triple sum.
+
+    A g with a single row serves every row of P. Rows are chunked so the
+    (chunk, K, N) intermediate stays within _CHUNK_ELEMS elements.
+    """
+    J, K = P.shape
+    idx = np.arange(J) if g.shape[0] > 1 else np.zeros(J, dtype=int)
+    out = np.empty((J, K))
+    chunk = max(1, _CHUNK_ELEMS // max(K * g.shape[1], 1))
+    for s in range(0, J, chunk):
+        e = min(s + chunk, J)
+        gi = g[idx[s:e]][:, None, :]
+        wi = wg[idx[s:e]][:, None, :]
+        out[s:e] = (wi * np.log1p(P[s:e, :, None] * gi)).sum(axis=2)
     return out
+
+
+def _chebyshev_points_needed(half_range: float) -> int:
+    """Chebyshev points in u = log P that reach _RATE_KERNEL_TOL.
+
+    F(e^u) = sum_n w_n log1p(e^u g_n) is analytic in the strip
+    |Im u| < pi for every g_n > 0: its singularities sit at
+    u = -ln g_n +- i pi. Mapped onto [-1, 1], an interval of half-width h
+    sees a strip of half-width b = pi / h, which holds the Bernstein
+    ellipse rho = b + sqrt(1 + b^2); interpolation of degree n on
+    Chebyshev points then errs like rho^-n.
+    """
+    b = np.pi / half_range
+    rho = b + np.sqrt(1.0 + b * b)
+    return int(np.ceil(-np.log(_RATE_KERNEL_TOL) / np.log(rho))) + 1
+
+
+def _rate_rows_log_power(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """sum_n wg[j,n] log1p(P[j,k] g[j,n]) through a Chebyshev interpolant
+    in u = log P, one per row.
+
+    Row j's F_j is evaluated at L Chebyshev points spanning that row's own
+    [min, max] of log P and interpolated at its K powers with the
+    barycentric formula: J*L*N log1p calls plus J*K*L multiply-adds
+    instead of J*K*N log1p calls. L comes from the widest row (see
+    _chebyshev_points_needed); the direct sum takes over when L would
+    reach K. Zero powers rate exactly 0 and do not widen their row; a row
+    of equal powers gets a small span around its one value.
+    """
+    J, K = P.shape
+    pos = P > 0.0
+    u = np.log(np.where(pos, P, 1.0))
+    some = pos.any(axis=1)
+    lo = np.where(some, np.where(pos, u, np.inf).min(axis=1), 0.0)
+    hi = np.where(some, np.where(pos, u, -np.inf).max(axis=1), 0.0)
+    centre = 0.5 * (lo + hi)
+    half = np.maximum(0.5 * (hi - lo), 1e-3)
+    L = _chebyshev_points_needed(float(half.max()))
+    if L >= K:
+        return _rate_rows_direct(g, wg, P)
+    x = (np.where(pos, u, centre[:, None]) - centre[:, None]) / half[:, None]
+    k = np.arange(L)
+    x_nodes = np.cos(np.pi * k / (L - 1))
+    bary = np.where(k % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    f = _rate_rows_direct(g, wg, np.exp(centre[:, None] + half[:, None] * x_nodes))
+    out = np.empty((J, K))
+    chunk = max(1, _CHUNK_ELEMS // (K * L))
+    for s in range(0, J, chunk):
+        out[s:s + chunk] = _barycentric_rows(x[s:s + chunk], f[s:s + chunk],
+                                             x_nodes, bary)
+    return np.where(pos, out, 0.0)
+
+
+def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Row j's interpolant through (nodes, f[j]) evaluated at x[j].
+
+    The barycentric formula of the second kind with the given weights;
+    a point that lands on a node takes that node's value.
+    """
+    d = x[:, :, None] - nodes
+    hit = d == 0.0
+    d[hit] = 1.0
+    np.divide(weights, d, out=d)
+    num_den = d @ np.stack([f, np.ones_like(f)], axis=2)
+    vals = num_den[:, :, 0] / num_den[:, :, 1]
+    on_node = np.take_along_axis(f, hit.argmax(axis=2), axis=1)
+    return np.where(hit.any(axis=2), on_node, vals)
 
 
 class _SlGrid:
@@ -397,9 +506,9 @@ class _SlGrid:
     def rate_cells(self, power: np.ndarray) -> np.ndarray:
         """E[log(1 + P g) | cell j] for per-cell powers.
 
-        power has shape (J,) or (J, K); the result matches. Large (J, K)
-        inputs are chunked so the intermediate (chunk, K, N) tensor stays
-        small.
+        power has shape (J,) or (J, K); the result matches. With estimated
+        knowledge a (J, K) input goes through a per-cell interpolant in
+        log P (_rate_rows_log_power) instead of the (J, K, N) triple sum.
         """
         P = np.asarray(power, dtype=float)
         if self.csi.level is CsiLevel.PERFECT:
@@ -408,16 +517,9 @@ class _SlGrid:
         if P.ndim == 1:
             idx = np.arange(self.n_cells) if g.shape[0] > 1 else np.zeros(P.shape[0], dtype=int)
             return (wg[idx] * np.log1p(P[:, None] * g[idx])).sum(axis=1)
-        J, K = P.shape
-        idx = np.arange(J) if g.shape[0] > 1 else np.zeros(J, dtype=int)
-        out = np.empty((J, K))
-        chunk = max(1, int(4_000_000 // max(K * g.shape[1], 1)))
-        for s in range(0, J, chunk):
-            e = min(s + chunk, J)
-            gi = g[idx[s:e]][:, None, :]
-            wi = wg[idx[s:e]][:, None, :]
-            out[s:e] = (wi * np.log1p(P[s:e, :, None] * gi)).sum(axis=2)
-        return out
+        if g.shape[0] > 1:
+            return _rate_rows_log_power(g, wg, P)
+        return _rate_rows_direct(g, wg, P)
 
     def mean_budget_component(self, lam: float, p_avg: float) -> float:
         return float(self.w @ self.budget_component(lam, p_avg))

@@ -58,6 +58,20 @@ def test_capacity_estimated_perfect():
     assert res.lam == pytest.approx(0.3918221362, rel=1e-5)
 
 
+# capacities of the benchmark's knowledge_grid reference (default numerics,
+# i_peak 10, epsilon 0.05, alpha 0.5) with their error estimates
+@pytest.mark.parametrize("cross, p_avg_db, value, err", [
+    (PERFECT, 13.0, 2.3487034307843544, 1.1086582185626526e-07),
+    (EST, 0.0, 0.6175059774038829, 1.7075230118734908e-13),
+    (NONE, 0.0, 0.6175319480109409, 1.5765166949677223e-13),
+], ids=["EP@13dB", "EE@0dB", "EN@0dB"])
+def test_capacity_estimated_direct_matches_reference(cross, p_avg_db, value, err):
+    cfg = scenario(EST, cross, p_avg=10.0 ** (p_avg_db / 10.0),
+                   ns=NumericSettings())
+    res = ergodic_capacity(cfg)
+    assert abs(res.capacity - value) <= err + cfg.numerics.quad_rel_tol * value
+
+
 def test_capacity_none_none():
     # constant power 1 capped at 3.338 never binds: closed form e E1(1)
     res = ergodic_capacity(scenario(NONE, NONE))

@@ -27,7 +27,7 @@ from crcap.cli import (
     parse_csi,
 )
 from crcap.fading import CsiKnowledge, CsiLevel
-from crcap.power_allocation import NumericSettings, ScenarioConfig
+from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from crcap.special_functions import NumericsError
 
 BASE = """\
@@ -268,6 +268,21 @@ def test_verify_jsonl_deterministic(tmp_path):
     main(["verify", "--config", cfg, "--out", str(out2), "--threads", "3"])
     assert (out1 / "verify.jsonl").read_bytes() == \
         (out2 / "verify.jsonl").read_bytes()
+
+
+def test_verify_solves_the_policy_once(tmp_path, monkeypatch):
+    from crcap import capacity, cli
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return solve_lambda(config)
+
+    monkeypatch.setattr(cli, "solve_lambda", counted)
+    monkeypatch.setattr(capacity, "solve_lambda", counted)
+    cfg = write(tmp_path, BASE)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_verify_corrupt_lambda_fails_power_check(tmp_path):

@@ -25,6 +25,7 @@ from crcap.power_allocation import (
     rate_integral,
     solve_lambda,
 )
+from crcap.special_functions import NumericsError
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -109,6 +110,101 @@ def test_invert_rate_integral_zero_above_conditional_mean():
     # rate_integral(0) = m + alpha, so any target at or above it gives P = 0
     assert invert_rate_integral(1.5, 1.0, 0.5) == 0.0
     assert invert_rate_integral(2.0, 1.0, 0.5) == 0.0
+
+
+# ----------------------------------------------------------------------
+# matrix kernels: row inversion and the log-power rate interpolant
+
+def _inversion_rows(lam, alpha):
+    """Estimates for m = 0, rows whose mean m + alpha sits just above and
+    just below lam (where m >= 0 allows), and a few ordinary rows."""
+    edge = lam - alpha
+    m = [0.0, 0.5, 2.0, 6.0] + [edge + d for d in (1e-6, -1e-6) if edge + d >= 0.0]
+    return np.array(m)
+
+
+def _bisect_rows(g, wg, lam):
+    """Plain per-row bisection on the same rule, run until the bracket
+    stops shrinking in floating point."""
+    out = np.zeros(g.shape[0])
+    for j in range(g.shape[0]):
+        if (wg[j] * g[j]).sum() <= lam:
+            continue
+        lo, hi = 0.0, 1.0 / lam
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if (wg[j] * g[j] / (1.0 + mid * g[j])).sum() > lam:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        out[j] = mid
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("lam", [1e-6, 0.05, 0.3, 1.0])
+def test_row_inversion_matches_plain_bisection(alpha, lam):
+    m = _inversion_rows(lam, alpha)
+    g, wg = power_allocation._conditional_matrix(m, alpha, 16, 20, 1e-10)
+    got = power_allocation._invert_rate_matrix(g, wg, lam)
+    want = _bisect_rows(g, wg, lam)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
+    # rows at or below the multiplier transmit nothing
+    assert np.all(got[(wg * g).sum(axis=1) <= lam] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_row_inversion_matches_scalar_oracle(alpha, lam):
+    # a fine matrix rule with a tiny tail so both routes integrate the same
+    # r(P) to ~1e-14; for lam <= 0.05 the two quadratures themselves differ
+    # by more than the tolerance near g ~ 1/P, which the bisection test
+    # above isolates from the inversion
+    m = _inversion_rows(lam, alpha)
+    g, wg = power_allocation._conditional_matrix(m, alpha, 64, 20, 1e-14)
+    got = power_allocation._invert_rate_matrix(g, wg, lam)
+    ns = NumericSettings(bisect_tol=1e-15, tail_mass=1e-12)
+    want = np.array([invert_rate_integral(lam, float(mi), alpha, ns) for mi in m])
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
+
+
+def test_row_inversion_raises_when_out_of_steps(monkeypatch):
+    monkeypatch.setattr(power_allocation, "_ROW_INVERSION_STEPS", 1)
+    g, wg = power_allocation._conditional_matrix(np.array([0.5, 2.0]), 0.5,
+                                                 8, 20, 1e-10)
+    with pytest.raises(NumericsError):
+        power_allocation._invert_rate_matrix(g, wg, 0.05)
+
+
+def _tail_powers(cross, i_peak, panels):
+    """Direct-link grid and the (cells x cross nodes) tail powers that the
+    capacity integrates at 13 dB for an estimated direct link."""
+    cfg = scenario(CsiKnowledge.estimated(0.5), cross, p_avg=10.0 ** 1.3,
+                   i_peak=i_peak)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=pol.lam)
+    A = sl.budget_component(pol.lam, cfg.p_avg)
+    nodes, _ = pol._capf.tail_rule(pol._capf.crossing_state(A), panels)
+    return sl, pol._capf.cap(nodes)
+
+
+# an estimated cross link saturates above ~6.3 dB at i_peak 10; i_peak 100
+# keeps the EE policy power-limited at 13 dB
+@pytest.mark.parametrize("cross, i_peak", [(CsiKnowledge.perfect(), 10.0),
+                                           (CsiKnowledge.estimated(0.5), 100.0)],
+                         ids=["EP", "EE"])
+@pytest.mark.parametrize("panels", [16, 32])
+def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels):
+    sl, P = _tail_powers(cross, i_peak, panels)
+    P[0] = P[0, P.shape[1] // 2]   # a row of equal powers
+    P[1, ::3] = 0.0                # a row that includes P = 0
+    P[2] = 0.0                     # a row of zeros
+    got = sl.rate_cells(P)
+    want = np.array([(sl._wg[j] * np.log1p(P[j][:, None] * sl._g[j])).sum(axis=1)
+                     for j in range(P.shape[0])])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # ----------------------------------------------------------------------
