@@ -24,6 +24,7 @@ from .power_allocation import (
     _CapField,
     _SlGrid,
     _cap_field,
+    _grid_memo,
     average_power_threshold,
     solve_lambda,
 )
@@ -150,9 +151,11 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
             return float(_saturated_rate(np.array([config.p_avg]))[0])
 
         # budget equation without the cap: E[component(lam)] = p_avg;
-        # the grid is rebuilt per trial so its edge tracks the kink
+        # the grid's edge tracks the kink, rebuilt only when the kink moves
+        grid = _grid_memo(config.sl_csi, ns, panels)
+
         def spent(lam: float):
-            sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
+            sl = grid(lam)
             return sl.mean_budget_component(lam, config.p_avg), sl
 
         lo, hi = 1e-12, 1.0

@@ -23,9 +23,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.special import chndtrix
+from scipy.special import chndtrix, i0e
 
-from .special_functions import bessel_i0_log, marcum_q1
+from .special_functions import marcum_q1
 
 __all__ = [
     "CsiLevel",
@@ -183,18 +183,21 @@ def estimate_power_quantile(p, alpha: float):
 def conditional_power_pdf(g, m, alpha: float):
     """Density of the true power at g given estimate power m.
 
-    Evaluated through the log to survive the large I0 argument regime;
-    m = 0 reduces to the Exp(alpha) density.
+    Evaluated in scaled form, i0e(x) exp(-(sqrt(g) - sqrt(m))^2 / alpha)
+    / alpha with x = 2 sqrt(g m) / alpha and i0e(x) = exp(-x) I0(x): the
+    exponent -(g + m)/alpha + x is folded exactly into one square, so
+    neither a large I0 argument nor the cancellation of two large
+    exponents loses digits. m = 0 reduces to the Exp(alpha) density;
+    g < 0 gives 0.
     """
     alpha = _check_alpha(alpha)
     g = np.asarray(g, dtype=float)
     m = np.asarray(m, dtype=float)
     g_b, m_b = np.broadcast_arrays(g, m)
-    gc = np.clip(g_b, 0.0, None)
-    log_pdf = -np.log(alpha) - (gc + m_b) / alpha + bessel_i0_log(
-        2.0 * np.sqrt(gc * m_b) / alpha
-    )
-    out = np.where(g_b >= 0.0, np.exp(log_pdf), 0.0)
+    sg = np.sqrt(np.clip(g_b, 0.0, None))
+    sm = np.sqrt(m_b)
+    pdf = i0e(2.0 * sg * sm / alpha) * np.exp(-((sg - sm) ** 2) / alpha) / alpha
+    out = np.where(g_b >= 0.0, pdf, 0.0)
     return out if out.ndim else float(out)
 
 

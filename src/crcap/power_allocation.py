@@ -472,6 +472,7 @@ class _SlGrid:
         self.settings = settings
         pts = settings.quad_points
         tail = settings.tail_mass
+        lower = self.lower_edge(csi, lam)
         if csi.level is CsiLevel.NONE:
             g, wg = _exp_rule(1.0, panels, pts, tail)
             self.w = np.array([1.0])
@@ -479,19 +480,30 @@ class _SlGrid:
             self._g = g[None, :]
             self._wg = wg[None, :]
         elif csi.level is CsiLevel.PERFECT:
-            lower = 0.0 if lam is None else float(lam)
             g, wg = _exp_rule(1.0, panels, pts, tail, lower=lower)
             self.w = wg
             self.state = g
             self._g = None
             self._wg = None
         else:
-            lower = 0.0 if lam is None else max(float(lam) - csi.alpha, 0.0)
             m, wm = _exp_rule(1.0 - csi.alpha, panels, pts, tail, lower=lower)
             self.w = wm
             self.state = m
             self._g, self._wg = _conditional_matrix(m, csi.alpha, panels, pts, tail)
         self.n_cells = self.state.size
+
+    @staticmethod
+    def lower_edge(csi: CsiKnowledge, lam: Optional[float]) -> float:
+        """Where the grid starts: the zero-power state boundary at lam.
+
+        The grid depends on lam only through this edge (always 0 without
+        direct-link knowledge, whose single cell ignores it).
+        """
+        if lam is None or csi.level is CsiLevel.NONE:
+            return 0.0
+        if csi.level is CsiLevel.PERFECT:
+            return float(lam)
+        return max(float(lam) - csi.alpha, 0.0)
 
     def budget_component(self, lam: float, p_avg: float,
                          no_csi_const: Optional[float] = None) -> np.ndarray:
@@ -523,6 +535,28 @@ class _SlGrid:
 
     def mean_budget_component(self, lam: float, p_avg: float) -> float:
         return float(self.w @ self.budget_component(lam, p_avg))
+
+
+def _grid_memo(csi: CsiKnowledge, settings: NumericSettings, panels: int):
+    """grid(lam) -> _SlGrid, rebuilt only when the lower edge moves.
+
+    With an estimated direct link every trial multiplier at or below
+    alpha shares the edge 0, so a multiplier search would otherwise build
+    the same grid many times. One slot, local to the search that makes
+    it: trials arrive in sequence, and at 128 panels one estimated grid
+    holds about 105 MB. The old grid is dropped before the next is built.
+    """
+    slot = {}
+
+    def grid(lam: float) -> _SlGrid:
+        edge = _SlGrid.lower_edge(csi, lam)
+        if slot.get("edge") != edge:
+            slot.clear()
+            slot["grid"] = _SlGrid(csi, settings, panels, lam=lam)
+            slot["edge"] = edge
+        return slot["grid"]
+
+    return grid
 
 
 class _CapField:
@@ -834,8 +868,9 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     mass level). Otherwise the multiplier is bisected (bracket grown by
     doubling, downward as well for near-threshold budgets) until the
     achieved average power is within lambda_rel_tol of the budget,
-    relative. The direct-link grid is rebuilt at each trial multiplier so
-    a panel edge always sits on the zero-power kink.
+    relative. The direct-link grid follows the trial multiplier so a
+    panel edge always sits on the zero-power kink; it is rebuilt only
+    when that kink moves (_grid_memo).
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
@@ -881,8 +916,10 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 
+    grid = _grid_memo(config.sl_csi, ns, panels)
+
     def achieved(lam: float) -> float:
-        sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
+        sl = grid(lam)
         A = sl.budget_component(lam, config.p_avg)
         return _expected_capped_power(A, sl.w, capf, panels)
 

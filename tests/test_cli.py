@@ -1,17 +1,20 @@
 """Command-line front end checks: parsing, determinism, exit codes.
 
 Everything drives crcap.cli.main(argv) in-process; one test exercises
-the installed console script end to end.
+the installed console script end to end, and one checks what a fresh
+`import crcap` loads.
 """
 
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crcap
 from crcap.capacity import ergodic_capacity
 from crcap.cli import (
     EXIT_CHECK_FAILED,
@@ -356,3 +359,16 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "capacity.csv").exists()
     assert "wrote" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # every CLI run is a fresh process that pays for what `import crcap`
+    # loads; scipy.stats alone adds about 185 ms to that start
+    src = str(Path(crcap.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import crcap; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules])" % src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -86,6 +86,42 @@ def test_conditional_pdf_normalization_and_mean():
         assert mean == pytest.approx(m + alpha, rel=1e-8)
 
 
+# (g, m, alpha, density) from mpmath at 40 digits:
+# exp(-(g + m)/alpha) * besseli(0, 2 sqrt(g m)/alpha) / alpha
+_PDF_FROZEN = [
+    # tiny alpha with g near a large m: I0's argument is 6e6, and the
+    # exponent is the difference of two terms near 6e6
+    (300.0015, 300.0, 1e-4, 1.6286425005127397198),
+    (299.9, 300.0, 1e-4, 1.4985574840816702487),
+    (301.1, 300.0, 1e-4, 6.9232675185140268177e-5),
+    # 2 sqrt(g m)/alpha below 1e-8
+    (1e-8, 1e-10, 0.5, 1.999999959600000416),
+    (3e-9, 2e-12, 0.05, 19.999998799200034986),
+    # m = 0: the Exp(alpha) density
+    (0.7, 0.0, 0.3, 0.32323989288135024127),
+    (30.0, 0.0, 0.07, 1.0683054156889949097e-185),
+    # alpha near 1
+    (1.3, 0.0005, 0.999, 0.27249088757397206156),
+    (4.0, 0.002, 0.999, 0.018370567475522090685),
+    (2.5, 1.7, 0.5, 0.24214152492322073106),
+]
+
+
+@pytest.mark.parametrize("g, m, alpha, ref", _PDF_FROZEN)
+def test_conditional_pdf_frozen_values(g, m, alpha, ref):
+    assert conditional_power_pdf(g, m, alpha) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_conditional_pdf_m_zero_is_exponential_and_negative_g_is_zero():
+    alpha = 0.3
+    g = np.array([0.0, 1e-12, 0.05, 0.7, 4.0, 30.0])
+    np.testing.assert_allclose(conditional_power_pdf(g, 0.0, alpha),
+                               np.exp(-g / alpha) / alpha, rtol=1e-13)
+    assert conditional_power_pdf(-1e-3, 2.0, 0.5) == 0.0
+    np.testing.assert_array_equal(
+        conditional_power_pdf(np.array([-5.0, -1e-300]), 300.0, 1e-4), 0.0)
+
+
 def test_conditional_cdf_matches_quadrature_of_pdf():
     m, alpha = 2.0, 0.5
     for g in [0.1, 1.0, 2.5, 6.0]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from crcap import power_allocation
+from crcap import capacity, power_allocation
 from crcap.fading import CsiKnowledge, conditional_power_pdf
 from crcap.power_allocation import (
     NumericSettings,
@@ -285,6 +285,59 @@ def test_cap_table_shared_between_threads():
 
 # ----------------------------------------------------------------------
 # multiplier search
+
+def _count_grid_builds(monkeypatch):
+    calls = []
+    build = power_allocation._conditional_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(power_allocation, "_conditional_matrix", counted)
+    return calls
+
+
+def _rebuild_grid_every_trial(monkeypatch):
+    def rebuild(csi, settings, panels):
+        return lambda lam: power_allocation._SlGrid(csi, settings, panels, lam=lam)
+
+    monkeypatch.setattr(power_allocation, "_grid_memo", rebuild)
+    monkeypatch.setattr(capacity, "_grid_memo", rebuild)
+
+
+@pytest.mark.parametrize("p_avg_db, plain, reused", [(0.0, 17, 4), (-10.0, 15, 15)])
+def test_multiplier_search_reuses_the_estimated_grid(monkeypatch, p_avg_db,
+                                                     plain, reused):
+    # the grid starts at estimate max(lam - alpha, 0): at 0 dB the trials
+    # with lam <= alpha share one grid; at -10 dB every trial has
+    # lam > alpha and needs its own
+    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(),
+                   p_avg=10.0 ** (p_avg_db / 10.0))
+    calls = _count_grid_builds(monkeypatch)
+    pol = solve_lambda(cfg)
+    assert len(calls) == reused
+    cap = capacity.ergodic_capacity(cfg).capacity
+
+    _rebuild_grid_every_trial(monkeypatch)
+    calls.clear()
+    ref = solve_lambda(cfg)
+    assert len(calls) == plain
+    assert (pol.lam, pol.p_avg_star) == (ref.lam, ref.p_avg_star)
+    assert cap == capacity.ergodic_capacity(cfg).capacity
+
+
+def test_capless_multiplier_search_reuses_the_estimated_grid(monkeypatch):
+    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
+    calls = _count_grid_builds(monkeypatch)
+    low = capacity.low_budget_asymptote(cfg)
+    reused = len(calls)
+
+    _rebuild_grid_every_trial(monkeypatch)
+    calls.clear()
+    assert capacity.low_budget_asymptote(cfg) == low
+    assert reused < len(calls) / 5
+
 
 def test_lambda_perfect_perfect_frozen():
     cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect(), ns=TIGHT)
