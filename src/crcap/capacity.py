@@ -24,6 +24,7 @@ from .power_allocation import (
     _CapField,
     _SlGrid,
     _cap_field,
+    _expected_capped,
     _grid_memo,
     average_power_threshold,
     solve_lambda,
@@ -92,14 +93,8 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
         return _saturated_value(capf, ns, panels)
     sl = _SlGrid(cfg.sl_csi, ns, panels, lam=policy.lam)
     A = sl.budget_component(policy.lam, cfg.p_avg, policy._no_csi_const)
-    if capf.is_constant:
-        P = np.minimum(A, capf.constant)
-        return float(sl.w @ sl.rate_cells(P))
-    t_star = capf.crossing_state(A)
-    head = sl.rate_cells(A) * capf.cdf(t_star)
-    nodes, wt = capf.tail_rule(t_star, panels)
-    tail = (wt * sl.rate_cells(capf.cap(nodes))).sum(axis=1)
-    return float(sl.w @ (head + tail))
+    return _expected_capped(A, sl.w, capf, panels, sl.rate_cells,
+                            blocks=sl.rows_separable)
 
 
 def _refine(evaluate, ns: NumericSettings):

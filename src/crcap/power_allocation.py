@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,7 +74,7 @@ _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
-_CHUNK_ELEMS = 4_000_000    # largest intermediate array of the rate kernels
+_CHUNK_ELEMS = 2 ** 18      # largest intermediate of every row-blocked kernel
 
 
 # ----------------------------------------------------------------------
@@ -367,18 +368,23 @@ def _invert_rate_matrix(g: np.ndarray, wg: np.ndarray, lam: float) -> np.ndarray
 def _rate_rows_direct(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.ndarray:
     """sum_n wg[j,n] log1p(P[j,k] g[j,n]) as a direct triple sum.
 
-    A g with a single row serves every row of P. Rows are chunked so the
-    (chunk, K, N) intermediate stays within _CHUNK_ELEMS elements.
+    A g with a single row serves every row of P. Rows, and within a row
+    the powers, are chunked so the (rows, K, N) intermediate stays within
+    _CHUNK_ELEMS elements; each sum over n is the same for any chunking.
     """
     J, K = P.shape
-    idx = np.arange(J) if g.shape[0] > 1 else np.zeros(J, dtype=int)
+    N = g.shape[1]
+    shared = g.shape[0] == 1
+    cols = max(1, min(K, _CHUNK_ELEMS // N))
+    rows = max(1, _CHUNK_ELEMS // (cols * N))
     out = np.empty((J, K))
-    chunk = max(1, _CHUNK_ELEMS // max(K * g.shape[1], 1))
-    for s in range(0, J, chunk):
-        e = min(s + chunk, J)
-        gi = g[idx[s:e]][:, None, :]
-        wi = wg[idx[s:e]][:, None, :]
-        out[s:e] = (wi * np.log1p(P[s:e, :, None] * gi)).sum(axis=2)
+    for s in range(0, J, rows):
+        e = min(s + rows, J)
+        gi = (g[:1] if shared else g[s:e])[:, None, :]
+        wi = (wg[:1] if shared else wg[s:e])[:, None, :]
+        for c in range(0, K, cols):
+            d = min(c + cols, K)
+            out[s:e, c:d] = (wi * np.log1p(P[s:e, c:d, None] * gi)).sum(axis=2)
     return out
 
 
@@ -397,6 +403,17 @@ def _chebyshev_points_needed(half_range: float) -> int:
     return int(np.ceil(-np.log(_RATE_KERNEL_TOL) / np.log(rho))) + 1
 
 
+def _log_power_range(P: np.ndarray):
+    """Per-row [min, max] of log P over the positive powers; (0, 0) for a
+    row without any."""
+    pos = P > 0.0
+    u = np.log(np.where(pos, P, 1.0))
+    some = pos.any(axis=1)
+    lo = np.where(some, np.where(pos, u, np.inf).min(axis=1), 0.0)
+    hi = np.where(some, np.where(pos, u, -np.inf).max(axis=1), 0.0)
+    return lo, hi
+
+
 def _rate_rows_log_power(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.ndarray:
     """sum_n wg[j,n] log1p(P[j,k] g[j,n]) through a Chebyshev interpolant
     in u = log P, one per row.
@@ -407,20 +424,20 @@ def _rate_rows_log_power(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.nda
     instead of J*K*N log1p calls. L comes from the widest row (see
     _chebyshev_points_needed); the direct sum takes over when L would
     reach K. Zero powers rate exactly 0 and do not widen their row; a row
-    of equal powers gets a small span around its one value.
+    of equal powers gets a small span around its one value. Both passes
+    over P run in blocks of rows, so only P, the result and per-row
+    vectors span all J rows.
     """
     J, K = P.shape
-    pos = P > 0.0
-    u = np.log(np.where(pos, P, 1.0))
-    some = pos.any(axis=1)
-    lo = np.where(some, np.where(pos, u, np.inf).min(axis=1), 0.0)
-    hi = np.where(some, np.where(pos, u, -np.inf).max(axis=1), 0.0)
+    rows = max(1, _CHUNK_ELEMS // K)
+    lo, hi = np.empty(J), np.empty(J)
+    for s in range(0, J, rows):
+        lo[s:s + rows], hi[s:s + rows] = _log_power_range(P[s:s + rows])
     centre = 0.5 * (lo + hi)
     half = np.maximum(0.5 * (hi - lo), 1e-3)
     L = _chebyshev_points_needed(float(half.max()))
     if L >= K:
         return _rate_rows_direct(g, wg, P)
-    x = (np.where(pos, u, centre[:, None]) - centre[:, None]) / half[:, None]
     k = np.arange(L)
     x_nodes = np.cos(np.pi * k / (L - 1))
     bary = np.where(k % 2, -1.0, 1.0)
@@ -429,9 +446,12 @@ def _rate_rows_log_power(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.nda
     out = np.empty((J, K))
     chunk = max(1, _CHUNK_ELEMS // (K * L))
     for s in range(0, J, chunk):
-        out[s:s + chunk] = _barycentric_rows(x[s:s + chunk], f[s:s + chunk],
-                                             x_nodes, bary)
-    return np.where(pos, out, 0.0)
+        e = min(s + chunk, J)
+        pos = P[s:e] > 0.0
+        c, h = centre[s:e, None], half[s:e, None]
+        x = (np.where(pos, np.log(np.where(pos, P[s:e], 1.0)), c) - c) / h
+        out[s:e] = np.where(pos, _barycentric_rows(x, f[s:e], x_nodes, bary), 0.0)
+    return out
 
 
 def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
@@ -515,23 +535,34 @@ class _SlGrid:
                            0.0, None)
         return _invert_rate_matrix(self._g, self._wg, lam)
 
-    def rate_cells(self, power: np.ndarray) -> np.ndarray:
-        """E[log(1 + P g) | cell j] for per-cell powers.
+    def rate_cells(self, power: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """E[log(1 + P g) | cell j] for the cells j in rows at powers P.
 
-        power has shape (J,) or (J, K); the result matches. With estimated
-        knowledge a (J, K) input goes through a per-cell interpolant in
-        log P (_rate_rows_log_power) instead of the (J, K, N) triple sum.
+        power has shape (J,) or (J, K), J the number of cells in rows; the
+        result matches. With estimated knowledge a (J, K) input goes
+        through a per-cell interpolant in log P (_rate_rows_log_power)
+        instead of the (J, K, N) triple sum; its degree depends on every
+        row it is given (see rows_separable).
         """
         P = np.asarray(power, dtype=float)
         if self.csi.level is CsiLevel.PERFECT:
-            return np.log1p(P * (self.state if P.ndim == 1 else self.state[:, None]))
+            state = self.state[rows]
+            return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
         g, wg = self._g, self._wg
+        if g.shape[0] > 1:
+            g, wg = g[rows], wg[rows]
         if P.ndim == 1:
-            idx = np.arange(self.n_cells) if g.shape[0] > 1 else np.zeros(P.shape[0], dtype=int)
-            return (wg[idx] * np.log1p(P[:, None] * g[idx])).sum(axis=1)
+            return _rate_rows_direct(g, wg, P[:, None])[:, 0]
         if g.shape[0] > 1:
             return _rate_rows_log_power(g, wg, P)
         return _rate_rows_direct(g, wg, P)
+
+    @property
+    def rows_separable(self) -> bool:
+        """Whether rate_cells over a block of rows equals those rows of the
+        whole: not with estimated knowledge, whose interpolant degree comes
+        from the widest row it is given."""
+        return self.csi.level is not CsiLevel.ESTIMATED
 
     def mean_budget_component(self, lam: float, p_avg: float) -> float:
         return float(self.w @ self.budget_component(lam, p_avg))
@@ -680,21 +711,55 @@ class _CapField:
 
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
-def _cap_field(csi: CsiKnowledge, i_peak: float, epsilon: float,
+def _cap_table(csi: CsiKnowledge, i_peak: float, epsilon: float,
                settings: NumericSettings) -> _CapField:
-    """The shared cap table for one cross-link setup, built on first use."""
     return _CapField(csi, i_peak, epsilon, settings)
 
 
-def _expected_capped_power(A: np.ndarray, w: np.ndarray, capf: _CapField,
-                           panels: int) -> float:
-    """E over direct-link cells and cross-link states of min(A_j, cap)."""
+_CAP_LOCK = threading.Lock()
+
+
+def _cap_field(csi: CsiKnowledge, i_peak: float, epsilon: float,
+               settings: NumericSettings) -> _CapField:
+    """The shared cap table for one cross-link setup, built on first use.
+
+    The lock makes threads that miss the cache together wait for a single
+    build instead of each building the same table.
+    """
+    with _CAP_LOCK:
+        return _cap_table(csi, i_peak, epsilon, settings)
+
+
+def _identity(power: np.ndarray, rows: slice) -> np.ndarray:
+    return power
+
+
+def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
+                     f=_identity, blocks: bool = True) -> float:
+    """E over cells j (weights w) and cross states t of f_j(min(A_j, cap(t))).
+
+    f(P, rows) evaluates f_j for the cells rows at their powers P, shaped
+    (J,) or (J, K); the identity gives the expected power, a rate gives
+    the capacity. Split at each cell's crossing state t*_j: the head is
+    f_j(A_j) F(t*_j), the tail sum wt f_j(cap(nodes)) over tail_rule's
+    nodes, built for a block of rows at a time so no intermediate
+    outgrows _CHUNK_ELEMS elements. Each row's sum is the same however
+    rows are grouped, so the value does not depend on the block size.
+    blocks=False hands f every row at once, for an f whose rows are not
+    independent (_SlGrid.rows_separable).
+    """
     if capf.is_constant:
-        return float(w @ np.minimum(A, capf.constant))
+        return float(w @ f(np.minimum(A, capf.constant), slice(None)))
     t_star = capf.crossing_state(A)
-    head = A * capf.cdf(t_star)
-    nodes, wt = capf.tail_rule(t_star, panels)
-    tail = (wt * capf.cap(nodes)).sum(axis=1)
+    head = f(A, slice(None)) * capf.cdf(t_star)
+    tail = np.empty_like(head)
+    step = A.size
+    if blocks:
+        step = max(1, _CHUNK_ELEMS // (panels * capf.settings.quad_points))
+    for s in range(0, A.size, step):
+        rows = slice(s, s + step)
+        nodes, wt = capf.tail_rule(t_star[rows], panels)
+        tail[rows] = (wt * f(capf.cap(nodes), rows)).sum(axis=1)
     return float(w @ (head + tail))
 
 
@@ -824,7 +889,7 @@ class PowerPolicy:
             return float(w @ self._capf.cap(t))
         sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=self.lam)
         A = sl.budget_component(self.lam, cfg.p_avg, self._no_csi_const)
-        return _expected_capped_power(A, sl.w, self._capf, panels)
+        return _expected_capped(A, sl.w, self._capf, panels)
 
 
 # ----------------------------------------------------------------------
@@ -888,7 +953,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
             one = np.array([1.0])
 
             def capped_avg(c: float) -> float:
-                return _expected_capped_power(np.array([c]), one, capf, panels)
+                return _expected_capped(np.array([c]), one, capf, panels)
 
             lo, hi = config.p_avg, 2.0 * config.p_avg
             for _ in range(200):
@@ -921,7 +986,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     def achieved(lam: float) -> float:
         sl = grid(lam)
         A = sl.budget_component(lam, config.p_avg)
-        return _expected_capped_power(A, sl.w, capf, panels)
+        return _expected_capped(A, sl.w, capf, panels)
 
     lo, hi = _LAMBDA_LO, 1.0
     for _ in range(200):

@@ -10,11 +10,13 @@ tolerance dwarfs the quadrature error.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
+from crcap import capacity, power_allocation
 from crcap.capacity import (
     CapacityResult,
     capacity_sweep,
@@ -23,7 +25,7 @@ from crcap.capacity import (
     low_budget_asymptote,
 )
 from crcap.fading import CsiKnowledge
-from crcap.power_allocation import NumericSettings, ScenarioConfig
+from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -210,3 +212,72 @@ def test_capacity_nearly_continuous_at_saturation_threshold():
     above = ergodic_capacity(cfg.replace(p_avg=thr * (1 + 1e-4))).capacity
     assert above >= below - 1e-9
     assert above - below < 5e-4
+
+
+# ----------------------------------------------------------------------
+# row-blocked quadrature
+
+KNOWLEDGE = {"P": PERFECT, "E": EST, "N": NONE}
+
+
+def _grid_point(code, p_avg_db):
+    return scenario(KNOWLEDGE[code[0]], KNOWLEDGE[code[1]],
+                    p_avg=10.0 ** (p_avg_db / 10.0), ns=NumericSettings())
+
+
+def _solved(monkeypatch, code, p_avg_db):
+    """Capacity, error, multiplier and expected power, plus every tail
+    rate the capacity quadrature computed, flattened in call order."""
+    rate_cells = power_allocation._SlGrid.rate_cells
+    tails = []
+
+    def recorded(self, power, rows=slice(None)):
+        out = rate_cells(self, power, rows)
+        if out.ndim == 2:
+            tails.append(out.ravel())
+        return out
+
+    monkeypatch.setattr(power_allocation._SlGrid, "rate_cells", recorded)
+    pol = solve_lambda(_grid_point(code, p_avg_db))
+    res = capacity._capacity_of(pol)
+    values = (res.capacity, res.quadrature_error_estimate, res.lam,
+              pol.expected_power())
+    return values, np.concatenate(tails) if tails else np.empty(0)
+
+
+@pytest.mark.parametrize("p_avg_db", [0.0, 13.0])
+@pytest.mark.parametrize("code", ["PP", "PE", "EP", "EE", "NP", "PN"])
+def test_row_block_size_leaves_every_bit_unchanged(monkeypatch, code, p_avg_db):
+    # per-row sums do not depend on how rows are grouped: one block for
+    # everything and blocks of a row or less must agree exactly, down to
+    # each cell's rate at each cross node (where a per-block interpolant
+    # degree would show even when the sums happen to round alike)
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 10 ** 12)
+    values, tails = _solved(monkeypatch, code, p_avg_db)
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 5000)
+    blocked_values, blocked_tails = _solved(monkeypatch, code, p_avg_db)
+    assert blocked_values == values
+    assert np.array_equal(blocked_tails, tails)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_capacity_working_set_follows_the_block_budget():
+    # a block temporary is 2**18 float64s (2 MiB). PP at 13 dB integrates
+    # 2560 cells x 2560 cross nodes at 128 panels, 50 MiB per full-size
+    # temporary: 250 MiB traced before the tail was blocked, 12 MiB after
+    assert power_allocation._CHUNK_ELEMS <= 2 ** 18
+    pol = solve_lambda(_grid_point("PP", 13.0))
+    assert _traced_peak_mb(lambda: capacity._capacity_at(pol, 128)) < 32.0
+    # an estimated direct link keeps its tail unblocked (the interpolant
+    # degree depends on every row) and relies on its chunked kernels; EP
+    # at 13 dB stops at 32 panels: 85 MiB traced with 32 MiB chunks, 28 MiB
+    # with 2 MiB ones
+    assert _traced_peak_mb(lambda: ergodic_capacity(_grid_point("EP", 13.0))) < 48.0

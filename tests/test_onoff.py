@@ -169,6 +169,6 @@ def test_threshold_search_builds_the_cap_table_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(power_allocation._CapField, "__init__", counting_init)
-    power_allocation._cap_field.cache_clear()
+    power_allocation._cap_table.cache_clear()
     optimize_threshold(cfg)
     assert len(builds) == 1

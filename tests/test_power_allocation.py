@@ -7,6 +7,8 @@ this package; both routes agreed before the digits were pinned.
 
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -253,7 +255,7 @@ def test_threshold_estimated_cross_frozen():
 
 
 def test_cap_table_shared_across_budgets_not_across_epsilon():
-    power_allocation._cap_field.cache_clear()
+    power_allocation._cap_table.cache_clear()
     est = CsiKnowledge.estimated(0.5)
     low = solve_lambda(scenario(CsiKnowledge.perfect(), est, p_avg=0.5))
     high = solve_lambda(scenario(CsiKnowledge.perfect(), est, p_avg=2.0))
@@ -261,16 +263,16 @@ def test_cap_table_shared_across_budgets_not_across_epsilon():
                                   eps=0.1))
     assert low._capf is high._capf
     assert other._capf is not low._capf
-    assert power_allocation._cap_field.cache_info().currsize == 2
+    assert power_allocation._cap_table.cache_info().currsize == 2
 
 
 def test_cap_table_shared_between_threads():
     # the CLI solves sweep points on a thread pool, all reading one table
     fast = NumericSettings(quad_points=8, base_panels=4, max_refinements=2)
     cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5), ns=fast)
-    power_allocation._cap_field.cache_clear()
+    power_allocation._cap_table.cache_clear()
     expected = solve_lambda(cfg).lam
-    power_allocation._cap_field.cache_clear()
+    power_allocation._cap_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -280,7 +282,37 @@ def test_cap_table_shared_between_threads():
     finally:
         sys.setswitchinterval(interval)
     assert lams == [expected] * 16
-    assert power_allocation._cap_field.cache_info().currsize == 1
+    assert power_allocation._cap_table.cache_info().currsize == 1
+
+
+def test_cap_table_built_once_when_threads_miss_together(monkeypatch):
+    # two threads ask for the same table at the same moment; the build is
+    # slowed so both reach the cache before either has filled it
+    builds = []
+
+    class SlowCapField(power_allocation._CapField):
+        def __init__(self, *args):
+            builds.append(args)
+            time.sleep(0.05)
+            super().__init__(*args)
+
+    monkeypatch.setattr(power_allocation, "_CapField", SlowCapField)
+    power_allocation._cap_table.cache_clear()
+    key = (CsiKnowledge.estimated(0.5), 10.0, 0.05, NumericSettings())
+    start = threading.Barrier(2)
+
+    def fetch():
+        start.wait(timeout=10)
+        return power_allocation._cap_field(*key)
+
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            tables = [f.result(timeout=60) for f in
+                      [pool.submit(fetch) for _ in range(2)]]
+    finally:
+        power_allocation._cap_table.cache_clear()
+    assert len(builds) == 1
+    assert tables[0] is tables[1]
 
 
 # ----------------------------------------------------------------------
