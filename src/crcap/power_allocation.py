@@ -549,11 +549,12 @@ class _SlGrid:
             state = self.state[rows]
             return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
         g, wg = self._g, self._wg
-        if g.shape[0] > 1:
+        estimated = self.csi.level is CsiLevel.ESTIMATED
+        if estimated:
             g, wg = g[rows], wg[rows]
         if P.ndim == 1:
             return _rate_rows_direct(g, wg, P[:, None])[:, 0]
-        if g.shape[0] > 1:
+        if estimated:
             return _rate_rows_log_power(g, wg, P)
         return _rate_rows_direct(g, wg, P)
 

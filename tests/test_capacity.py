@@ -218,6 +218,7 @@ def test_capacity_nearly_continuous_at_saturation_threshold():
 # row-blocked quadrature
 
 KNOWLEDGE = {"P": PERFECT, "E": EST, "N": NONE}
+RATE_CELLS = power_allocation._SlGrid.rate_cells
 
 
 def _grid_point(code, p_avg_db):
@@ -228,11 +229,10 @@ def _grid_point(code, p_avg_db):
 def _solved(monkeypatch, code, p_avg_db):
     """Capacity, error, multiplier and expected power, plus every tail
     rate the capacity quadrature computed, flattened in call order."""
-    rate_cells = power_allocation._SlGrid.rate_cells
     tails = []
 
     def recorded(self, power, rows=slice(None)):
-        out = rate_cells(self, power, rows)
+        out = RATE_CELLS(self, power, rows)
         if out.ndim == 2:
             tails.append(out.ravel())
         return out
