@@ -2,9 +2,10 @@
 
 Everything drives crcap.cli.main(argv) in-process; one test exercises
 the installed console script end to end, and one checks what a fresh
-`import crcap` loads.
+`import crcap.cli` loads.
 """
 
+import ast
 import json
 import math
 import subprocess
@@ -361,14 +362,18 @@ def test_console_script_entry_point(tmp_path):
     assert "wrote" in proc.stdout
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # every CLI run is a fresh process that pays for what `import crcap`
-    # loads; scipy.stats alone adds about 185 ms to that start
+def test_cli_import_loads_no_scipy_subpackage_but_special():
+    # every CLI run is a fresh process that pays for what `import crcap.cli`
+    # loads: scipy.stats alone adds about 185 ms to that start, and
+    # scipy.interpolate about 190 ms (it brings optimize, linalg, sparse,
+    # spatial, fft and constants along); private modules are not counted
     src = str(Path(crcap.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, %r); import crcap; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') "
-            "if m in sys.modules])" % src)
+    code = ("import sys; sys.path.insert(0, %r); import crcap.cli; "
+            "print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.')}))" % src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = ast.literal_eval(proc.stdout.strip())
+    public = [m for m in loaded if not m.startswith("_") and m != "version"]
+    assert public == ["special"]

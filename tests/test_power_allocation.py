@@ -93,6 +93,20 @@ def test_rate_integral_frozen_value():
         0.27734276622355483, rel=1e-9)
 
 
+# scipy.integrate.quad of the i0e-form density times g / (1 + P g) over
+# [0, conditional_support_bound(0.5, 0.5, 1e-12)] with a break at g = 1/P,
+# epsabs=0, epsrel=1e-13. At the two large powers the layer g <~ 1/P carries
+# the integral; uniform panels miss it by 6.3e-6 and 9.7e-8 relative
+@pytest.mark.parametrize("power, want", [
+    (1.0, 0.419696456591781),
+    (100.0, 0.009656647157964408),
+    (999989.8, 1.0000000000402004e-06),
+    (1e8, 9.999998641182962e-09),
+])
+def test_rate_integral_matches_quad_across_the_small_gain_layer(power, want):
+    assert rate_integral(power, 0.5, 0.5) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_rate_integral_decreasing_in_power():
     ps = np.array([0.0, 0.5, 1.0, 2.0, 8.0])
     vals = rate_integral(ps, 1.0, 0.5)
@@ -112,6 +126,12 @@ def test_invert_rate_integral_zero_above_conditional_mean():
     # rate_integral(0) = m + alpha, so any target at or above it gives P = 0
     assert invert_rate_integral(1.5, 1.0, 0.5) == 0.0
     assert invert_rate_integral(2.0, 1.0, 0.5) == 0.0
+
+
+def test_invert_rate_integral_raises_when_out_of_steps(monkeypatch):
+    monkeypatch.setattr(power_allocation, "_RATE_INVERSION_STEPS", 3)
+    with pytest.raises(NumericsError):
+        invert_rate_integral(0.3, 1.0, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +252,83 @@ def test_component_estimated_matches_inverse():
     for mi, ci in zip(m, comp):
         assert ci == pytest.approx(invert_rate_integral(lam, float(mi), 0.5),
                                    rel=1e-8, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# the monotone cubic interpolant behind the cap table and the budget table
+
+def _recording_pchip(monkeypatch):
+    """Patch _Pchip to record the (x, y) of every interpolant it builds."""
+    made = []
+
+    class Recording(power_allocation._Pchip):
+        def __init__(self, x, y):
+            made.append((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(power_allocation, "_Pchip", Recording)
+    return made
+
+
+def _probe_points(x):
+    """Knots, midpoints, knots moved one ulp either way, random interior
+    points and points beyond both ends."""
+    rng = np.random.default_rng(7)
+    span = x[-1] - x[0]
+    beyond = span * np.geomspace(1e-12, 1e20, 64)
+    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                           np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                           rng.uniform(x[0], x[-1], 20000),
+                           x[0] - beyond, x[-1] + beyond])
+
+
+def _assert_equals_scipy_pchip(interp, x, y):
+    from scipy.interpolate import PchipInterpolator
+
+    v = _probe_points(x)
+    want = PchipInterpolator(x, y, extrapolate=True)(v)
+    assert np.array_equal(interp(v), want)
+    # the arithmetic lookup lands on the interval searchsorted gives
+    i_want = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
+    assert np.array_equal(interp._interval(v), i_want)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3])
+def test_cap_table_interpolants_equal_scipy_pchip(monkeypatch, alpha, eps):
+    made = _recording_pchip(monkeypatch)
+    capf = power_allocation._CapField(CsiKnowledge.estimated(alpha), 10.0, eps,
+                                      NumericSettings())
+    (m, q), (q_knots, m_values) = made
+    assert np.array_equal(q, q_knots) and np.array_equal(m, m_values)
+    # q(m) sits on linspace knots (arithmetic lookup), m(q) does not
+    assert capf._q_of_m._uniform and not capf._m_of_q._uniform
+    _assert_equals_scipy_pchip(capf._q_of_m, m, q)
+    _assert_equals_scipy_pchip(capf._m_of_q, q, m)
+
+
+def test_budget_interpolant_equals_scipy_pchip(monkeypatch):
+    est = CsiKnowledge.estimated(0.5)
+    pol = solve_lambda(scenario(est, est))
+    assert pol.regime == "power_limited"
+    made = _recording_pchip(monkeypatch)
+    pol.budget_component(np.array([0.5]))
+    (m, vals), = made
+    interp = pol._budget_interp[2]
+    assert interp._uniform
+    _assert_equals_scipy_pchip(interp, m, vals)
+    # the same knots through the binary search
+    interp._uniform = False
+    _assert_equals_scipy_pchip(interp, m, vals)
+
+
+def test_pchip_rejects_bad_knots():
+    with pytest.raises(ValueError):
+        power_allocation._Pchip([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        power_allocation._Pchip([0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        power_allocation._Pchip([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])
 
 
 # ----------------------------------------------------------------------
