@@ -612,9 +612,7 @@ class _Pchip:
     slopes, the same Hermite coefficients c0..c3 per interval, the same
     interval (x[i] <= v < x[i+1], clipped to the end intervals) and the
     same sum c3 + c2 s + c1 s^2 + c0 s^3 with the powers of s built by
-    repeated multiplication. Knots made by np.linspace find the interval
-    arithmetically, floor((v - x[0]) / h) moved by at most one place,
-    which gives searchsorted's answer without a binary search.
+    repeated multiplication.
     """
 
     def __init__(self, x, y):
@@ -642,8 +640,6 @@ class _Pchip:
         self._c2 = d[:-1]
         self._c3 = y[:-1] + 0.0   # scipy's sum starts from 0.0, which turns -0.0 into 0.0
         self._x = x
-        self._uniform = np.array_equal(x, np.linspace(x[0], x[-1], x.size))
-        self._inv_h = (x.size - 1) / (x[-1] - x[0])
 
     @staticmethod
     def _end_slope(h0, h1, m0, m1):
@@ -654,22 +650,11 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def _interval(self, v: np.ndarray) -> np.ndarray:
-        x = self._x
-        last = x.size - 2
-        if not self._uniform:
-            return np.clip(np.searchsorted(x, v, side="right") - 1, 0, last)
-        with np.errstate(invalid="ignore"):   # nan casts to some index
-            i = np.clip((v - x[0]) * self._inv_h, 0.0, last).astype(np.intp)
-        np.clip(i, 0, last, out=i)
-        i -= v < x[i]
-        i += v >= x[i + 1]
-        return np.clip(i, 0, last, out=i)
-
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         flat = v.ravel()
-        i = self._interval(flat)
+        i = np.clip(np.searchsorted(self._x, flat, side="right") - 1,
+                    0, self._x.size - 2)
         s = flat - self._x[i]
         out = self._c2[i] * s
         out += self._c3[i]

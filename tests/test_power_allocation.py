@@ -288,9 +288,6 @@ def _assert_equals_scipy_pchip(interp, x, y):
     v = _probe_points(x)
     want = PchipInterpolator(x, y, extrapolate=True)(v)
     assert np.array_equal(interp(v), want)
-    # the arithmetic lookup lands on the interval searchsorted gives
-    i_want = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
-    assert np.array_equal(interp._interval(v), i_want)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9, 0.999])
@@ -301,8 +298,6 @@ def test_cap_table_interpolants_equal_scipy_pchip(monkeypatch, alpha, eps):
                                       NumericSettings())
     (m, q), (q_knots, m_values) = made
     assert np.array_equal(q, q_knots) and np.array_equal(m, m_values)
-    # q(m) sits on linspace knots (arithmetic lookup), m(q) does not
-    assert capf._q_of_m._uniform and not capf._m_of_q._uniform
     _assert_equals_scipy_pchip(capf._q_of_m, m, q)
     _assert_equals_scipy_pchip(capf._m_of_q, q, m)
 
@@ -314,12 +309,7 @@ def test_budget_interpolant_equals_scipy_pchip(monkeypatch):
     made = _recording_pchip(monkeypatch)
     pol.budget_component(np.array([0.5]))
     (m, vals), = made
-    interp = pol._budget_interp[2]
-    assert interp._uniform
-    _assert_equals_scipy_pchip(interp, m, vals)
-    # the same knots through the binary search
-    interp._uniform = False
-    _assert_equals_scipy_pchip(interp, m, vals)
+    _assert_equals_scipy_pchip(pol._budget_interp[2], m, vals)
 
 
 def test_pchip_rejects_bad_knots():
