@@ -38,7 +38,11 @@ Numerical scheme
 Every expectation is a composite Gauss-Legendre sum over a truncated
 support (explicit tail mass). Expectations of min(a, cap(t)) are split at
 the crossing state where the cap equals a, so each quadrature piece is
-smooth and converges spectrally; see _CapField.crossing_state.
+smooth and converges spectrally; see _CapField.crossing_state. The part
+above the crossing, the cap tail integral, depends on the crossing state
+alone, so each cap table integrates it once into a cumulative table and
+the average-power equation reads it off (_CapField.capped_mean): a
+multiplier trial costs one Gauss-Legendre panel per direct-link cell.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import panel_rule, panel_rule_batch
+from .quadrature import _gl_rule, panel_rule, panel_rule_batch
 from .special_functions import NumericsError
 
 __all__ = [
@@ -669,10 +673,22 @@ class _CapField:
     """Interference cap as a function of the cross-link conditioning state.
 
     Exposes the cap, the state distribution, the crossing state where the
-    cap equals a given level, and quadrature rules over the state. For
-    estimated knowledge the conditional quantile is tabulated once on a
-    dense grid and evaluated through monotone (PCHIP) interpolation; the
-    exact quantile stays available through interference_power_cap.
+    cap equals a given level, quadrature rules over the state, and the
+    capped mean E[min(a, cap)]. For estimated knowledge the conditional
+    quantile is tabulated once on a dense grid and evaluated through
+    monotone (PCHIP) interpolation; the exact quantile stays available
+    through interference_power_cap.
+
+    The cap tail G(s) = integral of cap(t) p(t) over [s, upper] is
+    tabulated once as well, at knots where cap is smooth in between: the
+    1025 PCHIP knots (one cubic piece per interval) under estimated
+    knowledge; under perfect knowledge the floor 1e-13 below which
+    states are dropped, then _GAIN_FLOOR, where the cap stops being
+    constant, and 256 geometric intervals up to upper. Each interval is
+    one Gauss-Legendre panel of quad_points nodes; tail_integral adds one
+    more panel from s to the next knot. A multiplier trial then costs one
+    panel per direct-link cell, and its value does not depend on the
+    trial's panel count.
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
@@ -689,18 +705,22 @@ class _CapField:
         if self.level is CsiLevel.NONE:
             self.constant = i_peak / fading.marginal_power_quantile(1.0 - epsilon)
             self.upper = 0.0
-        elif self.level is CsiLevel.PERFECT:
-            self.constant = None
+            return
+        self.constant = None
+        if self.level is CsiLevel.PERFECT:
             self.upper = -np.log(settings.tail_mass)
+            knots = np.concatenate(([1e-13], np.geomspace(_GAIN_FLOOR, self.upper, 257)))
         else:
-            self.constant = None
             self.upper = -(1.0 - csi.alpha) * np.log(settings.tail_mass)
-            grid = np.linspace(0.0, self.upper, 1025)
-            q = fading.conditional_power_inv_cdf(1.0 - epsilon, grid, csi.alpha)
-            self._q_of_m = _Pchip(grid, q)
-            self._m_of_q = _Pchip(q, grid)
+            knots = np.linspace(0.0, self.upper, 1025)
+            q = fading.conditional_power_inv_cdf(1.0 - epsilon, knots, csi.alpha)
+            self._q_of_m = _Pchip(knots, q)
+            self._m_of_q = _Pchip(q, knots)
             self._q_lo = float(q[0])
             self._q_hi = float(q[-1])
+        self._knots = knots
+        panel = self._panel_integral(knots[:-1], knots[1:])
+        self._tail = np.append(np.cumsum(panel[::-1])[::-1], 0.0)
 
     @property
     def is_constant(self) -> bool:
@@ -771,6 +791,35 @@ class _CapField:
             return t, wy * t * fading.marginal_power_pdf(t)
         return _exp_rule(1.0 - self.csi.alpha, panels, pts, self.settings.tail_mass)
 
+    def _panel_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """One Gauss-Legendre panel of cap * pdf over each [lo_j, hi_j]."""
+        x, w = _gl_rule(self.settings.quad_points)
+        half = 0.5 * (hi - lo)[..., None]
+        nodes = lo[..., None] + half * (x + 1.0)
+        return (half * w * self.cap(nodes) * self.pdf(nodes)).sum(axis=-1)
+
+    def tail_integral(self, t_star):
+        """G(t*): the integral of cap * pdf over [t*, upper], from the table.
+
+        States below the first knot count as the first knot, so with
+        perfect knowledge G(t*) = G(1e-13) for t* <= 1e-13.
+        """
+        knots = self._knots
+        t = np.clip(np.asarray(t_star, dtype=float), knots[0], self.upper)
+        i = np.clip(np.searchsorted(knots, t, side="right"), 1, knots.size - 1)
+        return self._tail[i] + self._panel_integral(t, knots[i])
+
+    def capped_mean(self, a):
+        """E over states of min(a, cap(t)), per level in a.
+
+        Split at the crossing state t*: a F(t*) below it, G(t*) above.
+        """
+        a = np.asarray(a, dtype=float)
+        if self.is_constant:
+            return np.minimum(a, self.constant)
+        t_star = self.crossing_state(a)
+        return a * self.cdf(t_star) + self.tail_integral(t_star)
+
     def mean_cap(self, panels: int) -> float:
         """E[cap] over the truncated state grid.
 
@@ -805,23 +854,19 @@ def _cap_field(csi: CsiKnowledge, i_peak: float, epsilon: float,
         return _cap_table(csi, i_peak, epsilon, settings)
 
 
-def _identity(power: np.ndarray, rows: slice) -> np.ndarray:
-    return power
-
-
 def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
-                     f=_identity, blocks: bool = True) -> float:
+                     f, blocks: bool = True) -> float:
     """E over cells j (weights w) and cross states t of f_j(min(A_j, cap(t))).
 
     f(P, rows) evaluates f_j for the cells rows at their powers P, shaped
-    (J,) or (J, K); the identity gives the expected power, a rate gives
-    the capacity. Split at each cell's crossing state t*_j: the head is
-    f_j(A_j) F(t*_j), the tail sum wt f_j(cap(nodes)) over tail_rule's
-    nodes, built for a block of rows at a time so no intermediate
-    outgrows _CHUNK_ELEMS elements. Each row's sum is the same however
-    rows are grouped, so the value does not depend on the block size.
-    blocks=False hands f every row at once, for an f whose rows are not
-    independent (_SlGrid.rows_separable).
+    (J,) or (J, K); a rate gives the capacity (the expected power needs no
+    f: _CapField.capped_mean). Split at each cell's crossing state t*_j:
+    the head is f_j(A_j) F(t*_j), the tail sum wt f_j(cap(nodes)) over
+    tail_rule's nodes, built for a block of rows at a time so no
+    intermediate outgrows _CHUNK_ELEMS elements. Each row's sum is the
+    same however rows are grouped, so the value does not depend on the
+    block size. blocks=False hands f every row at once, for an f whose
+    rows are not independent (_SlGrid.rows_separable).
     """
     if capf.is_constant:
         return float(w @ f(np.minimum(A, capf.constant), slice(None)))
@@ -958,13 +1003,10 @@ class PowerPolicy:
         cfg = self.config
         panels = panels or cfg.numerics.base_panels * 2
         if self.regime == "saturated":
-            if self._capf.is_constant:
-                return float(self._capf.constant)
-            t, w = self._capf.full_rule(panels)
-            return float(w @ self._capf.cap(t))
+            return self._capf.mean_cap(panels)
         sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=self.lam)
         A = sl.budget_component(self.lam, cfg.p_avg, self._no_csi_const)
-        return _expected_capped(A, sl.w, self._capf, panels)
+        return float(sl.w @ self._capf.capped_mean(A))
 
 
 # ----------------------------------------------------------------------
@@ -1010,7 +1052,8 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     achieved average power is within lambda_rel_tol of the budget,
     relative. The direct-link grid follows the trial multiplier so a
     panel edge always sits on the zero-power kink; it is rebuilt only
-    when that kink moves (_grid_memo).
+    when that kink moves (_grid_memo). The cap part of each trial comes
+    from the cap table's tail integral (_CapField.capped_mean).
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
@@ -1025,10 +1068,8 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         if config.rescale_no_csi_budget and not capf.is_constant:
             # enlarge the constant until the capped average meets the budget;
             # the bracket exists because E[min(c, cap)] -> E[cap] > p_avg
-            one = np.array([1.0])
-
             def capped_avg(c: float) -> float:
-                return _expected_capped(np.array([c]), one, capf, panels)
+                return float(capf.capped_mean(c))
 
             lo, hi = config.p_avg, 2.0 * config.p_avg
             for _ in range(200):
@@ -1037,7 +1078,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
                 lo, hi = hi, 2.0 * hi
             else:
                 raise NumericsError("failed to bracket the rescaled constant")
-            # each trial is a single cheap quadrature, so unlike the
+            # each trial is a single cheap table lookup, so unlike the
             # multiplier solve there is no reason to leave slack here: a
             # budget residual would show up directly in a simulated average
             const = hi
@@ -1061,7 +1102,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     def achieved(lam: float) -> float:
         sl = grid(lam)
         A = sl.budget_component(lam, config.p_avg)
-        return _expected_capped(A, sl.w, capf, panels)
+        return float(sl.w @ capf.capped_mean(A))
 
     lo, hi = _LAMBDA_LO, 1.0
     for _ in range(200):

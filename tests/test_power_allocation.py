@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from crcap import capacity, power_allocation
@@ -27,6 +29,7 @@ from crcap.power_allocation import (
     rate_integral,
     solve_lambda,
 )
+from crcap.quadrature import panel_rule
 from crcap.special_functions import NumericsError
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
@@ -403,6 +406,76 @@ def test_cap_table_built_once_when_threads_miss_together(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# cap tail table
+
+def _perfect_cross_tail(t_star, i_peak, upper):
+    """Closed form of the integral of i_peak / max(t, 1e-12) e^-t over
+    [max(t_star, 1e-13), upper]: constant cap below 1e-12, then E1."""
+    a = max(t_star, 1e-13)
+    if a < 1e-12:
+        # e^-a - e^-1e-12 without cancellation
+        head = -1e12 * math.exp(-a) * math.expm1(a - 1e-12)
+        return i_peak * (head + special.exp1(1e-12) - special.exp1(upper))
+    return i_peak * (special.exp1(a) - special.exp1(upper))
+
+
+@pytest.mark.parametrize("t_star", [0.0, 5e-13, 1e-12, 1e-6, 0.3, 5.0, "upper"])
+def test_cap_tail_table_matches_closed_form_perfect_cross(t_star):
+    capf = power_allocation._CapField(CsiKnowledge.perfect(), 10.0, 0.05,
+                                      NumericSettings())
+    t = capf.upper if t_star == "upper" else t_star
+    want = _perfect_cross_tail(t, 10.0, capf.upper)
+    assert float(capf.tail_integral(t)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _tail_reference(capf, t_star):
+    """Cap tail over [t_star, upper] with 4 Gauss-Legendre panels in each
+    PCHIP interval and in the partial interval above t_star."""
+    knots = capf._knots
+    above = knots[knots > t_star]
+    edges = np.unique(np.concatenate(
+        [np.linspace(a, b, 5) for a, b in zip(np.append(t_star, above[:-1]), above)]))
+    x, w = panel_rule(edges, capf.settings.quad_points)
+    return math.fsum(w * capf.cap(x) * capf.pdf(x))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3])
+def test_cap_tail_table_matches_finer_rule_estimated_cross(alpha, eps):
+    capf = power_allocation._CapField(CsiKnowledge.estimated(alpha), 10.0, eps,
+                                      NumericSettings())
+    knots = capf._knots
+    t = np.concatenate([[0.0, knots[1], knots[500]],
+                        np.random.default_rng(7).uniform(0.0, capf.upper, 20)])
+    want = [_tail_reference(capf, ti) for ti in t]
+    np.testing.assert_allclose(capf.tail_integral(t), want, rtol=1e-13, atol=0.0)
+    assert capf.tail_integral(capf.upper) == 0.0
+    dense = np.sort(np.concatenate([np.linspace(0.0, capf.upper, 4001), knots]))
+    assert np.all(np.diff(capf.tail_integral(dense)) <= 0.0)
+
+
+_cross_setups = st.one_of(
+    st.just(CsiKnowledge.perfect()),
+    st.floats(0.02, 0.98).map(CsiKnowledge.estimated))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cl=_cross_setups,
+       i_peak=st.floats(0.1, 100.0),
+       eps=st.floats(1e-6, 0.3),
+       log_a=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=12))
+def test_capped_mean_is_bounded_and_nondecreasing(cl, i_peak, eps, log_a):
+    capf = power_allocation._CapField(cl, i_peak, eps, NumericSettings())
+    a = 10.0 ** np.sort(np.asarray(log_a))
+    mean = capf.capped_mean(a)
+    top = float(capf.tail_integral(0.0))
+    rounding = 1e-13 * np.maximum(mean, 1.0)
+    assert np.all(mean >= 0.0)
+    assert np.all(np.diff(mean) >= -rounding[1:])
+    assert np.all(mean <= np.minimum(a, top) + rounding)
+
+
+# ----------------------------------------------------------------------
 # multiplier search
 
 def _count_grid_builds(monkeypatch):
@@ -487,6 +560,53 @@ def test_lambda_no_cap_binding_reduces_to_water_filling():
                    i_peak=1e6, ns=TIGHT)
     pol = solve_lambda(cfg)
     assert pol.lam == pytest.approx(0.393773845045, rel=2e-6)
+
+
+# multipliers of the solver that integrated the cap tail afresh for every
+# trial (a 16-panel rule per direct-link cell); the cap tail table must
+# reproduce each bit for bit
+_FROZEN_LAMBDAS = {
+    ("PP", -10.0): 1.1661376953125,
+    ("PP", 0.0): 0.39361572265685646,
+    ("PP", 13.0): 0.020385742188479616,
+    ("PE", -10.0): 1.1661376953125,
+    ("PE", 0.0): 0.39315795898498185,
+    ("EP", -10.0): 0.9249267578125752,
+    ("EP", 0.0): 0.3918151855474832,
+    ("EP", 13.0): 0.021408081055666092,
+    ("EE", -10.0): 0.9249267578125752,
+    ("EE", 0.0): 0.3917541503912333,
+    ("PN", -10.0): 1.1661376953125,
+    ("PN", 0.0): 0.3937683105474813,
+}
+_KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
+              "N": CsiKnowledge.no_csi()}
+
+
+@pytest.mark.parametrize("code, p_avg_db", list(_FROZEN_LAMBDAS),
+                         ids=[f"{c}@{p:g}dB" for c, p in _FROZEN_LAMBDAS])
+def test_lambda_frozen_bit_for_bit(code, p_avg_db):
+    cfg = scenario(_KNOWLEDGE[code[0]], _KNOWLEDGE[code[1]],
+                   p_avg=10.0 ** (p_avg_db / 10.0))
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    assert pol.lam == _FROZEN_LAMBDAS[code, p_avg_db]
+
+
+def test_lambda_frozen_near_the_perfect_cross_threshold():
+    # at lam ~ 1.1e-13 the budget component 1/lam - 1/g reaches ~9e12, so
+    # its crossing state i_peak / A sits just above the 1e-12 gain floor,
+    # below which the cap is constant
+    cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect(), p_avg=279.5)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    assert pol.lam == 1.1103027343749999e-13
+
+
+def test_rescaled_constant_frozen():
+    cfg = scenario(CsiKnowledge.no_csi(), CsiKnowledge.perfect(), p_avg=2.0,
+                   rescale_no_csi_budget=True)
+    assert solve_lambda(cfg).budget_component(None) == 2.002006491704833
 
 
 def test_saturated_regime_above_threshold():
