@@ -321,8 +321,17 @@ def _conditional_matrix(m_nodes: np.ndarray, alpha: float, panels: int,
     """Per-row nodes/weights for E[. | m_j]; weights include the pdf.
 
     Rows cover the conditional bump between Gaussian-envelope bounds; the
-    mass left outside is at most ~2 * tail_mass per row.
+    mass left outside is at most ~2 * tail_mass per row. Rows are built in
+    blocks of at most _CHUNK_ELEMS values, so only the result spans them all.
     """
+    rows = max(1, _CHUNK_ELEMS // (panels * points))
+    if m_nodes.size > rows:
+        g = np.empty((m_nodes.size, panels * points))
+        w = np.empty_like(g)
+        for s in range(0, m_nodes.size, rows):
+            g[s:s + rows], w[s:s + rows] = _conditional_matrix(
+                m_nodes[s:s + rows], alpha, panels, points, tail_mass)
+        return g, w
     c = np.sqrt(-2.0 * np.log(tail_mass))
     r = np.sqrt(2.0 * m_nodes / alpha)
     lo = 0.5 * alpha * np.maximum(r - c, 0.0) ** 2
@@ -344,7 +353,13 @@ def _invert_rate_matrix(g: np.ndarray, wg: np.ndarray, lam: float) -> np.ndarray
     since g/(1+Pg) < 1/P pointwise. r_j is convex and decreasing, so a
     Newton step from below the root never overshoots it. Raises
     NumericsError if a row has not converged after _ROW_INVERSION_STEPS.
+    Rows are solved in blocks of at most _CHUNK_ELEMS values; each row's
+    iterates depend on that row alone.
     """
+    rows = max(1, _CHUNK_ELEMS // g.shape[1])
+    if g.shape[0] > rows:
+        return np.concatenate([_invert_rate_matrix(g[s:s + rows], wg[s:s + rows], lam)
+                               for s in range(0, g.shape[0], rows)])
     mean = (wg * g).sum(axis=1)
     active = mean > lam
     out = np.zeros(g.shape[0])

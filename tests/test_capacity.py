@@ -281,3 +281,14 @@ def test_capacity_working_set_follows_the_block_budget():
     # at 13 dB stops at 32 panels: 85 MiB traced with 32 MiB chunks, 28 MiB
     # with 2 MiB ones
     assert _traced_peak_mb(lambda: ergodic_capacity(_grid_point("EP", 13.0))) < 48.0
+
+
+def test_estimated_grid_and_row_inversion_build_in_row_blocks():
+    # 64 panels: 1280 cells x 1280 gain nodes, 12.5 MiB per full-size
+    # array. The grid keeps g and wg (25 MiB); building them and inverting
+    # every row traced 113 MiB before both worked in row blocks, 39 MiB after
+    def build_and_invert():
+        grid = power_allocation._SlGrid(EST, NumericSettings(), 64)
+        grid.budget_component(0.05, 1.0)
+
+    assert _traced_peak_mb(build_and_invert) < 48.0

@@ -86,6 +86,62 @@ def test_rate_closed_form_none_cross():
         assert onoff_rate(tau, cfg) == pytest.approx(closed, rel=1e-9)
 
 
+# onoff_rate at p_avg = 1, i_peak = 10, eps = 0.05: (cross link, tau, rate)
+ONOFF_MPMATH = [
+    (PERFECT, 0.5, 0.70205149423352447),
+    (PERFECT, 1.5, 0.5393522936324182),
+    (EST, 0.5, 0.70188527359650225),
+    (EST, 1.5, 0.50902010986436643),
+]
+
+
+@pytest.mark.parametrize("cl, tau, rate", ONOFF_MPMATH)
+def test_rate_matches_mpmath_quad_over_the_cross_state(cl, tau, rate):
+    """Both the cross-state integral and the direct-link closed form are
+    computed by mpmath alone; the cap of an estimated cross link comes
+    from a Newton-bisection on mpmath's quadrature of the conditional
+    density, so nothing is shared with crcap's rules or tables:
+
+        import mpmath as mp
+        mp.mp.dps = 20
+        P_AVG, I_PEAK, EPS, ALPHA = 1.0, 10.0, 0.05, 0.5
+
+        def rate_above(tau, P):     # int_tau^inf log(1 + P g) e^-g dg
+            x = tau + 1 / P
+            return mp.exp(-tau) * (mp.log1p(P * tau) + mp.exp(x) * mp.e1(x))
+
+        def quantile(m):            # 1 - EPS quantile of g given estimate m
+            pdf = lambda g: (mp.exp(-(g + m) / ALPHA)
+                             * mp.besseli(0, 2 * mp.sqrt(g * m) / ALPHA) / ALPHA)
+            lo, hi = mp.mpf(0), m + 50 * ALPHA
+            x = hi / 2
+            while True:
+                f = mp.quad(pdf, mp.linspace(0, x, 8)) - (1 - mp.mpf(EPS))
+                step = f / pdf(x)
+                if abs(step) < mp.mpf(10) ** -17 * x:
+                    return x - step
+                lo, hi = (lo, x) if f > 0 else (x, hi)
+                x = x - step if lo < x - step < hi else (lo + hi) / 2
+
+        def perfect(tau):           # cross gain t ~ Exp(1), cap I_PEAK / t
+            B = P_AVG * mp.exp(tau)
+            f = lambda t: mp.exp(-t) * rate_above(tau, min(B, I_PEAK / t))
+            return mp.quad(f, [0, I_PEAK / B, mp.inf])
+
+        def estimated(tau):         # estimate m ~ Exp(1 - ALPHA), ~2 min
+            B, s = P_AVG * mp.exp(tau), 1 - mp.mpf(ALPHA)
+            cap = lambda m: I_PEAK / quantile(m)
+            m_star = mp.findroot(lambda m: cap(m) - B, (0, 10), solver="anderson")
+            f = lambda m: mp.exp(-m / s) / s * rate_above(tau, min(B, cap(m)))
+            return mp.quad(f, [0, m_star, 40 * s])
+
+    with tau = mp.mpf(0.5) and mp.mpf(1.5). The crossing state is 6.07 and
+    2.23 for a perfect cross link, 2.49 and 0.28 for an estimated one.
+    """
+    cfg = scenario(cl).replace(numerics=NumericSettings())
+    assert onoff_rate(tau, cfg) == pytest.approx(rate, rel=1e-9, abs=0)
+
+
 def test_optimum_none_cross_frozen():
     tau, rate = optimize_threshold(scenario(NONE))
     assert tau == pytest.approx(0.56372252, abs=2e-6)

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crcap import special_functions
 from crcap.special_functions import (
-    EULER_GAMMA,
     NumericsError,
     bessel_i0_log,
     exp_integral_e1,
@@ -80,10 +82,61 @@ def test_exp_integral_e1_scaled_frozen_values():
         0.000999001994023880715, rel=REL)
 
 
+# (x, E1(x), e^x E1(x)) from mpmath at 40 digits, rounded to 20. The three
+# points on (1, 5] are where the former Lentz continued fraction erred by
+# 8.7e-15 to 1.1e-14 relative; 500 is the end of the e^x * exp1(x) branch.
+E1_MPMATH = [
+    (1.051, 0.20153986425046537205, 0.57650683708937186995),
+    (1.158, 0.1693690360314131681, 0.53919645196420533826),
+    (1.289, 0.13777960994593100853, 0.500023640932333238),
+    (4.5, 0.0020734007547146144329, 0.18664158797574647004),
+    (np.nextafter(500.0, 0.0), 1.4220767822537194192e-220,
+     0.0019960159047604111165),
+    (500.0, 1.4220767822536384221e-220, 0.00199601590476041089),
+    (np.nextafter(500.0, np.inf), 1.422076782253557425e-220,
+     0.0019960159047604106636),
+    (1e3, 0.0, 0.000999001994023880715),   # E1 underflows past x ~ 745
+    (1e8, 0.0, 9.999999900000002e-9),
+    (1e300, 0.0, 9.999999999999999475e-301),
+]
+
+
+@pytest.mark.parametrize("x, e1, scaled_e1", E1_MPMATH)
+def test_exp_integral_e1_matches_40_digit_mpmath(x, e1, scaled_e1):
+    assert exp_integral_e1(x) == pytest.approx(e1, rel=4e-15, abs=0)
+    assert exp_integral_e1(x, scaled=True) == pytest.approx(scaled_e1, rel=4e-15,
+                                                            abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8))
+@example(xs=[np.nextafter(500.0, 0.0), 500.0, np.nextafter(500.0, np.inf)])
+@example(xs=[1e-300, 1.0, 1e300])
+def test_exp_integral_e1_bounds_cutoff_and_array_form(xs):
+    cut = special_functions._E1_SCALED_CUTOFF
+    x = np.asarray(xs)
+    scaled = exp_integral_e1(x, scaled=True)
+    plain = exp_integral_e1(x)
+    assert np.array_equal(scaled, [exp_integral_e1(v, scaled=True) for v in xs])
+    assert np.array_equal(plain, [exp_integral_e1(v) for v in xs])
+    # 1/(x+1) < e^x E1(x) < 1/x; past x ~ 1e8 the gap is below rounding
+    # and the value may equal either end
+    assert np.all((1.0 / (x + 1.0) <= scaled) & (scaled <= 1.0 / x))
+    strict = x < 1e6
+    assert np.all((1.0 / (x[strict] + 1.0) < scaled[strict])
+                  & (scaled[strict] < 1.0 / x[strict]))
+    # the two branches meet without a step up: every value at or below the
+    # cutoff is at least the first value above it, and vice versa
+    above = exp_integral_e1(np.nextafter(cut, np.inf), scaled=True)
+    at = exp_integral_e1(cut, scaled=True)
+    low = x <= cut
+    assert np.all(scaled[low] >= above) and np.all(scaled[~low] <= at)
+
+
 def test_exp_integral_e1_small_x_log_singularity():
     # E1(x) = -gamma - ln x + x + O(x^2)
     x = 1e-9
-    expect = -EULER_GAMMA - math.log(x) + x
+    expect = -np.euler_gamma - math.log(x) + x
     assert exp_integral_e1(x) == pytest.approx(expect, rel=1e-10)
 
 
