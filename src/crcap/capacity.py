@@ -6,7 +6,10 @@ averaged over both links' fading, with P the policy from
 power_allocation.solve_lambda. Expectations of min-of-two-components are
 split at the crossing state so every quadrature piece is smooth; the
 whole evaluation is repeated with doubled panel counts until two levels
-agree, and the last change is reported as the error estimate.
+agree, and the last change is reported as the error estimate. Under a
+perfect cross link with a perfect or absent direct link, the integral
+over the cross state above the crossing has a closed form in E1
+(_CapField.rate_tail), so only the direct-link axis is a quadrature.
 """
 
 from __future__ import annotations
@@ -93,6 +96,15 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
         return _saturated_value(capf, ns, panels)
     sl = _SlGrid(cfg.sl_csi, ns, panels, lam=policy.lam)
     A = sl.budget_component(policy.lam, cfg.p_avg, policy._no_csi_const)
+    if capf.level is CsiLevel.PERFECT and sl.csi.level is not CsiLevel.ESTIMATED:
+        # the cross state integrates in closed form; a cell's gains are its
+        # state (perfect) or the marginal gain nodes of the one cell (none)
+        t_star = capf.crossing_state(A)
+        if sl.csi.level is CsiLevel.PERFECT:
+            tail = capf.rate_tail(t_star, sl.state)
+        else:
+            tail = (sl._wg * capf.rate_tail(t_star[:, None], sl._g)).sum(axis=1)
+        return float(sl.w @ (sl.rate_cells(A) * capf.cdf(t_star) + tail))
     return _expected_capped(A, sl.w, capf, panels, sl.rate_cells,
                             blocks=sl.rows_separable)
 
@@ -160,18 +172,18 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
             lo, hi = hi, 2.0 * hi
         else:
             raise NumericsError("failed to bracket the capless multiplier")
-        lam = hi
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            e, _ = spent(mid)
-            lam = mid
+            lam = 0.5 * (lo + hi)
+            e, sl = spent(lam)
             if abs(e - config.p_avg) <= config.p_avg * 1e-9:
                 break
             if e > config.p_avg:
-                lo = mid
+                lo = lam
             else:
-                hi = mid
-        _, sl = spent(lam)
+                hi = lam
+        else:
+            raise NumericsError("capless multiplier bisection did not converge "
+                                "in 200 steps")
         A = sl.budget_component(lam, config.p_avg)
         return float(sl.w @ sl.rate_cells(A))
 

@@ -58,7 +58,7 @@ import numpy as np
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
 from .quadrature import _gl_rule, panel_rule, panel_rule_batch
-from .special_functions import NumericsError
+from .special_functions import NumericsError, exp_integral_e1
 
 __all__ = [
     "NumericSettings",
@@ -703,7 +703,8 @@ class _CapField:
     one Gauss-Legendre panel of quad_points nodes; tail_integral adds one
     more panel from s to the next knot. A multiplier trial then costs one
     panel per direct-link cell, and its value does not depend on the
-    trial's panel count.
+    trial's panel count. Under perfect knowledge the capacity's rate tail
+    has a closed form in E1 as well (rate_tail).
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
@@ -824,6 +825,30 @@ class _CapField:
         i = np.clip(np.searchsorted(knots, t, side="right"), 1, knots.size - 1)
         return self._tail[i] + self._panel_integral(t, knots[i])
 
+    def rate_tail(self, t_star, g):
+        """T(t*): the integral of log(1 + cap(t) g) pdf(t) over the states
+        tail_rule covers, [max(t*, 1e-13), upper], for a direct gain g.
+
+        Perfect knowledge only, in closed form. With c = i_peak g,
+        b = max(t*, 1e-13, _GAIN_FLOOR) and Ê1 the exp-scaled E1,
+        integration by parts gives
+        ∫_b^x log(1 + c/t) e^{-t} dt = [e^{-t} (Ê1(t) - Ê1(t + c)
+        - log(1 + c/t))] from t = b to x. Below _GAIN_FLOOR the cap is
+        the constant i_peak / _GAIN_FLOOR. 0 when t* >= upper.
+        """
+        c = self.i_peak * np.asarray(g, dtype=float)
+        a = np.maximum(np.asarray(t_star, dtype=float), 1e-13)
+        b = np.maximum(a, _GAIN_FLOOR)
+
+        def primitive(x):
+            return np.exp(-x) * (exp_integral_e1(x, scaled=True)
+                                 - exp_integral_e1(x + c, scaled=True)
+                                 - np.log1p(c / x))
+
+        sliver = np.log1p(c / _GAIN_FLOOR) * -np.expm1(a - b) * np.exp(-a)
+        return np.where(a < self.upper,
+                        primitive(self.upper) - primitive(b) + sliver, 0.0)
+
     def capped_mean(self, a):
         """E over states of min(a, cap(t)), per level in a.
 
@@ -882,6 +907,13 @@ def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
     same however rows are grouped, so the value does not depend on the
     block size. blocks=False hands f every row at once, for an f whose
     rows are not independent (_SlGrid.rows_separable).
+
+    The capacity uses this rule for an estimated cross link, and for a
+    perfect one with an estimated direct link, where a closed form over
+    cells x gain nodes would cost more than the rate kernel's
+    interpolant. A perfect cross link with a perfect or absent direct
+    link integrates its tail in closed form instead (_CapField.rate_tail);
+    a cross link without knowledge has a constant cap and needs no rule.
     """
     if capf.is_constant:
         return float(w @ f(np.minimum(A, capf.constant), slice(None)))
@@ -1096,19 +1128,18 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
             # each trial is a single cheap table lookup, so unlike the
             # multiplier solve there is no reason to leave slack here: a
             # budget residual would show up directly in a simulated average
-            const = hi
             for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                e = capped_avg(mid)
+                const = 0.5 * (lo + hi)
+                e = capped_avg(const)
                 if abs(e - config.p_avg) <= config.p_avg * 1e-13:
-                    const = mid
                     break
                 if e < config.p_avg:
-                    lo = mid
+                    lo = const
                 else:
-                    hi = mid
+                    hi = const
             else:
-                const = 0.5 * (lo + hi)
+                raise NumericsError("rescaled constant bisection did not converge "
+                                    "in 200 steps")
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 

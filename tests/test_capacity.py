@@ -26,6 +26,7 @@ from crcap.capacity import (
 )
 from crcap.fading import CsiKnowledge
 from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
+from crcap.special_functions import NumericsError
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -270,11 +271,11 @@ def _traced_peak_mb(fn):
 
 
 def test_capacity_working_set_follows_the_block_budget():
-    # a block temporary is 2**18 float64s (2 MiB). PP at 13 dB integrates
+    # a block temporary is 2**18 float64s (2 MiB). PE at 0 dB integrates
     # 2560 cells x 2560 cross nodes at 128 panels, 50 MiB per full-size
-    # temporary: 250 MiB traced before the tail was blocked, 12 MiB after
+    # temporary: 400 MiB traced with the tail in one block, 16 MiB blocked
     assert power_allocation._CHUNK_ELEMS <= 2 ** 18
-    pol = solve_lambda(_grid_point("PP", 13.0))
+    pol = solve_lambda(_grid_point("PE", 0.0))
     assert _traced_peak_mb(lambda: capacity._capacity_at(pol, 128)) < 32.0
     # an estimated direct link keeps its tail unblocked (the interpolant
     # degree depends on every row) and relies on its chunked kernels; EP
@@ -292,3 +293,93 @@ def test_estimated_grid_and_row_inversion_build_in_row_blocks():
         grid.budget_component(0.05, 1.0)
 
     assert _traced_peak_mb(build_and_invert) < 48.0
+
+
+# ----------------------------------------------------------------------
+# closed-form cross-link tail under perfect cross-link knowledge
+
+# (t*, g, T) at i_peak = 10: T = integral of log(1 + 10 g / max(t, 1e-12))
+# e^{-t} over [max(t*, 1e-13), upper], upper = -log(1e-10). Frozen from
+# 320-digit mpmath through the primitive in E1 and confirmed to 1e-40 by
+# a 40-digit mpmath.quad split at the decades:
+#     c = mpf(10.0 * g); a = max(mpf(t), mpf(1e-13)); b = max(a, mpf(1e-12))
+#     Q = lambda x: exp(-x) * log1p(c / x) + exp(c) * e1(x + c) - e1(x)
+#     T = Q(b) - Q(upper) + log1p(c / mpf(1e-12)) * (exp(-a) - exp(-b))
+RATE_TAIL_MPMATH = [
+    (0.0, 0.1, 1.1735630272168796215),
+    (1e-300, 1e7, 18.997896417324055606),
+    (1e-20, 1e3, 9.7876560262715874953),
+    (0.0, 1e-20, 2.7953805356023355451e-18),
+    (1e-13, 1e-5, 0.00096336313523296977009),
+    (3e-13, 1e2, 7.4859699454910131446),
+    (5e-13, 0.5, 2.3570757535858140661),
+    (5e-13, 1e-251, 2.7553805451023472968e-249),
+    (1e-6, 1e-251, 1.3238295893058323116e-249),
+    (1e-6, 1e-3, 0.050546711984310552181),
+    (0.3, 2.0, 2.2514220541530718264),
+    (2.5, 1e7, 1.4119329135320954209),
+    (10.0, 60.0, 0.00018255039448022733703),
+    (20.0, 0.05, 4.6536056488536221518e-11),
+]
+
+
+def test_rate_tail_matches_40_digit_mpmath():
+    # t* below the 1e-13 floor, between it and the 1e-12 gain floor, and
+    # above; c = i_peak g from 1e-250 to 1e8, past the 500 cutoff of the
+    # scaled E1 both at t* and at upper
+    capf = power_allocation._cap_field(PERFECT, 10.0, 0.05, NumericSettings())
+    t, g, want = (np.array(col) for col in zip(*RATE_TAIL_MPMATH))
+    got = capf.rate_tail(t, g)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert np.array_equal([capf.rate_tail(t[k], g[k]) for k in range(t.size)], got)
+    # nothing is left above the truncation point
+    beyond = capf.rate_tail(np.array([capf.upper, 30.0]), np.array([1.0, 1e7]))
+    assert np.array_equal(beyond, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("code, p_avg_db", [
+    ("PP", 0.0), ("PP", 13.0), ("PP", 22.5), ("NP", 13.0)])
+def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
+    # the closed form against the cells x cross nodes rule it replaced,
+    # at every refinement level where that rule has resolved the 1/t cap
+    cfg = _grid_point(code, p_avg_db)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    ns = cfg.numerics
+    for level in range(1, ns.max_refinements + 1):
+        panels = ns.base_panels * 2 ** level
+        sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
+        A = sl.budget_component(pol.lam, cfg.p_avg, pol._no_csi_const)
+        rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
+                                                 sl.rate_cells)
+        assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=0.0,
+                                                                   abs=1e-13)
+
+
+@pytest.mark.parametrize("code, p_avg_db", [("EP", 13.0), ("PE", 0.0)])
+def test_estimated_links_keep_the_cross_state_rule(code, p_avg_db):
+    # an estimated direct link with a perfect cross link, and an estimated
+    # cross link, still integrate the cross state by quadrature: same bits
+    cfg = _grid_point(code, p_avg_db)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    ns = cfg.numerics
+    for panels in (ns.base_panels, 2 * ns.base_panels):
+        sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
+        A = sl.budget_component(pol.lam, cfg.p_avg)
+        rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
+                                                 sl.rate_cells,
+                                                 blocks=sl.rows_separable)
+        assert capacity._capacity_at(pol, panels) == rule
+
+
+def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch):
+    # a spent-power curve that jumps across the budget at lam = 0.5 can
+    # be bracketed but never met: the bisection must not hand back its
+    # last midpoint as if it had converged
+    def jump(self, lam, p_avg):
+        return 2.0 * p_avg if lam < 0.5 else 0.5 * p_avg
+
+    monkeypatch.setattr(power_allocation._SlGrid, "mean_budget_component", jump)
+    with pytest.raises(NumericsError, match="capless multiplier bisection"):
+        low_budget_asymptote(scenario(PERFECT, PERFECT))

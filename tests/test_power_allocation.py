@@ -718,3 +718,16 @@ def test_numeric_settings_validation():
         NumericSettings(quad_points=1)
     with pytest.raises(ValueError):
         NumericSettings(tail_mass=0.5)
+
+
+def test_rescaled_constant_raises_when_bisection_runs_out(monkeypatch):
+    # a capped mean that jumps across the budget at c = 3 can be bracketed
+    # but never met: the bisection must not hand back its last midpoint
+    def jump(self, a):
+        return np.where(np.asarray(a) >= 3.0, 4.0, 1.0)
+
+    monkeypatch.setattr(power_allocation._CapField, "capped_mean", jump)
+    cfg = scenario(CsiKnowledge.no_csi(), CsiKnowledge.perfect(), p_avg=2.0,
+                   rescale_no_csi_budget=True)
+    with pytest.raises(NumericsError, match="rescaled constant bisection"):
+        solve_lambda(cfg)
