@@ -14,18 +14,16 @@ Everything works in linear units and nats per channel use; the command
 line front end converts dB at its boundary.
 """
 
-from .special_functions import NumericsError, bessel_i0_log, exp_integral_e1, marcum_q1
-from .quadrature import adaptive_integral, panel_rule, panel_rule_batch
+from .special_functions import NumericsError, exp_integral_e1, marcum_q1
+from .quadrature import panel_rule, panel_rule_batch
 from .fading import (
     ChannelDraw,
-    ConditionalPowerLaw,
     CsiKnowledge,
     CsiLevel,
     conditional_power_cdf,
     conditional_power_inv_cdf,
     conditional_power_pdf,
     conditional_support_bound,
-    estimate_power_pdf,
     estimate_power_quantile,
     marginal_power_cdf,
     marginal_power_pdf,
@@ -39,7 +37,6 @@ from .power_allocation import (
     average_power_threshold,
     interference_power_cap,
     invert_rate_integral,
-    power_component_avg,
     rate_integral,
     solve_lambda,
 )
@@ -57,21 +54,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericsError",
-    "bessel_i0_log",
     "exp_integral_e1",
     "marcum_q1",
-    "adaptive_integral",
     "panel_rule",
     "panel_rule_batch",
     "ChannelDraw",
-    "ConditionalPowerLaw",
     "CsiKnowledge",
     "CsiLevel",
     "conditional_power_cdf",
     "conditional_power_inv_cdf",
     "conditional_power_pdf",
     "conditional_support_bound",
-    "estimate_power_pdf",
     "estimate_power_quantile",
     "marginal_power_cdf",
     "marginal_power_pdf",
@@ -83,7 +76,6 @@ __all__ = [
     "average_power_threshold",
     "interference_power_cap",
     "invert_rate_integral",
-    "power_component_avg",
     "rate_integral",
     "solve_lambda",
     "CapacityResult",

@@ -19,9 +19,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .fading import CsiKnowledge, CsiLevel
+from .fading import CsiLevel
 from .power_allocation import (
-    NumericSettings,
     PowerPolicy,
     ScenarioConfig,
     _CapField,
@@ -29,9 +28,9 @@ from .power_allocation import (
     _cap_field,
     _expected_capped,
     _grid_memo,
-    average_power_threshold,
     solve_lambda,
 )
+from .quadrature import _refine
 from .special_functions import NumericsError, exp_integral_e1
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "low_budget_asymptote",
     "high_budget_asymptote",
     "capacity_sweep",
-    "average_power_threshold",
 ]
 
 
@@ -76,7 +74,7 @@ def _saturated_rate(c):
     return out
 
 
-def _saturated_value(capf: _CapField, ns: NumericSettings, panels: int) -> float:
+def _saturated_value(capf: _CapField, panels: int) -> float:
     """E[log(1 + cap * g)] with g the marginal direct gain.
 
     Valid for any direct-link knowledge: at saturation the policy ignores
@@ -90,11 +88,10 @@ def _saturated_value(capf: _CapField, ns: NumericSettings, panels: int) -> float
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
     cfg = policy.config
-    ns = cfg.numerics
     capf = policy._capf
     if policy.regime == "saturated":
-        return _saturated_value(capf, ns, panels)
-    sl = _SlGrid(cfg.sl_csi, ns, panels, lam=policy.lam)
+        return _saturated_value(capf, panels)
+    sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=policy.lam)
     A = sl.budget_component(policy.lam, cfg.p_avg, policy._no_csi_const)
     if capf.level is CsiLevel.PERFECT and sl.csi.level is not CsiLevel.ESTIMATED:
         # the cross state integrates in closed form; a cell's gains are its
@@ -107,26 +104,6 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
         return float(sl.w @ (sl.rate_cells(A) * capf.cdf(t_star) + tail))
     return _expected_capped(A, sl.w, capf, panels, sl.rate_cells,
                             blocks=sl.rows_separable)
-
-
-def _refine(evaluate, ns: NumericSettings):
-    """Run evaluate(panels) with doubling panels until two levels agree.
-
-    Returns (value, error_estimate); the estimate is honest even when the
-    refinement budget runs out before the tolerance is met.
-    """
-    panels = ns.base_panels
-    prev = None
-    err = np.inf
-    for _ in range(ns.max_refinements + 1):
-        val = evaluate(panels)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= max(ns.quad_rel_tol * abs(val), 1e-12):
-                return val, err
-        prev = val
-        panels *= 2
-    return prev, err
 
 
 def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
@@ -187,8 +164,7 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
         A = sl.budget_component(lam, config.p_avg)
         return float(sl.w @ sl.rate_cells(A))
 
-    val, _ = _refine(evaluate, ns)
-    return val
+    return _refine(evaluate, ns)[0]
 
 
 def high_budget_asymptote(config: ScenarioConfig) -> float:
@@ -200,8 +176,7 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
-    val, _ = _refine(lambda p: _saturated_value(capf, ns, p), ns)
-    return val
+    return _refine(lambda p: _saturated_value(capf, p), ns)[0]
 
 
 def capacity_sweep(config: ScenarioConfig, param: str,
@@ -213,20 +188,4 @@ def capacity_sweep(config: ScenarioConfig, param: str,
     1 means none, anything between is an estimate with that error
     variance.
     """
-    out = []
-    for v in values:
-        v = float(v)
-        if param == "p_avg":
-            c = config.replace(p_avg=v)
-        elif param == "i_peak":
-            c = config.replace(i_peak=v)
-        elif param == "epsilon":
-            c = config.replace(epsilon=v)
-        elif param == "alpha_s":
-            c = config.replace(sl_csi=CsiKnowledge.from_alpha(v))
-        elif param == "alpha_p":
-            c = config.replace(cl_csi=CsiKnowledge.from_alpha(v))
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
-        out.append(ergodic_capacity(c))
-    return out
+    return [ergodic_capacity(config.with_axis(param, float(v))) for v in values]

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacity import (
-    CapacityResult,
     _capacity_of,
     ergodic_capacity,
     high_budget_asymptote,
@@ -301,18 +300,9 @@ def _grid_or_default(run: RunConfig) -> Tuple[str, np.ndarray]:
 
 def _scenario_at(run: RunConfig, axis: str, value: float) -> ScenarioConfig:
     """The scenario with the axis set to one grid value (config units)."""
-    scen = run.scenario
-    if axis == "p_avg":
-        return scen.replace(p_avg=db_to_linear(value))
-    if axis == "i_peak":
-        return scen.replace(i_peak=db_to_linear(value))
-    if axis == "epsilon":
-        return scen.replace(epsilon=value)
-    if axis == "alpha_s":
-        return scen.replace(sl_csi=CsiKnowledge.from_alpha(value))
-    if axis == "alpha_p":
-        return scen.replace(cl_csi=CsiKnowledge.from_alpha(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis in _DB_AXES:
+        value = db_to_linear(value)
+    return run.scenario.with_axis(axis, value)
 
 
 def _axis_column(axis: str) -> str:

@@ -31,11 +31,9 @@ __all__ = [
     "CsiLevel",
     "CsiKnowledge",
     "ChannelDraw",
-    "ConditionalPowerLaw",
     "marginal_power_pdf",
     "marginal_power_cdf",
     "marginal_power_quantile",
-    "estimate_power_pdf",
     "estimate_power_quantile",
     "conditional_power_pdf",
     "conditional_power_cdf",
@@ -109,6 +107,17 @@ class CsiKnowledge:
             return 0.0
         return float(self.alpha)
 
+    @property
+    def state_kind(self) -> str:
+        """Which state of the link the transmitter reads: gain, estimate or none.
+
+        The true gain under perfect knowledge, the estimate power under
+        estimated knowledge, nothing without knowledge.
+        """
+        if self.level is CsiLevel.NONE:
+            return "none"
+        return "gain" if self.level is CsiLevel.PERFECT else "estimate"
+
     def describe(self) -> str:
         if self.level is CsiLevel.ESTIMATED:
             return f"estimated(alpha={self.alpha:g})"
@@ -158,14 +167,6 @@ def _check_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
     return alpha
-
-
-def estimate_power_pdf(m, alpha: float):
-    alpha = _check_alpha(alpha)
-    scale = 1.0 - alpha
-    m = np.asarray(m, dtype=float)
-    out = np.where(m >= 0.0, np.exp(-np.clip(m, 0.0, None) / scale) / scale, 0.0)
-    return out if out.ndim else float(out)
 
 
 def estimate_power_quantile(p, alpha: float):
@@ -248,47 +249,6 @@ def conditional_power_inv_cdf(p, m, alpha: float):
         raise ValueError("estimate power must be nonnegative")
     out = 0.5 * alpha * chndtrix(p_arr, 2.0, 2.0 * m_arr / alpha)
     return out if np.ndim(out) else float(out)
-
-
-@dataclass(frozen=True)
-class ConditionalPowerLaw:
-    """True-power law of one link given its estimate power m.
-
-    Thin object view over the conditional_* functions, convenient when a
-    single (m, alpha) pair is probed repeatedly.
-    """
-
-    m: float
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        if self.m < 0.0:
-            raise ValueError("estimate power must be nonnegative")
-        object.__setattr__(self, "m", float(self.m))
-
-    @property
-    def mean(self) -> float:
-        return self.m + self.alpha
-
-    def pdf(self, g):
-        return conditional_power_pdf(g, self.m, self.alpha)
-
-    def cdf(self, g):
-        return conditional_power_cdf(g, self.m, self.alpha)
-
-    def quantile(self, p):
-        return conditional_power_inv_cdf(p, self.m, self.alpha)
-
-    def support_bound(self, tail_mass: float = 1e-10) -> float:
-        return conditional_support_bound(self.m, self.alpha, tail_mass)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw true powers: |sqrt(m) + CN(0, alpha)|^2."""
-        s = np.sqrt(self.alpha / 2.0)
-        re = np.sqrt(self.m) + rng.normal(0.0, s, size=n)
-        im = rng.normal(0.0, s, size=n)
-        return re * re + im * im
 
 
 # ----------------------------------------------------------------------

@@ -104,12 +104,6 @@ class SimReport:
         }
 
 
-def _state_kind(csi: CsiKnowledge) -> str:
-    if csi.level is CsiLevel.NONE:
-        return "none"
-    return "gain" if csi.level is CsiLevel.PERFECT else "estimate"
-
-
 def _check_policy_interface(policy, config: ScenarioConfig):
     """Reject a policy whose declared state needs exceed the CSI level."""
     for attr, csi, link in (("sl_state_kind", config.sl_csi, "direct"),
@@ -117,7 +111,7 @@ def _check_policy_interface(policy, config: ScenarioConfig):
         want = getattr(policy, attr, None)
         if want is None or want == "none":
             continue
-        have = _state_kind(csi)
+        have = csi.state_kind
         if want != have:
             raise ValueError(
                 f"policy requests {link}-link state {want!r} but the "
@@ -142,8 +136,8 @@ def _run_shard(power_fn: Callable, config: ScenarioConfig, seed: int,
     sl = sample_channel_pair(config.sl_csi, rng, n)
     cl = sample_channel_pair(config.cl_csi, rng, n)
 
-    sl_kind = _state_kind(config.sl_csi)
-    cl_kind = _state_kind(config.cl_csi)
+    sl_kind = config.sl_csi.state_kind
+    cl_kind = config.cl_csi.state_kind
     sl_state = sl.gain if sl_kind == "gain" else (
         sl.estimate if sl_kind == "estimate" else None)
     cl_state = cl.gain if cl_kind == "gain" else (

@@ -17,12 +17,13 @@ tau never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .fading import CsiKnowledge, CsiLevel, marginal_power_quantile
 from .power_allocation import ScenarioConfig, _cap_field, interference_power_cap
+from .quadrature import _refine
 from .special_functions import exp_integral_e1
 
 __all__ = ["OnOffPolicy", "on_level", "onoff_rate", "optimize_threshold"]
@@ -68,10 +69,7 @@ class OnOffPolicy:
 
     @property
     def cl_state_kind(self) -> str:
-        level = self.config.cl_csi.level
-        if level is CsiLevel.NONE:
-            return "none"
-        return "gain" if level is CsiLevel.PERFECT else "estimate"
+        return self.config.cl_csi.state_kind
 
     def on_power(self, cl_state=None):
         """The burst power for the given cross-link states."""
@@ -131,18 +129,12 @@ def onoff_rate(tau: float, config: ScenarioConfig) -> float:
     t_star = np.atleast_1d(capf.crossing_state(budget))
     head = float(np.asarray(capf.cdf(t_star)).reshape(-1)[0]) \
         * float(_rate_above(tau, budget)[0])
-    prev = None
-    panels = ns.base_panels
-    for _ in range(ns.max_refinements + 1):
+
+    def evaluate(panels: int) -> float:
         nodes, wt = capf.tail_rule(t_star, panels)
-        tail = float((wt * _rate_above(tau, capf.cap(nodes))).sum())
-        val = head + tail
-        if prev is not None and abs(val - prev) <= max(
-                ns.quad_rel_tol * abs(val), 1e-13):
-            return val
-        prev = val
-        panels *= 2
-    return prev
+        return head + float((wt * _rate_above(tau, capf.cap(nodes))).sum())
+
+    return _refine(evaluate, ns)[0]
 
 
 def optimize_threshold(config: ScenarioConfig,

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import _gl_rule, panel_rule, panel_rule_batch
+from .quadrature import _gl_rule, _refine, panel_rule, panel_rule_batch
 from .special_functions import NumericsError, exp_integral_e1
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "interference_power_cap",
     "rate_integral",
     "invert_rate_integral",
-    "power_component_avg",
     "average_power_threshold",
     "solve_lambda",
 ]
@@ -154,6 +153,21 @@ class ScenarioConfig:
 
     def replace(self, **changes) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)
+
+    def with_axis(self, axis: str, value: float) -> "ScenarioConfig":
+        """This scenario with one sweep axis set to value (linear units).
+
+        axis is p_avg, i_peak, epsilon, alpha_s or alpha_p. The alpha axes
+        set the direct (s) or cross (p) link's knowledge through
+        CsiKnowledge.from_alpha: 0 is perfect, 1 is none.
+        """
+        if axis in ("p_avg", "i_peak", "epsilon"):
+            return self.replace(**{axis: value})
+        if axis == "alpha_s":
+            return self.replace(sl_csi=CsiKnowledge.from_alpha(value))
+        if axis == "alpha_p":
+            return self.replace(cl_csi=CsiKnowledge.from_alpha(value))
+        raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 # ----------------------------------------------------------------------
@@ -264,39 +278,6 @@ def invert_rate_integral(lam: float, m: float, alpha: float,
             return 0.5 * (lo + hi)
     raise NumericsError(
         f"rate integral inversion did not converge in {_RATE_INVERSION_STEPS} steps")
-
-
-def power_component_avg(sl_state, sl_csi: CsiKnowledge, lam: float,
-                        p_avg: float,
-                        settings: Optional[NumericSettings] = None):
-    """Budget-driven power component for one direct-link state.
-
-    With no direct-link knowledge the component is the constant p_avg
-    (rescaling, when requested, happens in the policy solve where the cap
-    distribution is known). Vectorized over sl_state.
-    """
-    settings = settings or NumericSettings()
-    if sl_csi.level is CsiLevel.NONE:
-        if sl_state is None:
-            return float(p_avg)
-        out = np.full(np.asarray(sl_state, dtype=float).shape, float(p_avg))
-        return out if out.ndim else float(out)
-    if sl_state is None:
-        raise ValueError(f"{sl_csi.describe()} direct-link knowledge needs a state")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive for a budget-limited component")
-    state = np.asarray(sl_state, dtype=float)
-    if np.any(state < 0.0):
-        raise ValueError("direct-link state must be nonnegative")
-    if sl_csi.level is CsiLevel.PERFECT:
-        out = np.clip(1.0 / lam - 1.0 / np.maximum(state, _GAIN_FLOOR), 0.0, None)
-        out = np.where(state <= lam, 0.0, out)
-        return out if out.ndim else float(out)
-    flat = np.atleast_1d(state).ravel()
-    vals = np.array([invert_rate_integral(lam, mi, sl_csi.alpha, settings)
-                     for mi in flat])
-    out = vals.reshape(state.shape)
-    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
@@ -943,8 +924,7 @@ class PowerPolicy:
 
     Large-batch evaluation for estimated knowledge goes through monotone
     interpolants of the tabulated component curves (errors ~1e-9 of the
-    exact bisections, which remain available as the public per-state
-    operations).
+    exact bisection, which remains available as invert_rate_integral).
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,
@@ -960,27 +940,16 @@ class PowerPolicy:
 
     # -- interface requirements ----------------------------------------
     @property
-    def needs_sl_state(self) -> bool:
-        return (self.regime == "power_limited"
-                and self.config.sl_csi.level is not CsiLevel.NONE)
-
-    @property
-    def needs_cl_state(self) -> bool:
-        return self.config.cl_csi.level is not CsiLevel.NONE
-
-    @property
     def sl_state_kind(self) -> str:
         """Which direct-link state power() reads: none, gain, or estimate."""
-        if not self.needs_sl_state:
+        if self.regime == "saturated":
             return "none"
-        return "gain" if self.config.sl_csi.level is CsiLevel.PERFECT else "estimate"
+        return self.config.sl_csi.state_kind
 
     @property
     def cl_state_kind(self) -> str:
         """Which cross-link state power() reads: none, gain, or estimate."""
-        if not self.needs_cl_state:
-            return "none"
-        return "gain" if self.config.cl_csi.level is CsiLevel.PERFECT else "estimate"
+        return self.config.cl_csi.state_kind
 
     # -- components ------------------------------------------------------
     def cap_component(self, cl_state=None):
@@ -1074,16 +1043,7 @@ def average_power_threshold(config: ScenarioConfig) -> float:
         return float(capf.constant)
     if capf.level is CsiLevel.PERFECT:
         return np.inf
-    ns = config.numerics
-    prev = None
-    panels = ns.base_panels
-    for _ in range(ns.max_refinements + 1):
-        val = capf.mean_cap(panels)
-        if prev is not None and abs(val - prev) <= ns.quad_rel_tol * abs(val):
-            return val
-        prev = val
-        panels *= 2
-    return prev
+    return _refine(capf.mean_cap, config.numerics)[0]
 
 
 def solve_lambda(config: ScenarioConfig) -> PowerPolicy:

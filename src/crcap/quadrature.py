@@ -3,7 +3,7 @@
 The engine discretizes every fading law into weighted nodes on a truncated
 support (tail mass bounded explicitly) and integrates with fixed composite
 rules, doubling panel counts until two resolutions agree. The helpers here
-build those rules; scalar adaptive integration is a thin wrapper.
+build those rules, and _refine is the one driver that doubles the panels.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_functions import NumericsError
-
-__all__ = ["panel_rule", "panel_rule_batch", "exp_mass_edges", "adaptive_integral"]
+__all__ = ["panel_rule", "panel_rule_batch"]
 
 
 @lru_cache(maxsize=128)
@@ -66,33 +64,24 @@ def panel_rule_batch(lo, hi, n_panels: int, points: int,
     return nodes.reshape(J, -1), weights.reshape(J, -1)
 
 
-def exp_mass_edges(scale: float, n_panels: int, tail_mass: float):
-    """Equal-probability panel edges for Exp(scale), truncated at 1 - tail_mass."""
-    u = np.linspace(0.0, 1.0 - tail_mass, n_panels + 1)
-    return -scale * np.log1p(-u)
+def _refine(evaluate, settings):
+    """Run evaluate(panels) with doubling panels until two levels agree.
 
-
-def adaptive_integral(f, a: float, b: float, rel_tol: float = 1e-10,
-                      abs_tol: float = 0.0, points: int = 24,
-                      max_doublings: int = 14):
-    """Integrate vectorized f over [a, b], doubling panels until stable.
-
-    Returns (value, error_estimate). The estimate is the change under the
-    last doubling. Raises NumericsError if the budget runs out first.
+    Starts at settings.base_panels and doubles at most
+    settings.max_refinements times; two levels agree when they differ by
+    at most max(settings.quad_rel_tol * |value|, 1e-12). Returns
+    (value, error_estimate), the estimate being the last change; when the
+    budget runs out first, the last level comes back with its last change.
     """
-    if b <= a:
-        return 0.0, 0.0
+    panels = settings.base_panels
     prev = None
-    n_panels = 1
-    for _ in range(max_doublings + 1):
-        x, w = panel_rule(np.linspace(a, b, n_panels + 1), points)
-        val = float(w @ f(x))
+    err = np.inf
+    for _ in range(settings.max_refinements + 1):
+        val = evaluate(panels)
         if prev is not None:
             err = abs(val - prev)
-            if err <= max(rel_tol * abs(val), abs_tol):
+            if err <= max(settings.quad_rel_tol * abs(val), 1e-12):
                 return val, err
         prev = val
-        n_panels *= 2
-    raise NumericsError(
-        f"quadrature did not reach rel_tol={rel_tol:g} within {max_doublings} doublings"
-    )
+        panels *= 2
+    return prev, err

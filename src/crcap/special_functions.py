@@ -1,11 +1,11 @@
 """Numerically stable special functions for the fading and capacity code.
 
 Everything here accepts scalars or numpy arrays and stays finite over the
-argument ranges the engine produces: the Bessel term is kept in the log
-domain, the exponential integral is scipy's exp1 with an exp-scaled variant
-(both within 1.6e-15 relative of 40-digit mpmath wherever the result is a
-normal float), and the Marcum series is summed outward from its Poisson mode
-so huge noncentralities neither underflow nor lose the head of the sum.
+argument ranges the engine produces: the exponential integral is scipy's
+exp1 with an exp-scaled variant (both within 1.6e-15 relative of 40-digit
+mpmath wherever the result is a normal float), and the Marcum series is
+summed outward from its Poisson mode so huge noncentralities neither
+underflow nor lose the head of the sum.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from scipy import special as _sp
 
 __all__ = [
     "NumericsError",
-    "bessel_i0_log",
     "exp_integral_e1",
     "marcum_q1",
 ]
-
-# crossover between the power series and the asymptotic expansion of I0
-_I0_SERIES_CUTOFF = 15.0
 
 # largest x whose scaled E1 is e^x * exp1(x); E1 stays a normal float to ~700
 _E1_SCALED_CUTOFF = 500.0
@@ -34,47 +30,6 @@ class NumericsError(RuntimeError):
 def _as_array(x):
     a = np.asarray(x, dtype=float)
     return a, (a.ndim == 0)
-
-
-def bessel_i0_log(x):
-    """ln I0(x) of the modified Bessel function, without overflow.
-
-    Power series below x = 15, asymptotic expansion above; both branches are
-    good to better than 1e-11 relative and the result stays finite up to
-    x = 1e6 and beyond (I0 itself overflows past x ~ 709).
-    """
-    x, scalar = _as_array(x)
-    x = np.abs(x)  # I0 is even
-    out = np.zeros_like(x)
-
-    small = x <= _I0_SERIES_CUTOFF
-    if small.any():
-        xs = x[small]
-        q = 0.25 * xs * xs
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for k in range(1, 90):
-            term = term * q / (k * k)
-            acc += term
-            if np.all(term <= 1e-18 * acc):
-                break
-        out[small] = np.log(acc)
-
-    big = ~small
-    if big.any():
-        xb = x[big]
-        # I0(x) ~ e^x / sqrt(2 pi x) * sum_k c_k / x^k with
-        # c_k = prod_{j<=k} (2j-1)^2 / (8^k k!); truncate at the smallest term
-        s = np.ones_like(xb)
-        term = np.ones_like(xb)
-        for k in range(1, 25):
-            term = term * (2 * k - 1) ** 2 / (8.0 * k * xb)
-            s += term
-            if np.all(term <= 1e-18 * s):
-                break
-        out[big] = xb - 0.5 * np.log(2.0 * np.pi * xb) + np.log(s)
-
-    return float(out) if scalar else out
 
 
 def exp_integral_e1(x, scaled=False):

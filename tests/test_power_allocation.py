@@ -21,11 +21,11 @@ from crcap import capacity, power_allocation
 from crcap.fading import CsiKnowledge, conditional_power_pdf
 from crcap.power_allocation import (
     NumericSettings,
+    PowerPolicy,
     ScenarioConfig,
     average_power_threshold,
     interference_power_cap,
     invert_rate_integral,
-    power_component_avg,
     rate_integral,
     solve_lambda,
 )
@@ -38,6 +38,27 @@ TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 def scenario(sl, cl, p_avg=1.0, i_peak=10.0, eps=0.05, ns=None, **kw):
     return ScenarioConfig(sl_csi=sl, cl_csi=cl, p_avg=p_avg, i_peak=i_peak,
                           epsilon=eps, numerics=ns or NumericSettings(), **kw)
+
+
+# ----------------------------------------------------------------------
+# sweep axes
+
+@pytest.mark.parametrize("axis, value, name, expect", [
+    ("p_avg", 2.5, "p_avg", 2.5),
+    ("i_peak", 3.0, "i_peak", 3.0),
+    ("epsilon", 0.2, "epsilon", 0.2),
+    ("alpha_s", 0.3, "sl_csi", CsiKnowledge.estimated(0.3)),
+    ("alpha_p", 1.0, "cl_csi", CsiKnowledge.no_csi()),
+])
+def test_with_axis_sets_its_field(axis, value, name, expect):
+    base = scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect())
+    assert base.with_axis(axis, value) == base.replace(**{name: expect})
+
+
+def test_with_axis_rejects_unknown_axis():
+    base = scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect())
+    with pytest.raises(ValueError, match="unknown sweep axis"):
+        base.with_axis("bandwidth", 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -235,26 +256,25 @@ def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels):
 # ----------------------------------------------------------------------
 # per-state budget component
 
+def _policy_at(sl, lam, p_avg=1.0):
+    """A power-limited policy at a given multiplier, without a solve."""
+    cfg = scenario(sl, CsiKnowledge.no_csi(), p_avg=p_avg)
+    capf = power_allocation._cap_field(cfg.cl_csi, cfg.i_peak, cfg.epsilon,
+                                       cfg.numerics)
+    return PowerPolicy(cfg, lam, "power_limited", capf.constant, capf)
+
+
 def test_component_perfect_water_filling_shape():
     lam = 0.4
     g = np.array([0.2, 0.4, 1.0, 10.0])
-    comp = power_component_avg(g, CsiKnowledge.perfect(), lam, p_avg=1.0)
+    comp = _policy_at(CsiKnowledge.perfect(), lam).budget_component(g)
     expect = np.array([0.0, 0.0, 1.0 / lam - 1.0, 1.0 / lam - 0.1])
     np.testing.assert_allclose(comp, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_component_none_is_constant_budget():
-    comp = power_component_avg(None, CsiKnowledge.no_csi(), 0.0, p_avg=2.5)
+    comp = _policy_at(CsiKnowledge.no_csi(), 0.0, p_avg=2.5).budget_component(None)
     assert comp == 2.5
-
-
-def test_component_estimated_matches_inverse():
-    lam = 0.4
-    m = np.array([0.0, 0.5, 2.0])
-    comp = power_component_avg(m, CsiKnowledge.estimated(0.5), lam, p_avg=1.0)
-    for mi, ci in zip(m, comp):
-        assert ci == pytest.approx(invert_rate_integral(lam, float(mi), 0.5),
-                                   rel=1e-8, abs=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -668,12 +688,12 @@ def test_expected_capped_power_closed_form_perfect_cross():
 
 def test_policy_interface_declarations():
     pol = solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5)))
-    assert pol.needs_sl_state and pol.needs_cl_state
     assert pol.sl_state_kind == "gain"
     assert pol.cl_state_kind == "estimate"
     sat = solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.no_csi(),
                                 p_avg=5.0))
-    assert not sat.needs_sl_state and not sat.needs_cl_state
+    # a saturated policy transmits the cap and never reads the direct link
+    assert sat.regime == "saturated"
     assert sat.sl_state_kind == "none" and sat.cl_state_kind == "none"
 
 

@@ -1,17 +1,20 @@
-"""Quadrature helper checks against scipy.integrate and exact integrals."""
+"""Quadrature checks: panel rules against exact integrals, and the
+panel-doubling driver with the values it feeds."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from crcap.quadrature import (
-    adaptive_integral,
-    exp_mass_edges,
-    panel_rule,
-    panel_rule_batch,
+from crcap.capacity import high_budget_asymptote
+from crcap.fading import CsiKnowledge
+from crcap.onoff import onoff_rate
+from crcap.power_allocation import (
+    NumericSettings,
+    ScenarioConfig,
+    average_power_threshold,
 )
+from crcap.quadrature import _refine, panel_rule, panel_rule_batch
 
 
 def test_panel_rule_polynomial_exactness():
@@ -61,47 +64,80 @@ def test_panel_rule_batch_rejects_unknown_spacing():
         panel_rule_batch(np.array([0.0]), np.array([1.0]), 2, 4, spacing="cubic")
 
 
-def test_exp_mass_edges_equal_mass_panels():
-    scale = 0.7
-    edges = exp_mass_edges(scale, n_panels=10, tail_mass=1e-8)
-    assert edges[0] == 0.0
-    masses = np.diff(-np.exp(-edges / scale))
-    np.testing.assert_allclose(masses, masses[0], rtol=1e-9)
-    # total mass covered is 1 - tail_mass
-    assert masses.sum() == pytest.approx(1.0 - 1e-8, rel=1e-12)
+# ----------------------------------------------------------------------
+# the panel-doubling driver
+
+def _recorded(levels):
+    """evaluate(panels) returning levels[k] at call k, and its call log."""
+    calls = []
+
+    def evaluate(panels):
+        calls.append(panels)
+        return levels[len(calls) - 1]
+
+    return evaluate, calls
 
 
-def test_exp_mass_edges_integrates_exponential_moments():
-    # the final equal-mass panel is wide, so a single unrefined rule
-    # carries ~1e-9 error there; the engine refines on top of this
-    edges = exp_mass_edges(2.0, n_panels=16, tail_mass=1e-12)
-    nodes, weights = panel_rule(edges, points=12)
-    pdf = np.exp(-nodes / 2.0) / 2.0
-    assert weights @ pdf == pytest.approx(1.0, rel=1e-8)
-    assert weights @ (nodes * pdf) == pytest.approx(2.0, rel=1e-7)
-    assert weights @ (nodes**2 * pdf) == pytest.approx(8.0, rel=1e-6)
+def test_refine_stops_at_first_agreeing_pair():
+    evaluate, calls = _recorded([1.0, 2.0, 2.0 + 1e-8, 2.0 + 2e-8, 5.0])
+    ns = NumericSettings(quad_rel_tol=1e-7, base_panels=3, max_refinements=4)
+    val, err = _refine(evaluate, ns)
+    assert calls == [3, 6, 12]
+    assert val == 2.0 + 1e-8
+    assert err == abs((2.0 + 1e-8) - 2.0)
 
 
-def test_adaptive_integral_smooth():
-    val, err = adaptive_integral(np.cos, 0.0, 1.5)
-    assert val == pytest.approx(math.sin(1.5), rel=1e-12)
-    assert err < 1e-10
+def test_refine_absolute_floor_stops_tiny_values():
+    # 5e-13 is far above 1e-7 of 1e-9, but within the 1e-12 floor
+    evaluate, calls = _recorded([1e-9, 1e-9 + 5e-13, 0.0])
+    val, err = _refine(evaluate, NumericSettings())
+    assert calls == [8, 16]
+    assert val == 1e-9 + 5e-13
 
 
-def test_adaptive_integral_matches_scipy_on_awkward_integrand():
-    f = lambda x: np.log1p(3.0 * x) * np.exp(-x)
-    val, err = adaptive_integral(f, 0.0, 40.0, rel_tol=1e-11)
-    ref, _ = integrate.quad(f, 0.0, 40.0, epsabs=1e-14, epsrel=1e-13, limit=300)
-    assert val == pytest.approx(ref, rel=1e-10)
-    assert abs(val - ref) <= max(err, 1e-12) * 10 + 1e-13
+def test_refine_budget_exhausted_returns_last_level_and_change():
+    evaluate, calls = _recorded([1.0, 0.5, 0.25])
+    ns = NumericSettings(base_panels=2, max_refinements=2)
+    val, err = _refine(evaluate, ns)
+    assert calls == [2, 4, 8]
+    assert (val, err) == (0.25, 0.25)
 
 
-def test_adaptive_integral_error_estimate_honest():
-    val, err = adaptive_integral(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0,
-                                 rel_tol=1e-9)
-    assert abs(val - 4.0 / 3.0) <= 50 * max(err, 1e-15)
+def test_refine_without_refinements_has_no_error_estimate():
+    evaluate, calls = _recorded([0.7])
+    val, err = _refine(evaluate, NumericSettings(max_refinements=0))
+    assert calls == [8]
+    assert val == 0.7 and err == math.inf
 
 
-def test_adaptive_integral_zero_width():
-    val, err = adaptive_integral(np.exp, 2.0, 2.0)
-    assert val == 0.0 and err == 0.0
+# values of the refinement loops that _refine replaced, keyed by
+# (epsilon, i_peak): the average-power threshold (no absolute floor), the
+# high-budget asymptote (_refine itself) and onoff_rate at tau = 0.7 under
+# a perfect direct link (a 1e-13 floor). The tiny i_peak puts values near
+# 1e-5, where the driver's 1e-12 floor could stop earlier; it must not
+# move a bit.
+_FROZEN_REFINED = {
+    (1e-6, 1e-4): (1.0720978984298234e-05, 1.0720860273722073e-05,
+                   9.050482372428152e-06),
+    (1e-6, 10.0): (1.0720978984298233, 0.6211587093423998,
+                   0.48396059027378496),
+    (0.3, 1e-4): (9.72055145750356e-05, 9.719469923007448e-05,
+                  8.204996495830189e-05),
+    (0.3, 10.0): (9.720551457503559, 1.9377943066671555,
+                  0.6984006456967599),
+}
+_KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
+              "N": CsiKnowledge.no_csi()}
+
+
+@pytest.mark.parametrize("code", ["PE", "EE", "NE"])
+@pytest.mark.parametrize("eps, i_peak", list(_FROZEN_REFINED),
+                         ids=[f"eps{e:g}-ipeak{i:g}" for e, i in _FROZEN_REFINED])
+def test_refined_values_frozen_bit_for_bit(code, eps, i_peak):
+    cfg = ScenarioConfig(sl_csi=_KNOWLEDGE[code[0]], cl_csi=_KNOWLEDGE[code[1]],
+                         p_avg=1.0, i_peak=i_peak, epsilon=eps)
+    threshold, high, onoff = _FROZEN_REFINED[eps, i_peak]
+    assert average_power_threshold(cfg) == threshold
+    assert high_budget_asymptote(cfg) == high
+    if code[0] == "P":
+        assert onoff_rate(0.7, cfg) == onoff

@@ -1,4 +1,4 @@
-"""Checks for the log-Bessel, exponential-integral, and Marcum Q pieces.
+"""Checks for the exponential-integral and Marcum Q pieces.
 
 Expected values were computed with mpmath at 50 decimal digits and,
 independently, scipy adaptive quadrature of the defining integrals;
@@ -15,53 +15,11 @@ from hypothesis import strategies as st
 from crcap import special_functions
 from crcap.special_functions import (
     NumericsError,
-    bessel_i0_log,
     exp_integral_e1,
     marcum_q1,
 )
 
 REL = 1e-12
-
-
-def test_bessel_i0_log_frozen_values():
-    # small argument hits the series branch, large the asymptotic one
-    assert bessel_i0_log(1.0) == pytest.approx(0.23591435850717864869, rel=REL)
-    assert bessel_i0_log(50.0) == pytest.approx(47.127575501871804584, rel=REL)
-    assert bessel_i0_log(1e6) == pytest.approx(999992.17330631281325, rel=REL)
-
-
-def test_bessel_i0_log_at_zero_and_tiny():
-    assert bessel_i0_log(0.0) == 0.0
-    # I0(x) = 1 + x^2/4 + O(x^4)
-    x = 1e-8
-    assert bessel_i0_log(x) == pytest.approx(x * x / 4.0, rel=1e-6)
-
-
-def test_bessel_i0_log_never_overflows():
-    for x in [700.0, 1e3, 1e8, 1e15]:
-        val = bessel_i0_log(x)
-        assert math.isfinite(val)
-        # leading behavior x - ln(2 pi x)/2
-        assert val == pytest.approx(x - 0.5 * math.log(2 * math.pi * x), rel=1e-6)
-
-
-def test_bessel_i0_log_vectorized_matches_scalar():
-    xs = np.array([0.0, 0.5, 3.0, 20.0, 400.0])
-    vec = bessel_i0_log(xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(bessel_i0_log(float(x)), rel=1e-14)
-
-
-def test_bessel_i0_log_monotone_increasing():
-    xs = np.linspace(0.0, 60.0, 301)
-    vals = bessel_i0_log(xs)
-    assert np.all(np.diff(vals) > 0)
-
-
-def test_bessel_i0_log_even_in_x():
-    # I0 is an even function; negative arguments are folded, not rejected
-    for x in [0.5, 3.0, 80.0]:
-        assert bessel_i0_log(-x) == bessel_i0_log(x)
 
 
 def test_exp_integral_e1_frozen_values():
