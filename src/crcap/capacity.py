@@ -24,7 +24,6 @@ from .power_allocation import (
     PowerPolicy,
     ScenarioConfig,
     _CapField,
-    _SlGrid,
     _cap_field,
     _expected_capped,
     _grid_memo,
@@ -87,12 +86,10 @@ def _saturated_value(capf: _CapField, panels: int) -> float:
 
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
-    cfg = policy.config
     capf = policy._capf
     if policy.regime == "saturated":
         return _saturated_value(capf, panels)
-    sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=policy.lam)
-    A = sl.budget_component(policy.lam, cfg.p_avg, policy._no_csi_const)
+    sl, A = policy._grid_at(panels)
     if capf.level is CsiLevel.PERFECT and sl.csi.level is not CsiLevel.ESTIMATED:
         # the cross state integrates in closed form; a cell's gains are its
         # state (perfect) or the marginal gain nodes of the one cell (none)

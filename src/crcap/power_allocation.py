@@ -335,30 +335,37 @@ def _invert_rate_matrix(g: np.ndarray, wg: np.ndarray, lam: float) -> np.ndarray
     Newton step from below the root never overshoots it. Raises
     NumericsError if a row has not converged after _ROW_INVERSION_STEPS.
     Rows are solved in blocks of at most _CHUNK_ELEMS values; each row's
-    iterates depend on that row alone.
+    iterates depend on that row alone. Steps work in place, with wg g
+    formed once and rows copied out only after some have converged.
     """
     rows = max(1, _CHUNK_ELEMS // g.shape[1])
     if g.shape[0] > rows:
         return np.concatenate([_invert_rate_matrix(g[s:s + rows], wg[s:s + rows], lam)
                                for s in range(0, g.shape[0], rows)])
-    mean = (wg * g).sum(axis=1)
+    wgg = wg * g
+    mean = wgg.sum(axis=1)
     active = mean > lam
     out = np.zeros(g.shape[0])
     if not np.any(active):
         return out
     ga = g[active]
-    wa = wg[active]
+    wga = wgg[active]
     tol = 1e-13 * max(1.0, 1.0 / lam)
     lo = np.zeros(ga.shape[0])
     hi = np.full(ga.shape[0], 1.0 / lam)
     P = 1.0 / lam - 1.0 / mean[active]
     todo = np.arange(ga.shape[0])
     for _ in range(_ROW_INVERSION_STEPS):
-        gt, x = ga[todo], P[todo]
-        s = 1.0 / (1.0 + x[:, None] * gt)
-        q = wa[todo] * gt * s
+        every = todo.size == ga.shape[0]
+        gt, x = (ga if every else ga[todo]), P[todo]
+        s = x[:, None] * gt
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        q = (wga if every else wga[todo]) * s
         r = q.sum(axis=1) - lam
-        step = r / (q * gt * s).sum(axis=1)
+        q *= gt
+        q *= s
+        step = r / q.sum(axis=1)
         above = r > 0.0
         lo[todo] = l = np.where(above, x, lo[todo])
         hi[todo] = h = np.where(above, hi[todo], x)
@@ -937,6 +944,7 @@ class PowerPolicy:
         self._capf = cap_field
         self._no_csi_const = no_csi_const
         self._budget_interp = None
+        self._trial = None      # (lam, panels, _SlGrid, A) of the last solve trial
 
     # -- interface requirements ----------------------------------------
     @property
@@ -1020,9 +1028,22 @@ class PowerPolicy:
         panels = panels or cfg.numerics.base_panels * 2
         if self.regime == "saturated":
             return self._capf.mean_cap(panels)
-        sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=self.lam)
-        A = sl.budget_component(self.lam, cfg.p_avg, self._no_csi_const)
+        sl, A = self._grid_at(panels)
         return float(sl.w @ self._capf.capped_mean(A))
+
+    def _grid_at(self, panels: int):
+        """The direct-link grid at panels and its budget component at lam.
+
+        The multiplier search's last trial serves once, if it ran at this
+        lam and panel count; a copy whose lam was changed builds afresh.
+        """
+        trial = self._trial
+        if trial is not None and trial[:2] == (self.lam, panels):
+            self._trial = None
+            return trial[2:]
+        cfg = self.config
+        sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=self.lam)
+        return sl, sl.budget_component(self.lam, cfg.p_avg, self._no_csi_const)
 
 
 # ----------------------------------------------------------------------
@@ -1060,7 +1081,9 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     relative. The direct-link grid follows the trial multiplier so a
     panel edge always sits on the zero-power kink; it is rebuilt only
     when that kink moves (_grid_memo). The cap part of each trial comes
-    from the cap table's tail integral (_CapField.capped_mean).
+    from the cap table's tail integral (_CapField.capped_mean). The last
+    trial's grid and component go to the policy, whose capacity and
+    expected power need them at the same panel count (_grid_at).
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
@@ -1104,10 +1127,13 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
                            no_csi_const=const)
 
     grid = _grid_memo(config.sl_csi, ns, panels)
+    last = []
 
     def achieved(lam: float) -> float:
+        last.clear()        # the memo drops an old grid before the next build
         sl = grid(lam)
         A = sl.budget_component(lam, config.p_avg)
+        last[:] = lam, panels, sl, A
         return float(sl.w @ capf.capped_mean(A))
 
     lo, hi = _LAMBDA_LO, 1.0
@@ -1139,4 +1165,6 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         lam = 0.5 * (lo + hi)
         if abs(achieved(lam) - config.p_avg) > 10 * config.p_avg * ns.lambda_rel_tol:
             raise NumericsError("power multiplier bisection did not converge")
-    return PowerPolicy(config, lam, "power_limited", p_star, capf)
+    policy = PowerPolicy(config, lam, "power_limited", p_star, capf)
+    policy._trial = tuple(last)
+    return policy

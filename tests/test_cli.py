@@ -279,14 +279,16 @@ def test_verify_solves_the_policy_once(tmp_path, monkeypatch):
     calls = []
 
     def counted(config):
-        calls.append(config)
-        return solve_lambda(config)
+        calls.append(solve_lambda(config))
+        return calls[-1]
 
     monkeypatch.setattr(cli, "solve_lambda", counted)
     monkeypatch.setattr(capacity, "solve_lambda", counted)
     cfg = write(tmp_path, BASE)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
+    # the capacity took the multiplier search's last grid
+    assert calls[0]._trial is None
 
 
 def test_verify_corrupt_lambda_fails_power_check(tmp_path):

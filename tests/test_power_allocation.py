@@ -5,6 +5,7 @@ adaptive quadrature plus brentq on the budget equation) kept outside
 this package; both routes agreed before the digits were pinned.
 """
 
+import copy
 import math
 import sys
 import threading
@@ -213,6 +214,38 @@ def test_row_inversion_matches_scalar_oracle(alpha, lam):
     ns = NumericSettings(bisect_tol=1e-15, tail_mass=1e-12)
     want = np.array([invert_rate_integral(lam, float(mi), alpha, ns) for mi in m])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
+
+
+# _invert_rate_matrix's output before its Newton steps worked in place.
+# Three row blocks of at most 5 rows; at lam = 1 the first block holds
+# inactive rows (mean <= lam), and in every block the rows converge at
+# different steps, so the steps also run on subsets of a block's rows.
+_FROZEN_ROW_ROOTS = {
+    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.4a9dc5f9768b4p-7",
+          "0x1.b804dcb26f601p-5", "0x1.e4a0178c334afp-3",
+          "0x1.999cf1fd48086p-2", "0x1.3172b00ffd29ap-1",
+          "0x1.78f44c3636935p-1", "0x1.b24b2f313053cp-1",
+          "0x1.d446057f98ddcp-1", "0x1.eb3c7eaaf2ff7p-1",
+          "0x1.f70acd897c297p-1", "0x1.fd8f362748e80p-1"],
+    0.05: ["0x1.081cf3e43b65cp+4", "0x1.1a9a42dd5a571p+4",
+           "0x1.210cecd35665ap+4", "0x1.2196c399bdf42p+4",
+           "0x1.2397cd55f5902p+4", "0x1.2b119c7dcc491p+4",
+           "0x1.31213158243b3p+4", "0x1.3832c440346a4p+4",
+           "0x1.3b97132cb113cp+4", "0x1.3d0bf5b8b69fbp+4",
+           "0x1.3ef1313cc46a4p+4", "0x1.3f68efdcbe5fap+4",
+           "0x1.3f828624ce6dcp+4", "0x1.3fff8e3513d4ap+4"],
+}
+
+
+@pytest.mark.parametrize("lam", sorted(_FROZEN_ROW_ROOTS))
+def test_row_inversion_bits_frozen(monkeypatch, lam):
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 80)
+    m = np.array([0.0, 0.3, 0.5, 0.52, 0.6, 1.0, 1.5, 2.5, 4.0, 7.0, 12.0,
+                  25.0, 60.0, 200.0])
+    g, wg = power_allocation._conditional_matrix(m, 0.5, 4, 4, 1e-10)
+    assert g.shape == (14, 16)
+    got = power_allocation._invert_rate_matrix(g, wg, lam)
+    assert [float(p).hex() for p in got] == _FROZEN_ROW_ROOTS[lam]
 
 
 def test_row_inversion_raises_when_out_of_steps(monkeypatch):
@@ -518,6 +551,17 @@ def _rebuild_grid_every_trial(monkeypatch):
     monkeypatch.setattr(capacity, "_grid_memo", rebuild)
 
 
+def _drop_handover(monkeypatch):
+    solve = power_allocation.solve_lambda
+
+    def solve_without_handover(config):
+        policy = solve(config)
+        policy._trial = None
+        return policy
+
+    monkeypatch.setattr(capacity, "solve_lambda", solve_without_handover)
+
+
 @pytest.mark.parametrize("p_avg_db, plain, reused", [(0.0, 17, 4), (-10.0, 15, 15)])
 def test_multiplier_search_reuses_the_estimated_grid(monkeypatch, p_avg_db,
                                                      plain, reused):
@@ -529,7 +573,17 @@ def test_multiplier_search_reuses_the_estimated_grid(monkeypatch, p_avg_db,
     calls = _count_grid_builds(monkeypatch)
     pol = solve_lambda(cfg)
     assert len(calls) == reused
-    cap = capacity.ergodic_capacity(cfg).capacity
+    # the capacity refines at base_panels and 2 * base_panels; the second
+    # level takes the search's last grid instead of building it again
+    calls.clear()
+    res = capacity.ergodic_capacity(cfg)
+    assert len(calls) == reused + 1
+    cap = res.capacity
+
+    _drop_handover(monkeypatch)
+    calls.clear()
+    assert capacity.ergodic_capacity(cfg) == res
+    assert len(calls) == reused + 2
 
     _rebuild_grid_every_trial(monkeypatch)
     calls.clear()
@@ -537,6 +591,35 @@ def test_multiplier_search_reuses_the_estimated_grid(monkeypatch, p_avg_db,
     assert len(calls) == plain
     assert (pol.lam, pol.p_avg_star) == (ref.lam, ref.p_avg_star)
     assert cap == capacity.ergodic_capacity(cfg).capacity
+
+
+def test_handed_over_grid_serves_once():
+    # the search's last grid is released by its first user, so a policy
+    # does not hold it for its whole life
+    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
+    pol = solve_lambda(cfg)
+    assert pol._trial[:2] == (pol.lam, 2 * cfg.numerics.base_panels)
+    capacity._capacity_of(pol)
+    assert pol._trial is None
+    pol = solve_lambda(cfg)
+    power = pol.expected_power()
+    assert pol._trial is None
+    assert pol.expected_power() == power
+
+
+def test_corrupted_lambda_copy_builds_its_own_grid():
+    # cli verify --corrupt-lambda rescales lam on a shallow copy of the
+    # policy: the grid solved at the old lam must not reach it
+    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
+    pol = solve_lambda(cfg)
+    bad = copy.copy(pol)
+    bad.lam = pol.lam * 1.5
+    bad._budget_interp = None
+    panels = 2 * cfg.numerics.base_panels
+    sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=bad.lam)
+    A = sl.budget_component(bad.lam, cfg.p_avg)
+    assert bad.expected_power() == float(sl.w @ pol._capf.capped_mean(A))
+    assert bad.expected_power() != pol.expected_power()
 
 
 def test_capless_multiplier_search_reuses_the_estimated_grid(monkeypatch):
