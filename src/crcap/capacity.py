@@ -26,7 +26,7 @@ from .power_allocation import (
     _CapField,
     _cap_field,
     _expected_capped,
-    _grid_memo,
+    _SlGrid,
     solve_lambda,
 )
 from .quadrature import _refine
@@ -132,11 +132,9 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
             return float(_saturated_rate(np.array([config.p_avg]))[0])
 
         # budget equation without the cap: E[component(lam)] = p_avg;
-        # the grid's edge tracks the kink, rebuilt only when the kink moves
-        grid = _grid_memo(config.sl_csi, ns, panels)
-
+        # the grid's edge tracks the kink
         def spent(lam: float):
-            sl = grid(lam)
+            sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
             return sl.mean_budget_component(lam, config.p_avg), sl
 
         lo, hi = 1e-12, 1.0

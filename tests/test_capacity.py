@@ -279,20 +279,43 @@ def test_capacity_working_set_follows_the_block_budget():
     assert _traced_peak_mb(lambda: capacity._capacity_at(pol, 128)) < 32.0
     # an estimated direct link keeps its tail unblocked (the interpolant
     # degree depends on every row) and relies on its chunked kernels; EP
-    # at 13 dB stops at 32 panels: 85 MiB traced with 32 MiB chunks, 28 MiB
+    # at 13 dB stops at 16 panels: 50 MiB traced with 32 MiB chunks, 11 MiB
     # with 2 MiB ones
     assert _traced_peak_mb(lambda: ergodic_capacity(_grid_point("EP", 13.0))) < 48.0
 
 
 def test_estimated_grid_and_row_inversion_build_in_row_blocks():
-    # 64 panels: 1280 cells x 1280 gain nodes, 12.5 MiB per full-size
-    # array. The grid keeps g and wg (25 MiB); building them and inverting
-    # every row traced 113 MiB before both worked in row blocks, 39 MiB after
+    # 128 panels: 2560 cells, and the MGF inversion at lam = 0.05 runs on
+    # 206 trapezoid nodes a cell, 4 MiB per full-size temporary. The grid
+    # keeps only its states and weights; building it and inverting every
+    # row traced 6.3 MiB in blocks of _CHUNK_ELEMS node values, 11.8 MiB
+    # in one block
     def build_and_invert():
-        grid = power_allocation._SlGrid(EST, NumericSettings(), 64)
+        grid = power_allocation._SlGrid(EST, NumericSettings(), 128)
+        assert grid.n_cells == 2560
         grid.budget_component(0.05, 1.0)
 
-    assert _traced_peak_mb(build_and_invert) < 48.0
+    assert _traced_peak_mb(build_and_invert) < 9.0
+
+
+def test_estimated_direct_capacity_stays_under_its_plateau():
+    # near saturation (p_avg 250 needs lam ~ 1e-13) and at 20 dB the
+    # estimated direct link converges and stays at or below the saturated
+    # capacity, where Gauss-Legendre rows in g once reported 2.5584280728,
+    # 1.9e-7 above the plateau, with err 5.8e-7
+    ns = NumericSettings()
+    for p_avg in (250.0, 100.0):
+        cfg = scenario(EST, PERFECT, p_avg=p_avg, ns=ns)
+        res = ergodic_capacity(cfg)
+        assert res.regime == "power_limited"
+        assert res.quadrature_error_estimate <= ns.quad_rel_tol * res.capacity
+        plateau = high_budget_asymptote(cfg)
+        assert res.capacity <= plateau + res.quadrature_error_estimate
+    # an estimated direct link without cross-link knowledge at 40 dB and a
+    # loose interference cap (err 1.6e-4 with the Gauss-Legendre rows)
+    res = ergodic_capacity(scenario(EST, NONE, p_avg=1e4, i_peak=1e5, ns=ns))
+    assert res.regime == "power_limited"
+    assert res.quadrature_error_estimate <= ns.quad_rel_tol * res.capacity
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from crcap import capacity, power_allocation
+from crcap import capacity, fading, power_allocation
 from crcap.fading import CsiKnowledge, conditional_power_pdf
 from crcap.power_allocation import (
     NumericSettings,
@@ -160,7 +160,222 @@ def test_invert_rate_integral_raises_when_out_of_steps(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# matrix kernels: row inversion and the log-power rate interpolant
+# MGF rate kernels: row inversion and the log-power rate interpolant
+
+# (alpha, m, P, E[log(1 + P g) | m], E[g / (1 + P g) | m]) from 40-digit
+# mpmath: the MGF integrals of _mgf_log_rate and _mgf_rate taken over
+# y = log s by mpmath.quad in unit pieces on [-log(P (m + alpha)) - 60, 6],
+#     D = 1 + alpha u; M = exp(-u m / D) / D
+#     E[log(1 + P g)] = integral of (alpha u - expm1(-u m / D)) / D e^{-s} dy
+#     E[g / (1 + P g)] = integral of M (m + alpha D) / D^2 s e^{-s} dy
+# with u = s P, s = e^y. For alpha in {0.1, 0.5, 0.9} and P <= 1e6 both
+# agree with 30-digit mpmath.quad of the Bessel density to 3.4e-20.
+MGF_MPMATH = [
+    (0.0001, 0.0, 1e-3, 9.9999990000002006864e-8, 0.000099999980000006004781),
+    (0.0001, 0.0, 1.0, 0.000099990001999400244671, 0.000099980005997601204071),
+    (0.0001, 0.0, 47.0, 0.0046781147719760161394, 0.000099073010520525508157),
+    (0.0001, 0.0, 1e6, 4.0785114434564258926, 9.5921488556543574303e-7),
+    (0.0001, 0.0, 1e8, 8.634088070212725378, 9.991365911929787275e-9),
+    (0.0001, 0.5, 1e-3, 0.00049997494171602791274, 0.49984992514242121672),
+    (0.0001, 0.5, 1.0, 0.4055095525523893711, 0.33334815012297393303),
+    (0.0001, 0.5, 47.0, 3.1986809504432027579, 0.020408010218905765457),
+    (0.0001, 0.5, 1e6, 13.122365377802487292, 9.9999799960384309879e-7),
+    (0.0001, 0.5, 1e8, 17.727533583396421564, 9.9999997999599879936e-9),
+    (0.0001, 5.0, 1e-3, 0.004987640518479679903, 4.9752224003918863146),
+    (0.0001, 5.0, 1.0, 1.791762247075279195, 0.83333148146605058312),
+    (0.0001, 5.0, 47.0, 5.4638318894156205645, 0.021186438897651091374),
+    (0.0001, 5.0, 1e6, 15.424948670402354637, 9.9999979999603984318e-7),
+    (0.0001, 5.0, 1e8, 20.030118658386505846, 9.999999979999600024e-9),
+    (0.0001, 20.0, 1e-3, 0.019802723413048968318, 19.607935484827014875),
+    (0.0001, 20.0, 1.0, 3.0445226644827979735, 0.9523807472179507651),
+    (0.0001, 20.0, 47.0, 6.8469431448932822052, 0.021253985009516350167),
+    (0.0001, 20.0, 1e6, 16.81124288151851385, 9.9999994999975249755e-7),
+    (0.0001, 20.0, 1e8, 21.416413018006358965, 9.9999999949999750023e-9),
+    (0.1, 0.0, 1e-3, 0.000099990001999400247511, 0.099980005997601204829),
+    (0.1, 0.0, 1.0, 0.091563333939788086559, 0.084366660602119185234),
+    (0.1, 0.0, 47.0, 1.4502588402287083067, 0.014711367857724272403),
+    (0.1, 0.0, 1e6, 10.93582915778848392, 9.9989064170842211517e-7),
+    (0.1, 0.0, 1e8, 15.540881640144870793, 9.9999844591183598551e-9),
+    (0.1, 0.5, 1e-3, 0.00059976514854356528043, 0.59953044550771784017),
+    (0.1, 0.5, 1.0, 0.44971649956371674097, 0.34966264049039905745),
+    (0.1, 0.5, 47.0, 3.2125587834258336468, 0.020196962273796062308),
+    (0.1, 0.5, 1e6, 13.123515037524414122, 9.9999670286929846557e-7),
+    (0.1, 0.5, 1e8, 17.728681895732120094, 9.9999996392537257897e-9),
+    (0.1, 5.0, 1e-3, 0.005086539258781653412, 5.0731275674405860184),
+    (0.1, 5.0, 1.0, 1.7946086999809284618, 0.83146738940942317798),
+    (0.1, 5.0, 47.0, 5.4639197461315885115, 0.021184586325629234239),
+    (0.1, 5.0, 1e6, 15.424948674568808277, 9.9999979582958796377e-7),
+    (0.1, 5.0, 1e8, 20.0301186584281704, 9.9999999795829544876e-9),
+    (0.1, 20.0, 1e-3, 0.01989873530695199015, 19.700174057648289635),
+    (0.1, 20.0, 1.0, 3.0447512260430043936, 0.95217420360880819987),
+    (0.1, 20.0, 47.0, 6.8469485011798436617, 0.021253871291295087736),
+    (0.1, 20.0, 1e6, 16.811242881770802091, 9.9999994974746428182e-7),
+    (0.1, 20.0, 1e8, 21.416413018008881848, 9.9999999949747461756e-9),
+    (0.5, 0.0, 1e-3, 0.000499750249625748141, 0.49950074850373878921),
+    (0.5, 0.0, 1.0, 0.3613286168882225847, 0.27734276622355483061),
+    (0.5, 0.0, 47.0, 2.7358671244383452266, 0.018799577071581398618),
+    (0.5, 0.0, 1e6, 12.545174802826311254, 9.9997490965039434738e-7),
+    (0.5, 0.0, 1e8, 17.150318261497249002, 9.9999965699363477006e-9),
+    (0.5, 0.5, 1e-3, 0.00099912641341066962714, 0.99825423698560528282),
+    (0.5, 0.5, 1.0, 0.61390019920580858389, 0.41969645659190886544),
+    (0.5, 0.5, 47.0, 3.4532850442496064849, 0.019968734324328992495),
+    (0.5, 0.5, 1e6, 13.341758247421333659, 9.9998980013686927658e-7),
+    (0.5, 0.5, 1e8, 17.946917641027098741, 9.999998641184304662e-9),
+    (0.5, 5.0, 1e-3, 0.0054823363863612308711, 5.4647586325669144028),
+    (0.5, 5.0, 1.0, 1.8076417681910030138, 0.82393628688385536672),
+    (0.5, 5.0, 47.0, 5.4643884649881752376, 0.021174892599439114098),
+    (0.5, 5.0, 1e6, 15.424952854629710347, 9.9999977282843962909e-7),
+    (0.5, 5.0, 1e8, 20.030122815632201545, 9.9999999772410199104e-9),
+    (0.5, 20.0, 1e-3, 0.020282990159271399383, 20.069164800734288217),
+    (0.5, 20.0, 1.0, 3.0457097823655798902, 0.95131385493257498356),
+    (0.5, 20.0, 47.0, 6.8469711124483682357, 0.021253391311049500971),
+    (0.5, 20.0, 1e6, 16.811242882835989278, 9.9999994868227721064e-7),
+    (0.5, 20.0, 1e8, 21.416413018019533721, 9.9999999948682274456e-9),
+    (0.9, 0.0, 1e-3, 0.00089919145407750837017, 0.89838435832407857797),
+    (0.9, 0.0, 1.0, 0.55488400856430602954, 0.38346221270632664906),
+    (0.9, 0.0, 47.0, 3.2674109574028257999, 0.019633111534931429144),
+    (0.9, 0.0, 1e6, 13.132950080674366985, 9.9998540783324369515e-7),
+    (0.9, 0.0, 1e8, 17.738104771594169338, 9.9999980290994698229e-9),
+    (0.9, 0.5, 1e-3, 0.0013981695879507257579, 1.3963437472150621477),
+    (0.9, 0.5, 1.0, 0.75400950893521468539, 0.47755935630083806474),
+    (0.9, 0.5, 47.0, 3.7202458168466063034, 0.020160884458584751032),
+    (0.9, 0.5, 1e6, 13.619954389720743553, 9.9999121757442297307e-7),
+    (0.9, 0.5, 1e8, 18.225115279339151856, 9.9999988281765648167e-9),
+    (0.9, 5.0, 1e-3, 0.005877823872472906897, 5.8557805750896483838),
+    (0.9, 5.0, 1.0, 1.8237496409800684038, 0.81717266190216269558),
+    (0.9, 5.0, 47.0, 5.4658930415319557421, 0.021157852043168985777),
+    (0.9, 5.0, 1e6, 15.425549754114954218, 9.9999969143488591465e-7),
+    (0.9, 5.0, 1e8, 20.030719630568703092, 9.999999967165315464e-9),
+    (0.9, 20.0, 1e-3, 0.02066696195537667728, 20.437624075194339283),
+    (0.9, 20.0, 1.0, 3.0467471865390724283, 0.95039522677026534331),
+    (0.9, 20.0, 47.0, 6.8469959107028335417, 0.021252865078806687531),
+    (0.9, 20.0, 1e6, 16.811242884014221355, 9.9999994751368058364e-7),
+    (0.9, 20.0, 1e8, 21.41641301804085476, 9.9999999947513676399e-9),
+    (0.999, 0.0, 1e-3, 0.00099800398705372371184, 0.99700995623254056825),
+    (0.999, 0.0, 1.0, 0.59594360416529391752, 0.40345985569039647843),
+    (0.999, 0.0, 47.0, 3.3640051187536673491, 0.019752208016638790283),
+    (0.999, 0.0, 1e6, 13.237308644282479786, 9.9998674944079651403e-7),
+    (0.999, 0.0, 1e8, 17.842464767330509092, 9.9999982139674907577e-9),
+    (0.999, 0.5, 1e-3, 0.0014968837550975717039, 1.4947732435819854323),
+    (0.999, 0.5, 1.0, 0.78548784372985224961, 0.48986991183947261605),
+    (0.999, 0.5, 47.0, 3.7790819482416634395, 0.020205878161313981744),
+    (0.999, 0.5, 1e6, 13.681539275920927353, 9.9999162077371957776e-7),
+    (0.999, 0.5, 1e8, 18.28670059365724922, 9.9999988826204395139e-9),
+    (0.999, 5.0, 1e-3, 0.0059756593064429902759, 5.9524647141361154821),
+    (0.999, 5.0, 1.0, 1.828232630119298075, 0.81573926989591364208),
+    (0.999, 5.0, 47.0, 5.4667403769806149881, 0.021152485438982003929),
+    (0.999, 5.0, 1e6, 15.42609039305894975, 9.9999965516296547463e-7),
+    (0.999, 5.0, 1e8, 20.031260231323309475, 9.9999999624257139741e-9),
+    (0.999, 20.0, 1e-3, 0.0207619513462936197, 20.528735888010035243),
+    (0.999, 20.0, 1.0, 3.047017856217315791, 0.95015809016587195757),
+    (0.999, 20.0, 47.0, 6.8470024516201506815, 0.021252726319018615284),
+    (0.999, 20.0, 1e6, 16.811242884409236268, 9.9999994720534600102e-7),
+    (0.999, 20.0, 1e8, 21.41641301813061672, 9.9999999947205333562e-9),
+]
+
+
+def _rule_at(P, m, alpha):
+    """The trapezoid rule for powers up to P at estimate m."""
+    return power_allocation._mgf_rule(P * (m + alpha))
+
+
+def test_mgf_kernels_match_30_digit_mpmath():
+    for alpha, m, P, log_rate, rate in MGF_MPMATH:
+        got = power_allocation._mgf_log_rate(np.array([m]), alpha, np.array([[P]]))
+        assert got[0, 0] == pytest.approx(log_rate, rel=1e-12, abs=0.0)
+        r, _ = power_allocation._mgf_rate(np.array([P]), np.array([m]), alpha,
+                                          *_rule_at(P, m, alpha))
+        assert r[0] == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+
+# (alpha, m, lam, P) with r(P | m) = lam: mpmath.findroot on the 40-digit
+# rate above, to 1e-34. Among them, m = 0.5, alpha = 0.5, lam = 1e-6 is
+# the corner where uniform Gauss-Legendre panels in g were off by 5e-6
+# relative: adaptive quad with a split at g = 1/P gives 999989.80 there.
+MGF_ROOTS_MPMATH = [
+    (0.0001, 0.0, 1e-06, 957851.1321657370041),
+    (0.0001, 0.5, 1e-06, 999997.99959984155126),
+    (0.0001, 0.5, 0.05, 17.999679929913073772),
+    (0.0001, 0.5, 0.3, 1.3334133480486028955),
+    (0.0001, 5.0, 1e-06, 999999.79999599988684),
+    (0.0001, 5.0, 0.05, 19.799996079850246845),
+    (0.0001, 5.0, 0.3, 3.1333298132306151775),
+    (0.0001, 20.0, 1e-06, 999999.94999975004278),
+    (0.0001, 20.0, 0.05, 19.949999751247539338),
+    (0.0001, 20.0, 0.3, 3.2833330908310721307),
+    (0.1, 0.0, 1e-06, 999890.63084044088903),
+    (0.1, 0.0, 0.05, 6.411853630896823498),
+    (0.1, 0.5, 1e-06, 999996.7028586496482),
+    (0.1, 0.5, 0.05, 17.639575818233728495),
+    (0.1, 0.5, 0.3, 1.4237851476608870106),
+    (0.1, 5.0, 1e-06, 999999.79582954632346),
+    (0.1, 5.0, 0.05, 19.795921225981482471),
+    (0.1, 5.0, 0.3, 3.1297071683346122326),
+    (0.1, 20.0, 1e-06, 999999.94974746180176),
+    (0.1, 20.0, 0.05, 19.949748753497122991),
+    (0.1, 20.0, 0.3, 3.2830885411224298754),
+    (0.5, 0.0, 1e-06, 999974.90907102090401),
+    (0.5, 0.0, 0.05, 15.276085935975221552),
+    (0.5, 0.0, 0.3, 0.8111788181823032929),
+    (0.5, 0.5, 1e-06, 999989.80004033488308),
+    (0.5, 0.5, 0.05, 17.490616983204224082),
+    (0.5, 0.5, 0.3, 1.7921462135300023373),
+    (0.5, 5.0, 1e-06, 999999.77282838808804),
+    (0.5, 5.0, 0.05, 19.774964577944087672),
+    (0.5, 5.0, 0.3, 3.1128099320294850648),
+    (0.5, 20.0, 1e-06, 999999.94868227462239),
+    (0.5, 20.0, 0.05, 19.948689723279886718),
+    (0.5, 20.0, 0.3, 3.282060139937995528),
+    (0.9, 0.0, 1e-06, 999985.40763652028738),
+    (0.9, 0.0, 0.05, 16.897002199375156177),
+    (0.9, 0.0, 0.3, 1.5698894332991446956),
+    (0.9, 0.5, 1e-06, 999991.21750288962345),
+    (0.9, 0.5, 0.05, 17.887602773667432911),
+    (0.9, 0.5, 0.3, 2.0551532830010987824),
+    (0.9, 5.0, 1e-06, 999999.69143479207296),
+    (0.9, 5.0, 0.05, 19.741843763083901321),
+    (0.9, 5.0, 0.3, 3.09309498406145076),
+    (0.9, 20.0, 1e-06, 999999.94751367787408),
+    (0.9, 20.0, 0.05, 19.947529535438325032),
+    (0.9, 20.0, 0.3, 3.2809413147603061443),
+    (0.999, 0.0, 1e-06, 999986.74927847883608),
+    (0.999, 0.0, 0.05, 17.124575522544652556),
+    (0.999, 0.0, 0.3, 1.6832417124277618307),
+    (0.999, 0.5, 1e-06, 999991.62070859192287),
+    (0.999, 0.5, 0.05, 17.975047466487723223),
+    (0.999, 0.5, 0.3, 2.1064441580040601288),
+    (0.999, 5.0, 1e-06, 999999.65516284892157),
+    (0.999, 5.0, 0.05, 19.73210072924903048),
+    (0.999, 5.0, 0.3, 3.0882557960420068047),
+    (0.999, 20.0, 1e-06, 999999.947205343259),
+    (0.999, 20.0, 0.05, 19.94722382194677085),
+    (0.999, 20.0, 0.3, 3.2806482410504040492),
+]
+
+
+def test_mgf_inversion_matches_30_digit_mpmath():
+    for alpha, m, lam, root in MGF_ROOTS_MPMATH:
+        got = power_allocation._mgf_invert_rate(np.array([m]), alpha, lam)
+        assert got[0] == pytest.approx(root, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), m=st.floats(0.0, 20.0),
+       log_p=st.floats(-3.0, 7.0))
+def test_mgf_rate_matches_the_density_oracles(alpha, m, log_p):
+    # the kernels against the pdf-based quadrature of rate_integral and
+    # the bisection of invert_rate_integral, which share no code with them
+    P = 10.0 ** log_p
+    r, slope = power_allocation._mgf_rate(np.array([P]), np.array([m]), alpha,
+                                          *_rule_at(P, m, alpha))
+    assert r[0] == pytest.approx(rate_integral(P, m, alpha), rel=1e-10, abs=0.0)
+    assert slope[0] > 0.0
+    ns = NumericSettings(bisect_tol=1e-13, tail_mass=1e-12)
+    root = power_allocation._mgf_invert_rate(np.array([m]), alpha, float(r[0]))
+    assert root[0] == pytest.approx(invert_rate_integral(float(r[0]), m, alpha, ns),
+                                    rel=1e-9, abs=1e-12)
+    assert root[0] == pytest.approx(P, rel=1e-9, abs=1e-12)
+
 
 def _inversion_rows(lam, alpha):
     """Estimates for m = 0, rows whose mean m + alpha sits just above and
@@ -170,17 +385,27 @@ def _inversion_rows(lam, alpha):
     return np.array(m)
 
 
-def _bisect_rows(g, wg, lam):
-    """Plain per-row bisection on the same rule, run until the bracket
-    stops shrinking in floating point."""
-    out = np.zeros(g.shape[0])
-    for j in range(g.shape[0]):
-        if (wg[j] * g[j]).sum() <= lam:
-            continue
+def _rule_rate(P, m, alpha, s, w):
+    """r(P | m) = sum of w s e^{-u m / D} (m / D + alpha) / D^2, u = s P,
+    D = 1 + alpha u: the trapezoid rule on given nodes, written out."""
+    u = P * s
+    d = 1.0 + alpha * u
+    return float(np.sum(w * s * np.exp(-u * m / d) * (m / d + alpha) / d ** 2))
+
+
+def _bisect_rows(m, alpha, lam):
+    """Plain per-row bisection on the rule the inversion uses at lam, run
+    until the bracket stops shrinking in floating point."""
+    out = np.zeros(m.size)
+    active = np.flatnonzero(m + alpha > lam)
+    if active.size == 0:
+        return out
+    s, w = power_allocation._mgf_rule(float((m[active] + alpha).max()) / lam)
+    for j in active:
         lo, hi = 0.0, 1.0 / lam
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
-            if (wg[j] * g[j] / (1.0 + mid * g[j])).sum() > lam:
+            if _rule_rate(mid, m[j], alpha, s, w) > lam:
                 lo = mid
             else:
                 hi = mid
@@ -193,67 +418,63 @@ def _bisect_rows(g, wg, lam):
 @pytest.mark.parametrize("lam", [1e-6, 0.05, 0.3, 1.0])
 def test_row_inversion_matches_plain_bisection(alpha, lam):
     m = _inversion_rows(lam, alpha)
-    g, wg = power_allocation._conditional_matrix(m, alpha, 16, 20, 1e-10)
-    got = power_allocation._invert_rate_matrix(g, wg, lam)
-    want = _bisect_rows(g, wg, lam)
+    got = power_allocation._mgf_invert_rate(m, alpha, lam)
+    want = _bisect_rows(m, alpha, lam)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
     # rows at or below the multiplier transmit nothing
-    assert np.all(got[(wg * g).sum(axis=1) <= lam] == 0.0)
+    assert np.all(got[m + alpha <= lam] == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("lam", [0.3, 1.0])
+@pytest.mark.parametrize("lam", [1e-6, 0.05, 0.3, 1.0])
 def test_row_inversion_matches_scalar_oracle(alpha, lam):
-    # a fine matrix rule with a tiny tail so both routes integrate the same
-    # r(P) to ~1e-14; for lam <= 0.05 the two quadratures themselves differ
-    # by more than the tolerance near g ~ 1/P, which the bisection test
-    # above isolates from the inversion
+    # the density-based bisection with a tight stop and a tiny tail; the
+    # old Gauss-Legendre matrix rows could not reach lam <= 0.05 within
+    # the tolerance, being off by up to 5e-6 relative near g ~ 1/P
     m = _inversion_rows(lam, alpha)
-    g, wg = power_allocation._conditional_matrix(m, alpha, 64, 20, 1e-14)
-    got = power_allocation._invert_rate_matrix(g, wg, lam)
+    got = power_allocation._mgf_invert_rate(m, alpha, lam)
     ns = NumericSettings(bisect_tol=1e-15, tail_mass=1e-12)
     want = np.array([invert_rate_integral(lam, float(mi), alpha, ns) for mi in m])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
 
 
-# _invert_rate_matrix's output before its Newton steps worked in place.
-# Three row blocks of at most 5 rows; at lam = 1 the first block holds
-# inactive rows (mean <= lam), and in every block the rows converge at
-# different steps, so the steps also run on subsets of a block's rows.
+# _mgf_invert_rate's output when the kernel was introduced. At lam = 1
+# the first three rows are inactive (mean <= lam); the others run in
+# blocks of 5 rows and converge at different steps, so the steps also run
+# on subsets of a block's rows.
 _FROZEN_ROW_ROOTS = {
-    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.4a9dc5f9768b4p-7",
-          "0x1.b804dcb26f601p-5", "0x1.e4a0178c334afp-3",
-          "0x1.999cf1fd48086p-2", "0x1.3172b00ffd29ap-1",
-          "0x1.78f44c3636935p-1", "0x1.b24b2f313053cp-1",
-          "0x1.d446057f98ddcp-1", "0x1.eb3c7eaaf2ff7p-1",
-          "0x1.f70acd897c297p-1", "0x1.fd8f362748e80p-1"],
-    0.05: ["0x1.081cf3e43b65cp+4", "0x1.1a9a42dd5a571p+4",
-           "0x1.210cecd35665ap+4", "0x1.2196c399bdf42p+4",
-           "0x1.2397cd55f5902p+4", "0x1.2b119c7dcc491p+4",
-           "0x1.31213158243b3p+4", "0x1.3832c440346a4p+4",
-           "0x1.3b97132cb113cp+4", "0x1.3d0bf5b8b69fbp+4",
-           "0x1.3ef1313cc46a4p+4", "0x1.3f68efdcbe5fap+4",
-           "0x1.3f828624ce6dcp+4", "0x1.3fff8e3513d4ap+4"],
+    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7405b0a17542ap-7",
+          "0x1.c44e3d33ca7dbp-5", "0x1.e7faccf7b4129p-3",
+          "0x1.9991f1dafec48p-2", "0x1.2ff30dcc1d6f3p-1",
+          "0x1.78d481afdac17p-1", "0x1.b2f9a39350016p-1",
+          "0x1.d3c5a810c2a16p-1", "0x1.eb21588f671a0p-1",
+          "0x1.f7659771689abp-1", "0x1.fd6f028f41d08p-1"],
+    0.05: ["0x1.e8d5b22c3cc59p+3", "0x1.0d115be4e0146p+4",
+           "0x1.17d991319b96fp+4", "0x1.18c12e5191f90p+4",
+           "0x1.1c1cb6c6c0290p+4", "0x1.2821e0b8e2975p+4",
+           "0x1.3069b161f2b6bp+4", "0x1.37aa3e47003c6p+4",
+           "0x1.3b54c7cfef0dep+4", "0x1.3d8652a3c6c3bp+4",
+           "0x1.3e9b3dc434001p+4", "0x1.3f58c23447575p+4",
+           "0x1.3fbb27dd42840p+4", "0x1.3feb77f413efep+4"],
 }
 
 
 @pytest.mark.parametrize("lam", sorted(_FROZEN_ROW_ROOTS))
 def test_row_inversion_bits_frozen(monkeypatch, lam):
-    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 80)
     m = np.array([0.0, 0.3, 0.5, 0.52, 0.6, 1.0, 1.5, 2.5, 4.0, 7.0, 12.0,
                   25.0, 60.0, 200.0])
-    g, wg = power_allocation._conditional_matrix(m, 0.5, 4, 4, 1e-10)
-    assert g.shape == (14, 16)
-    got = power_allocation._invert_rate_matrix(g, wg, lam)
+    whole = power_allocation._mgf_invert_rate(m, 0.5, lam)
+    nodes = power_allocation._mgf_rule((m.max() + 0.5) / lam)[0].size
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 5 * nodes)
+    got = power_allocation._mgf_invert_rate(m, 0.5, lam)
     assert [float(p).hex() for p in got] == _FROZEN_ROW_ROOTS[lam]
+    assert np.array_equal(got, whole)
 
 
 def test_row_inversion_raises_when_out_of_steps(monkeypatch):
     monkeypatch.setattr(power_allocation, "_ROW_INVERSION_STEPS", 1)
-    g, wg = power_allocation._conditional_matrix(np.array([0.5, 2.0]), 0.5,
-                                                 8, 20, 1e-10)
-    with pytest.raises(NumericsError):
-        power_allocation._invert_rate_matrix(g, wg, 0.05)
+    with pytest.raises(NumericsError, match="did not converge in 1 steps"):
+        power_allocation._mgf_invert_rate(np.array([0.5, 2.0]), 0.5, 0.05)
 
 
 def _tail_powers(cross, i_peak, panels):
@@ -276,14 +497,17 @@ def _tail_powers(cross, i_peak, panels):
                          ids=["EP", "EE"])
 @pytest.mark.parametrize("panels", [16, 32])
 def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels):
+    # the interpolant in log P against the trapezoid sum at every power,
+    # one row at a time
     sl, P = _tail_powers(cross, i_peak, panels)
     P[0] = P[0, P.shape[1] // 2]   # a row of equal powers
     P[1, ::3] = 0.0                # a row that includes P = 0
     P[2] = 0.0                     # a row of zeros
     got = sl.rate_cells(P)
-    want = np.array([(sl._wg[j] * np.log1p(P[j][:, None] * sl._g[j])).sum(axis=1)
+    want = np.array([power_allocation._mgf_log_rate(sl.state[j:j + 1], 0.5, P[j:j + 1])[0]
                      for j in range(P.shape[0])])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.array_equal(got[2], np.zeros(P.shape[1]))
 
 
 # ----------------------------------------------------------------------
@@ -531,24 +755,17 @@ def test_capped_mean_is_bounded_and_nondecreasing(cl, i_peak, eps, log_a):
 # ----------------------------------------------------------------------
 # multiplier search
 
-def _count_grid_builds(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Patch module.name to record the arguments of every call."""
     calls = []
-    build = power_allocation._conditional_matrix
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(power_allocation, "_conditional_matrix", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _rebuild_grid_every_trial(monkeypatch):
-    def rebuild(csi, settings, panels):
-        return lambda lam: power_allocation._SlGrid(csi, settings, panels, lam=lam)
-
-    monkeypatch.setattr(power_allocation, "_grid_memo", rebuild)
-    monkeypatch.setattr(capacity, "_grid_memo", rebuild)
 
 
 def _drop_handover(monkeypatch):
@@ -562,35 +779,28 @@ def _drop_handover(monkeypatch):
     monkeypatch.setattr(capacity, "solve_lambda", solve_without_handover)
 
 
-@pytest.mark.parametrize("p_avg_db, plain, reused", [(0.0, 17, 4), (-10.0, 15, 15)])
-def test_multiplier_search_reuses_the_estimated_grid(monkeypatch, p_avg_db,
-                                                     plain, reused):
-    # the grid starts at estimate max(lam - alpha, 0): at 0 dB the trials
-    # with lam <= alpha share one grid; at -10 dB every trial has
-    # lam > alpha and needs its own
+@pytest.mark.parametrize("p_avg_db", [0.0, -10.0])
+def test_multiplier_search_hands_over_its_last_grid(monkeypatch, p_avg_db):
+    # every trial inverts the rate through the MGF kernel, with no density
+    # evaluation; the capacity refines at base_panels and 2 * base_panels,
+    # and the second level takes the search's last inversion instead of
+    # running it again
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(),
                    p_avg=10.0 ** (p_avg_db / 10.0))
-    calls = _count_grid_builds(monkeypatch)
+    density = _count_calls(monkeypatch, fading, "conditional_power_pdf")
+    inversions = _count_calls(monkeypatch, power_allocation, "_mgf_invert_rate")
     pol = solve_lambda(cfg)
-    assert len(calls) == reused
-    # the capacity refines at base_panels and 2 * base_panels; the second
-    # level takes the search's last grid instead of building it again
-    calls.clear()
-    res = capacity.ergodic_capacity(cfg)
-    assert len(calls) == reused + 1
-    cap = res.capacity
+    trials = len(inversions)
+    assert trials > 5
+    res = capacity._capacity_of(pol)
+    assert len(inversions) == trials + 1
+    assert pol._trial is None
 
     _drop_handover(monkeypatch)
-    calls.clear()
+    inversions.clear()
     assert capacity.ergodic_capacity(cfg) == res
-    assert len(calls) == reused + 2
-
-    _rebuild_grid_every_trial(monkeypatch)
-    calls.clear()
-    ref = solve_lambda(cfg)
-    assert len(calls) == plain
-    assert (pol.lam, pol.p_avg_star) == (ref.lam, ref.p_avg_star)
-    assert cap == capacity.ergodic_capacity(cfg).capacity
+    assert len(inversions) == trials + 2
+    assert density == []
 
 
 def test_handed_over_grid_serves_once():
@@ -622,16 +832,17 @@ def test_corrupted_lambda_copy_builds_its_own_grid():
     assert bad.expected_power() != pol.expected_power()
 
 
-def test_capless_multiplier_search_reuses_the_estimated_grid(monkeypatch):
-    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
-    calls = _count_grid_builds(monkeypatch)
+def test_capless_multiplier_search_reads_no_density(monkeypatch):
+    # a tight multiplier: at the default tolerance the capped policy may
+    # overspend its budget by lambda_rel_tol and rise above the bound
+    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(), ns=TIGHT)
+    density = _count_calls(monkeypatch, fading, "conditional_power_pdf")
+    inversions = _count_calls(monkeypatch, power_allocation, "_mgf_invert_rate")
     low = capacity.low_budget_asymptote(cfg)
-    reused = len(calls)
-
-    _rebuild_grid_every_trial(monkeypatch)
-    calls.clear()
+    assert len(inversions) > 5
+    assert density == []
     assert capacity.low_budget_asymptote(cfg) == low
-    assert reused < len(calls) / 5
+    assert low >= capacity.ergodic_capacity(cfg).capacity
 
 
 def test_lambda_perfect_perfect_frozen():
