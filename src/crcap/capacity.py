@@ -6,10 +6,10 @@ averaged over both links' fading, with P the policy from
 power_allocation.solve_lambda. Expectations of min-of-two-components are
 split at the crossing state so every quadrature piece is smooth; the
 whole evaluation is repeated with doubled panel counts until two levels
-agree, and the last change is reported as the error estimate. Under a
-perfect cross link with a perfect or absent direct link, the integral
-over the cross state above the crossing has a closed form in E1
-(_CapField.rate_tail), so only the direct-link axis is a quadrature.
+agree, and the last change is reported as the error estimate. With
+perfect knowledge of both links, the integral over the cross state above
+the crossing has a closed form in E1 (_CapField.rate_tail), so only the
+direct-link axis is a quadrature.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ from .fading import CsiLevel
 from .power_allocation import (
     PowerPolicy,
     ScenarioConfig,
+    _bisect,
     _CapField,
     _cap_field,
     _expected_capped,
+    _exponential_rate,
     _SlGrid,
     solve_lambda,
 )
 from .quadrature import _refine
-from .special_functions import NumericsError, exp_integral_e1
 
 __all__ = [
     "CapacityResult",
@@ -57,22 +58,6 @@ class CapacityResult:
     quadrature_error_estimate: float
 
 
-def _saturated_rate(c):
-    """E[log(1 + c * g)] for unit-mean exponential g: e^{1/c} E1(1/c).
-
-    Closed form instead of a quadrature rule because the saturated cap is
-    unbounded as the cross state vanishes, and log(1 + c*g) with huge c
-    has a log singularity at g = 0 that defeats polynomial rules (a
-    rule-based version carried a stubborn ~4e-8 bias here).
-    """
-    c = np.asarray(c, dtype=float)
-    out = np.zeros_like(c)
-    pos = c > 0.0
-    if np.any(pos):
-        out[pos] = exp_integral_e1(1.0 / c[pos], scaled=True)
-    return out
-
-
 def _saturated_value(capf: _CapField, panels: int) -> float:
     """E[log(1 + cap * g)] with g the marginal direct gain.
 
@@ -80,9 +65,9 @@ def _saturated_value(capf: _CapField, panels: int) -> float:
     the direct link, so the estimate layer integrates out.
     """
     if capf.is_constant:
-        return float(_saturated_rate(np.array([capf.constant]))[0])
+        return float(_exponential_rate(capf.constant))
     t, wt = capf.full_rule(panels)
-    return float(wt @ _saturated_rate(capf.cap(t)))
+    return float(wt @ _exponential_rate(capf.cap(t)))
 
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
@@ -90,14 +75,10 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
     if policy.regime == "saturated":
         return _saturated_value(capf, panels)
     sl, A = policy._grid_at(panels)
-    if capf.level is CsiLevel.PERFECT and sl.csi.level is not CsiLevel.ESTIMATED:
-        # the cross state integrates in closed form; a cell's gains are its
-        # state (perfect) or the marginal gain nodes of the one cell (none)
+    if capf.level is CsiLevel.PERFECT and sl.csi.level is CsiLevel.PERFECT:
+        # the cross state integrates in closed form at each cell's gain
         t_star = capf.crossing_state(A)
-        if sl.csi.level is CsiLevel.PERFECT:
-            tail = capf.rate_tail(t_star, sl.state)
-        else:
-            tail = (sl._wg * capf.rate_tail(t_star[:, None], sl._g)).sum(axis=1)
+        tail = capf.rate_tail(t_star, sl.state)
         return float(sl.w @ (sl.rate_cells(A) * capf.cdf(t_star) + tail))
     return _expected_capped(A, sl.w, capf, panels, sl.rate_cells,
                             blocks=sl.rows_separable)
@@ -121,43 +102,26 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
 
     As p_avg -> 0 the budget component shrinks below any fixed cap, so
     the capped capacity approaches this value from below. With no
-    direct-link knowledge this is the constant-power rate at p_avg.
+    direct-link knowledge this is the constant-power rate at p_avg, in
+    closed form.
     """
+    if config.sl_csi.level is CsiLevel.NONE:
+        return float(_exponential_rate(config.p_avg))
     ns = config.numerics
-    sl_level = config.sl_csi.level
 
     def evaluate(panels: int) -> float:
-        if sl_level is CsiLevel.NONE:
-            # constant power on the marginal gain: exact closed form
-            return float(_saturated_rate(np.array([config.p_avg]))[0])
-
         # budget equation without the cap: E[component(lam)] = p_avg;
         # the grid's edge tracks the kink
-        def spent(lam: float):
-            sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
-            return sl.mean_budget_component(lam, config.p_avg), sl
+        last = []
 
-        lo, hi = 1e-12, 1.0
-        for _ in range(200):
-            if spent(hi)[0] <= config.p_avg:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise NumericsError("failed to bracket the capless multiplier")
-        for _ in range(200):
-            lam = 0.5 * (lo + hi)
-            e, sl = spent(lam)
-            if abs(e - config.p_avg) <= config.p_avg * 1e-9:
-                break
-            if e > config.p_avg:
-                lo = lam
-            else:
-                hi = lam
-        else:
-            raise NumericsError("capless multiplier bisection did not converge "
-                                "in 200 steps")
-        A = sl.budget_component(lam, config.p_avg)
-        return float(sl.w @ sl.rate_cells(A))
+        def spent(lam: float) -> float:
+            sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
+            last[:] = [sl]
+            return sl.mean_budget_component(lam, config.p_avg)
+
+        lam = _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
+        sl = last[0]
+        return float(sl.w @ sl.rate_cells(sl.budget_component(lam, config.p_avg)))
 
     return _refine(evaluate, ns)[0]
 

@@ -17,7 +17,7 @@ lam; the transmitted power is the pointwise minimum of the two.
 If the budget exceeds the mean cap (the average-power threshold), the
 budget constraint is slack: lam = 0 and the policy transmits at the cap
 ("saturated" regime). Otherwise lam > 0 is found by bisection on the
-average-power equation ("power_limited" regime).
+average-power equation (_bisect; "power_limited" regime).
 
 The budget component by direct-link knowledge:
   * none       constant (the raw budget by default; optionally rescaled so
@@ -427,22 +427,26 @@ def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return out
 
 
-def _rate_rows_direct(g: np.ndarray, wg: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """sum_n wg[n] log1p(P[j,k] g[n]) as a direct triple sum.
+def _exponential_rate(power) -> np.ndarray:
+    """E[log(1 + P g)] for unit-mean exponential g: e^{1/P} E1(1/P), 0 at P = 0.
 
-    Rows, and within a row the powers, are chunked so the (rows, K, N)
-    intermediate stays within _CHUNK_ELEMS elements; each sum over n is
-    the same for any chunking.
+    The rate without direct-link knowledge: _mgf_log_rate's integral at
+    m = 0, alpha = 1, where M(u) = 1 / (1 + u). Elementwise over power.
     """
-    J, K = P.shape
-    cols = max(1, min(K, _CHUNK_ELEMS // g.size))
-    rows = max(1, _CHUNK_ELEMS // (cols * g.size))
-    out = np.empty((J, K))
-    for a in range(0, J, rows):
-        for c in range(0, K, cols):
-            out[a:a + rows, c:c + cols] = (
-                wg * np.log1p(P[a:a + rows, c:c + cols, None] * g)).sum(axis=2)
+    P = np.asarray(power, dtype=float)
+    out = np.zeros_like(P)
+    pos = P > 0.0
+    out[pos] = exp_integral_e1(1.0 / P[pos], scaled=True)
     return out
+
+
+def _water_fill(lam: float, g) -> np.ndarray:
+    """Perfect-knowledge budget component max(0, 1/lam - 1/g) at gains g;
+    exactly 0 for g <= lam, which the _GAIN_FLOOR divisor misses when
+    lam < _GAIN_FLOOR."""
+    g = np.asarray(g, dtype=float)
+    out = np.clip(1.0 / lam - 1.0 / np.maximum(g, _GAIN_FLOOR), 0.0, None)
+    return np.where(g <= lam, 0.0, out)
 
 
 def _chebyshev_points_needed(half_range: float) -> int:
@@ -532,8 +536,8 @@ class _SlGrid:
     """Direct-link conditioning states discretized into weighted cells.
 
     Each cell j carries an outer weight w[j] (the probability weight of
-    the conditioning state) and its state; without knowledge the one cell
-    also holds the marginal gain's rule (_g, _wg). Under estimated
+    the conditioning state) and its state. Without knowledge the one cell
+    has state 0, weight 1 and the rate _exponential_rate; under estimated
     knowledge the conditional rates come from the MGF kernels.
 
     When the multiplier lam is known, pass it: the budget component is
@@ -552,7 +556,6 @@ class _SlGrid:
         tail = settings.tail_mass
         lower = 0.0 if lam is None else float(lam)
         if csi.level is CsiLevel.NONE:
-            self._g, self._wg = _exp_rule(1.0, panels, pts, tail)
             self.w = np.array([1.0])
             self.state = np.array([0.0])
         elif csi.level is CsiLevel.PERFECT:
@@ -568,8 +571,7 @@ class _SlGrid:
         if self.csi.level is CsiLevel.NONE:
             return np.array([p_avg if no_csi_const is None else no_csi_const])
         if self.csi.level is CsiLevel.PERFECT:
-            return np.clip(1.0 / lam - 1.0 / np.maximum(self.state, _GAIN_FLOOR),
-                           0.0, None)
+            return _water_fill(lam, self.state)
         return _mgf_invert_rate(self.state, self.csi.alpha, lam)
 
     def rate_cells(self, power: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
@@ -578,17 +580,17 @@ class _SlGrid:
         power has shape (J,) or (J, K), J the number of cells in rows; the
         result matches. With estimated knowledge a (J, K) input goes
         through a per-cell interpolant in log P (_rate_rows_log_power)
-        instead of the (J, K, N) triple sum; its degree depends on every
-        row it is given (see rows_separable).
+        instead of the (J, K, N) trapezoid sum; its degree depends on
+        every row it is given (see rows_separable).
         """
         P = np.asarray(power, dtype=float)
+        if self.csi.level is CsiLevel.NONE:
+            return _exponential_rate(P)
         if self.csi.level is CsiLevel.PERFECT:
             state = self.state[rows]
             return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
         if P.ndim == 1:
             return self.rate_cells(P[:, None], rows)[:, 0]
-        if self.csi.level is CsiLevel.NONE:
-            return _rate_rows_direct(self._g, self._wg, P)
         return _rate_rows_log_power(self.state[rows], self.csi.alpha, P)
 
     @property
@@ -891,12 +893,10 @@ def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
     block size. blocks=False hands f every row at once, for an f whose
     rows are not independent (_SlGrid.rows_separable).
 
-    The capacity uses this rule for an estimated cross link, and for a
-    perfect one with an estimated direct link, where a closed form over
-    cells x gain nodes would cost more than the rate kernel's
-    interpolant. A perfect cross link with a perfect or absent direct
-    link integrates its tail in closed form instead (_CapField.rate_tail);
-    a cross link without knowledge has a constant cap and needs no rule.
+    The capacity uses this rule for every pair but one: with perfect
+    knowledge of both links the tail has a closed form instead
+    (_CapField.rate_tail). A cross link without knowledge has a constant
+    cap and needs no rule.
     """
     if capf.is_constant:
         return float(w @ f(np.minimum(A, capf.constant), slice(None)))
@@ -999,8 +999,7 @@ class PowerPolicy:
             raise ValueError("this policy needs a direct-link state")
         s = np.asarray(sl_state, dtype=float)
         if level is CsiLevel.PERFECT:
-            out = np.clip(1.0 / self.lam - 1.0 / np.maximum(s, _GAIN_FLOOR), 0.0, None)
-            out = np.where(s <= self.lam, 0.0, out)
+            out = _water_fill(self.lam, s)
             return out if out.ndim else float(out)
         if self._budget_interp is None:
             self._build_budget_interp()
@@ -1044,6 +1043,38 @@ class PowerPolicy:
 # ----------------------------------------------------------------------
 # multiplier search
 
+def _bisect(f, target: float, lo: float, hi: float, rel_tol: float,
+            what: str) -> float:
+    """The first bisection midpoint x with |f(x) - target| <= rel_tol
+    |target|, for a decreasing f; f was last evaluated at x.
+
+    hi doubles until f(hi) <= target, then lo shrinks a hundredfold until
+    f(lo) > target or lo < 1e-250 (near-threshold budgets under perfect
+    cross knowledge need a multiplier far below the usual floor). Raises
+    NumericsError, naming what, when 200 doublings or 300 midpoints run out.
+    """
+    for _ in range(200):
+        if f(hi) <= target:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NumericsError(f"failed to bracket the {what}")
+    # ends: 280 shrinks take any float lo below 1e-250
+    while not (f(lo) > target or lo < 1e-250):
+        hi = min(hi, lo)
+        lo *= 1e-2
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        e = f(mid)
+        if abs(e - target) <= rel_tol * abs(target):
+            return mid
+        if e > target:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericsError(f"{what} bisection did not converge in 300 steps")
+
+
 def average_power_threshold(config: ScenarioConfig) -> float:
     """Mean interference cap: the budget level where the policy saturates.
 
@@ -1070,16 +1101,17 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     cross-link knowledge the reported threshold is infinite, but the
     truncated state space can only spend a finite average; budgets beyond
     that numeric limit saturate too (the capacity they forgo is at tail-
-    mass level). Otherwise the multiplier is bisected (bracket grown by
-    doubling, downward as well for near-threshold budgets) until the
+    mass level). Otherwise _bisect solves for the multiplier until the
     achieved average power is within lambda_rel_tol of the budget,
-    relative. Each trial builds its own direct-link grid, so a panel edge
-    always sits on the zero-power kink; with an estimated direct link a
-    trial is one MGF row inversion (_mgf_invert_rate). The cap part of
-    each trial comes from the cap table's tail integral
-    (_CapField.capped_mean). The last
-    trial's grid and component go to the policy, whose capacity and
-    expected power need them at the same panel count (_grid_at).
+    relative, and raises NumericsError if it cannot. Each trial builds its
+    own direct-link grid, so a panel edge always sits on the zero-power
+    kink; with an estimated direct link a trial is one MGF row inversion
+    (_mgf_invert_rate). The cap part of each trial comes from the cap
+    table's tail integral (_CapField.capped_mean). The last trial's grid
+    and component go to the policy, whose capacity and expected power
+    need them at the same panel count (_grid_at). A direct link without
+    knowledge has no multiplier: its constant is the budget, or with
+    rescale_no_csi_budget the one whose capped average meets it.
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
@@ -1093,32 +1125,13 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         const = config.p_avg
         if config.rescale_no_csi_budget and not capf.is_constant:
             # enlarge the constant until the capped average meets the budget;
-            # the bracket exists because E[min(c, cap)] -> E[cap] > p_avg
-            def capped_avg(c: float) -> float:
-                return float(capf.capped_mean(c))
-
-            lo, hi = config.p_avg, 2.0 * config.p_avg
-            for _ in range(200):
-                if capped_avg(hi) >= config.p_avg:
-                    break
-                lo, hi = hi, 2.0 * hi
-            else:
-                raise NumericsError("failed to bracket the rescaled constant")
-            # each trial is a single cheap table lookup, so unlike the
+            # the bracket exists because E[min(c, cap)] -> E[cap] > p_avg.
+            # Each trial is a single cheap table lookup, so unlike the
             # multiplier solve there is no reason to leave slack here: a
             # budget residual would show up directly in a simulated average
-            for _ in range(200):
-                const = 0.5 * (lo + hi)
-                e = capped_avg(const)
-                if abs(e - config.p_avg) <= config.p_avg * 1e-13:
-                    break
-                if e < config.p_avg:
-                    lo = const
-                else:
-                    hi = const
-            else:
-                raise NumericsError("rescaled constant bisection did not converge "
-                                    "in 200 steps")
+            const = _bisect(lambda c: -float(capf.capped_mean(c)), -config.p_avg,
+                            config.p_avg, 2.0 * config.p_avg, 1e-13,
+                            "rescaled constant")
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 
@@ -1130,35 +1143,8 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         last[:] = lam, panels, sl, A
         return float(sl.w @ capf.capped_mean(A))
 
-    lo, hi = _LAMBDA_LO, 1.0
-    for _ in range(200):
-        if achieved(hi) <= config.p_avg:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NumericsError("failed to bracket the power multiplier")
-    for _ in range(300):
-        # near-threshold budgets under perfect cross knowledge need a
-        # multiplier far below the default floor
-        if achieved(lo) > config.p_avg or lo < 1e-250:
-            break
-        hi = min(hi, lo)
-        lo *= 1e-2
-    lam = hi
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        e = achieved(mid)
-        if abs(e - config.p_avg) <= config.p_avg * ns.lambda_rel_tol:
-            lam = mid
-            break
-        if e > config.p_avg:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        lam = 0.5 * (lo + hi)
-        if abs(achieved(lam) - config.p_avg) > 10 * config.p_avg * ns.lambda_rel_tol:
-            raise NumericsError("power multiplier bisection did not converge")
+    lam = _bisect(achieved, config.p_avg, _LAMBDA_LO, 1.0, ns.lambda_rel_tol,
+                  "power multiplier")
     policy = PowerPolicy(config, lam, "power_limited", p_star, capf)
     policy._trial = tuple(last)
     return policy

@@ -76,9 +76,10 @@ def test_capacity_estimated_direct_matches_reference(cross, p_avg_db, value, err
 
 
 def test_capacity_none_none():
-    # constant power 1 capped at 3.338 never binds: closed form e E1(1)
+    # constant power 1 capped at 3.338 never binds: closed form e E1(1),
+    # from mpmath at 40 digits
     res = ergodic_capacity(scenario(NONE, NONE))
-    assert res.capacity == pytest.approx(0.5963473623, abs=1e-8)
+    assert res.capacity == pytest.approx(0.5963473623231940743410785, rel=1e-14)
     assert res.regime == "power_limited"
 
 
@@ -360,8 +361,7 @@ def test_rate_tail_matches_40_digit_mpmath():
     assert np.array_equal(beyond, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("code, p_avg_db", [
-    ("PP", 0.0), ("PP", 13.0), ("PP", 22.5), ("NP", 13.0)])
+@pytest.mark.parametrize("code, p_avg_db", [("PP", 0.0), ("PP", 13.0), ("PP", 22.5)])
 def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
     # the closed form against the cells x cross nodes rule it replaced,
     # at every refinement level where that rule has resolved the 1/t cap
@@ -377,6 +377,26 @@ def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
                                                  sl.rate_cells)
         assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=0.0,
                                                                    abs=1e-13)
+
+
+# E[log(1 + min(p_avg, i_peak / t) g)] for exponential g and t, the cross
+# state truncated at -ln(tail_mass) like the engine's: the rate
+# e^{1/P} E1(1/P) integrated by mpmath at 40 digits, rounded to 22
+NP_MPMATH = [
+    (0.0, 0.5963457516739560348345),
+    (13.0, 2.146491538676744115919),
+    (20.0, 2.463083685617660425496),
+]
+
+
+@pytest.mark.parametrize("p_avg_db, want", NP_MPMATH,
+                         ids=[f"NP@{p:g}dB" for p, _ in NP_MPMATH])
+def test_no_direct_knowledge_perfect_cross_matches_40_digit_mpmath(p_avg_db, want):
+    # the one cell's closed-form rate through the cross-state rule
+    res = ergodic_capacity(_grid_point("NP", p_avg_db))
+    assert res.regime == "power_limited"
+    assert res.capacity == pytest.approx(want, rel=1e-14)
+    assert res.quadrature_error_estimate <= 1e-14 * want
 
 
 @pytest.mark.parametrize("code, p_avg_db", [("EP", 13.0), ("PE", 0.0)])

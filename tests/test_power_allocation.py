@@ -529,6 +529,37 @@ def test_component_perfect_water_filling_shape():
     np.testing.assert_allclose(comp, expect, rtol=1e-12, atol=1e-12)
 
 
+def test_one_water_filling_formula_for_grid_and_policy():
+    # below the 1e-12 gain floor the divisor is the floor: a gain at or
+    # below lam < floor must still get nothing
+    lam = 1e-13
+    g = np.array([5e-14, 1e-13, 2e-13, 0.5, 3.0])
+    want = [0.0, 0.0, 1.0 / lam - 1e12, 1.0 / lam - 2.0, 1.0 / lam - 1.0 / 3.0]
+    assert power_allocation._water_fill(lam, g).tolist() == want
+    sl = power_allocation._SlGrid(CsiKnowledge.perfect(), NumericSettings(), 8, lam=0.4)
+    policy = _policy_at(CsiKnowledge.perfect(), 0.4)
+    assert np.array_equal(sl.budget_component(0.4, 1.0), policy.budget_component(sl.state))
+
+
+# e^{1/P} E1(1/P) from mpmath at 40 digits, rounded to 25
+EXPONENTIAL_RATE_MPMATH = [
+    (1e-3, 0.0009990019940238807149999607),
+    (1.0, 0.5963473623231940743410785),
+    (20.0, 2.594430349760613321632066),
+    (1e6, 13.23830913136500345620115),
+]
+
+
+def test_no_knowledge_rate_cells_is_the_closed_form():
+    sl = power_allocation._SlGrid(CsiKnowledge.no_csi(), NumericSettings(), 8)
+    assert sl.state.tolist() == [0.0] and sl.w.tolist() == [1.0]
+    P, want = (np.array(col) for col in zip(*EXPONENTIAL_RATE_MPMATH))
+    np.testing.assert_allclose(sl.rate_cells(P[None, :])[0], want, rtol=1e-14, atol=0.0)
+    one = [sl.rate_cells(np.array([p]))[0] for p in P]
+    np.testing.assert_allclose(one, want, rtol=1e-14, atol=0.0)
+    assert sl.rate_cells(np.array([[0.0]])).tolist() == [[0.0]]
+
+
 def test_component_none_is_constant_budget():
     comp = _policy_at(CsiKnowledge.no_csi(), 0.0, p_avg=2.5).budget_component(None)
     assert comp == 2.5
@@ -921,6 +952,59 @@ def test_rescaled_constant_frozen():
     cfg = scenario(CsiKnowledge.no_csi(), CsiKnowledge.perfect(), p_avg=2.0,
                    rescale_no_csi_budget=True)
     assert solve_lambda(cfg).budget_component(None) == 2.002006491704833
+
+
+# what the three hand-written bisection loops returned before _bisect
+# replaced them, as float.hex, beyond the multipliers frozen above: one
+# more near the perfect-cross threshold, where the bracket grows
+# downward, the rescaled no-knowledge constant and the capless
+# multiplier's low-budget asymptote
+_BISECTED_HEX = [
+    ("lam", "PP", 279.0, "0x1.05fddb81e22ddp-43"),
+    ("const", "NP", 1.0, "0x1.00004043af000p+0"),
+    ("const", "NE", 1.0, "0x1.00001afac5400p+0"),
+    ("low", "PP", 1.0, "0x1.6d0502d1b887ap-1"),
+    ("low", "EP", 1.0, "0x1.3c2a69366fca4p-1"),
+]
+
+
+@pytest.mark.parametrize("what, code, p_avg, want", _BISECTED_HEX,
+                         ids=[f"{w}-{c}@{p:g}" for w, c, p, _ in _BISECTED_HEX])
+def test_bisection_driver_frozen_bit_for_bit(what, code, p_avg, want):
+    cfg = scenario(_KNOWLEDGE[code[0]], _KNOWLEDGE[code[1]], p_avg=p_avg,
+                   rescale_no_csi_budget=what == "const")
+    if what == "low":
+        got = capacity.low_budget_asymptote(cfg)
+    else:
+        pol = solve_lambda(cfg)
+        assert pol.regime == "power_limited"
+        got = pol.lam if what == "lam" else pol.budget_component(None)
+    assert got.hex() == want
+
+
+def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch):
+    # a spent-power curve that jumps across the budget at lam = 0.5 by
+    # 5 lambda_rel_tol can be bracketed but never met: no midpoint within
+    # some looser slack may come back as the multiplier
+    tol = NumericSettings().lambda_rel_tol
+
+    class OneCell:
+        w = np.array([1.0])
+
+        def __init__(self, csi, settings, panels, lam=None):
+            pass
+
+        def budget_component(self, lam, p_avg, no_csi_const=None):
+            return np.array([lam])
+
+    def jump(self, a):
+        return np.where(a < 0.5, 1.0 + 2.5 * tol, 1.0 - 2.5 * tol)
+
+    monkeypatch.setattr(power_allocation, "_SlGrid", OneCell)
+    monkeypatch.setattr(power_allocation._CapField, "capped_mean", jump)
+    with pytest.raises(NumericsError,
+                       match="power multiplier bisection did not converge in 300 steps"):
+        solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect()))
 
 
 def test_saturated_regime_above_threshold():
