@@ -116,12 +116,13 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
 
         def spent(lam: float) -> float:
             sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
-            last[:] = [sl]
-            return sl.mean_budget_component(lam, config.p_avg)
+            last[:] = [sl, sl.budget_component(lam, config.p_avg)]
+            return float(sl.w @ last[1])
 
-        lam = _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
-        sl = last[0]
-        return float(sl.w @ sl.rate_cells(sl.budget_component(lam, config.p_avg)))
+        # _bisect returns the point f was last evaluated at
+        _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
+        sl, A = last
+        return float(sl.w @ sl.rate_cells(A))
 
     return _refine(evaluate, ns)[0]
 

@@ -40,8 +40,10 @@ sums over a truncated support (explicit tail mass). The true direct gain
 given its estimate enters through its moment generating function: the
 conditional rate and log-rate are trapezoid sums in log s of closed-form
 MGF terms (_mgf_log_rate, _mgf_rate), so no density is evaluated on the
-solve or capacity paths. Expectations of min(a, cap(t)) are split at
-the crossing state where the cap equals a, so each quadrature piece is
+solve or capacity paths; the capacity samples every cell's log-rate at
+the same powers on one lattice in u = s P (_mgf_lattice) and
+interpolates in log P. Expectations of min(a, cap(t)) are split at the
+crossing state where the cap equals a, so each quadrature piece is
 smooth and converges spectrally; see _CapField.crossing_state. The part
 above the crossing, the cap tail integral, depends on the crossing state
 alone, so each cap table integrates it once into a cumulative table and
@@ -381,14 +383,15 @@ def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
 
     r and r' come from _mgf_rate on _mgf_rule's nodes for powers up to
     1/lam. States with m_j + alpha <= lam get P = 0; the others run Newton
-    steps inside a bracket [lo, hi] kept from the sign of the residual,
-    and a step leaving the (inclusive) bracket is replaced by its
-    midpoint. The start 1/lam - 1/(m_j + alpha) is Jensen's upper bound on
-    the root (g / (1 + P g) is concave in g), and 1/lam brackets from above
-    since g/(1+Pg) < 1/P. r is convex and decreasing, so a step from below
-    the root never overshoots it. Raises NumericsError if a state has not
-    converged after _ROW_INVERSION_STEPS. States are solved in blocks of at
-    most _CHUNK_ELEMS node values; each state's iterates depend on it alone.
+    steps on 1/r(P) - 1/lam inside a bracket [lo, hi] kept from the sign
+    of the residual; a step leaving the (inclusive) bracket is replaced by
+    its midpoint. 1/r is exactly linear for a fixed gain (1/g + P), and
+    the start 1/lam - 1/(m_j + alpha), Jensen's upper bound on the root
+    (g / (1 + P g) is concave in g), is its root there. 1/lam brackets
+    from above since g/(1+Pg) < 1/P. Raises NumericsError if a state has
+    not converged after _ROW_INVERSION_STEPS. States are solved in blocks
+    of at most _CHUNK_ELEMS node values; each state's iterates depend on
+    it alone.
     """
     mean = m + alpha
     out = np.zeros(m.size)
@@ -408,9 +411,8 @@ def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
         for _ in range(_ROW_INVERSION_STEPS):
             x = P[todo]
             r, slope = _mgf_rate(x, mj[todo], alpha, s, w)
-            r -= lam
-            step = r / slope
-            above = r > 0.0
+            step = (1.0 / lam - 1.0 / r) * r * r / slope
+            above = r > lam
             lo[todo] = l = np.where(above, x, lo[todo])
             hi[todo] = h = np.where(above, hi[todo], x)
             x = x + step
@@ -464,53 +466,69 @@ def _chebyshev_points_needed(half_range: float) -> int:
     return int(np.ceil(-np.log(_RATE_KERNEL_TOL) / np.log(rho))) + 1
 
 
-def _log_power_range(P: np.ndarray):
-    """Per-row [min, max] of log P over the positive powers; (0, 0) for a
-    row without any."""
-    pos = P > 0.0
-    u = np.log(np.where(pos, P, 1.0))
-    some = pos.any(axis=1)
-    lo = np.where(some, np.where(pos, u, np.inf).min(axis=1), 0.0)
-    hi = np.where(some, np.where(pos, u, -np.inf).max(axis=1), 0.0)
-    return lo, hi
+def _mgf_lattice(m: np.ndarray, alpha: float, P: np.ndarray):
+    """Nodes u_n = _MGF_S_HI P_max e^{-n h} shared by the 1-D powers P, and
+    weights W[n, l] = h e^{-u_n / P_l}: for u = s P_l, _mgf_rule shifted in
+    log s, down to _MGF_S_LO P_min / max(P_max (m_max + alpha), 1), so each
+    power gets at least _mgf_rule's window. Weights below 1e-300 are 0:
+    subnormal operands slow the product some fiftyfold."""
+    p_lo, p_hi = float(P.min()), float(P.max())
+    top = max(p_hi * (float(m.max()) + alpha), 1.0)
+    u = _mgf_rule(top * p_hi / p_lo)[0] * p_hi
+    W = _MGF_STEP * np.exp(-u[:, None] / P)
+    W[W < 1e-300] = 0.0
+    return u, W
+
+
+def _mgf_log_rate_shared(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarray:
+    """_mgf_log_rate at 1-D powers P shared by every row, shape (J, L): one
+    pass of 1 - M(u_n) over J x N_u lattice nodes (_mgf_lattice) and one
+    (J x N_u) by (N_u x L) product, in blocks of _CHUNK_ELEMS node values.
+    einsum sums each row in an order that does not depend on the block;
+    BLAS matmul does not."""
+    u, W = _mgf_lattice(m, alpha, P)
+    d = u * alpha + 1.0
+    rows = max(1, _CHUNK_ELEMS // u.size)
+    out = np.empty((m.size, P.size))
+    for a in range(0, m.size, rows):
+        x = (u * alpha - np.expm1(-(m[a:a + rows, None] * u) / d)) / d
+        out[a:a + rows] = np.einsum("jn,nl->jl", x, W)
+    return out
 
 
 def _rate_rows_log_power(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarray:
     """_mgf_log_rate(m, alpha, P) through a Chebyshev interpolant in
     u = log P, one per row.
 
-    Row j's F_j is evaluated at L Chebyshev points spanning that row's own
-    [min, max] of log P and interpolated at its K powers with the
-    barycentric formula: J*L*N node terms plus J*K*L multiply-adds
-    instead of J*K*N node terms. L comes from the widest row (see
-    _chebyshev_points_needed); the direct sum takes over when L would
-    reach K. Zero powers rate exactly 0 and do not widen their row; a row
-    of equal powers gets a small span around its one value. Both passes
-    over P run in blocks of rows, so only P, the result and per-row
-    vectors span all J rows.
-    """
+    Every row is sampled at the same L Chebyshev powers spanning log P
+    over all positive powers, half-width at least 1e-3, on one lattice
+    (_mgf_log_rate_shared), and interpolated at its K powers with the
+    barycentric formula. L comes from that span (_chebyshev_points_needed);
+    the direct sum takes over when L would reach K. Zero powers rate
+    exactly 0 and do not widen the span. The passes over P run in blocks
+    of rows, so only P and the result span all J rows."""
     J, K = P.shape
     rows = max(1, _CHUNK_ELEMS // K)
-    lo, hi = np.empty(J), np.empty(J)
-    for s in range(0, J, rows):
-        lo[s:s + rows], hi[s:s + rows] = _log_power_range(P[s:s + rows])
-    centre = 0.5 * (lo + hi)
-    half = np.maximum(0.5 * (hi - lo), 1e-3)
-    L = _chebyshev_points_needed(float(half.max()))
+    p_hi = float(P.max())
+    if p_hi <= 0.0:
+        return np.zeros((J, K))
+    u_lo = min(np.log(P[s:s + rows].min(initial=np.inf, where=P[s:s + rows] > 0.0))
+               for s in range(0, J, rows))
+    centre, half = 0.5 * (u_lo + np.log(p_hi)), max(0.5 * (np.log(p_hi) - u_lo), 1e-3)
+    L = _chebyshev_points_needed(half)
     if L >= K:
         return _mgf_log_rate(m, alpha, P)
     k = np.arange(L)
     x_nodes = np.cos(np.pi * k / (L - 1))
     bary = np.where(k % 2, -1.0, 1.0)
     bary[[0, -1]] *= 0.5
-    f = _mgf_log_rate(m, alpha, np.exp(centre[:, None] + half[:, None] * x_nodes))
+    f = _mgf_log_rate_shared(m, alpha, np.exp(centre + half * x_nodes))
     out = np.empty((J, K))
     chunk = max(1, _CHUNK_ELEMS // (K * L))
     for s in range(0, J, chunk):
         e = min(s + chunk, J)
         pos = P[s:e] > 0.0
-        c, h = centre[s:e, None], half[s:e, None]
-        x = (np.where(pos, np.log(np.where(pos, P[s:e], 1.0)), c) - c) / h
+        x = (np.where(pos, np.log(np.where(pos, P[s:e], 1.0)), centre) - centre) / half
         out[s:e] = np.where(pos, _barycentric_rows(x, f[s:e], x_nodes, bary), 0.0)
     return out
 
@@ -551,7 +569,6 @@ class _SlGrid:
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
                  panels: int, lam: Optional[float] = None):
         self.csi = csi
-        self.settings = settings
         pts = settings.quad_points
         tail = settings.tail_mass
         lower = 0.0 if lam is None else float(lam)
@@ -579,9 +596,9 @@ class _SlGrid:
 
         power has shape (J,) or (J, K), J the number of cells in rows; the
         result matches. With estimated knowledge a (J, K) input goes
-        through a per-cell interpolant in log P (_rate_rows_log_power)
-        instead of the (J, K, N) trapezoid sum; its degree depends on
-        every row it is given (see rows_separable).
+        through an interpolant in log P (_rate_rows_log_power) instead of
+        the (J, K, N) trapezoid sum; its nodes depend on every row it is
+        given (see rows_separable).
         """
         P = np.asarray(power, dtype=float)
         if self.csi.level is CsiLevel.NONE:
@@ -596,12 +613,9 @@ class _SlGrid:
     @property
     def rows_separable(self) -> bool:
         """Whether rate_cells over a block of rows equals those rows of the
-        whole: not with estimated knowledge, whose interpolant degree comes
-        from the widest row it is given."""
+        whole: not with estimated knowledge, whose interpolant nodes span
+        every row it is given."""
         return self.csi.level is not CsiLevel.ESTIMATED
-
-    def mean_budget_component(self, lam: float, p_avg: float) -> float:
-        return float(self.w @ self.budget_component(lam, p_avg))
 
 
 class _Pchip:

@@ -262,6 +262,44 @@ def test_row_block_size_leaves_every_bit_unchanged(monkeypatch, code, p_avg_db):
     assert np.array_equal(blocked_tails, tails)
 
 
+def _mgf_node_terms(monkeypatch, cfg):
+    """MGF node terms (cells x nodes, times powers per cell for the
+    per-row trapezoid sum) that ergodic_capacity(cfg) evaluates."""
+    terms = []
+    log_rate = power_allocation._mgf_log_rate
+    shared = power_allocation._mgf_log_rate_shared
+    rate = power_allocation._mgf_rate
+
+    def counted_log_rate(m, alpha, P):
+        top = float(P.max()) * (float(m.max()) + alpha)
+        terms.append(P.size * power_allocation._mgf_rule(top)[0].size)
+        return log_rate(m, alpha, P)
+
+    def counted_shared(m, alpha, P):
+        terms.append(m.size * power_allocation._mgf_lattice(m, alpha, P)[0].size)
+        return shared(m, alpha, P)
+
+    def counted_rate(P, m, alpha, s, w):
+        terms.append(P.size * s.size)
+        return rate(P, m, alpha, s, w)
+
+    monkeypatch.setattr(power_allocation, "_mgf_log_rate", counted_log_rate)
+    monkeypatch.setattr(power_allocation, "_mgf_log_rate_shared", counted_shared)
+    monkeypatch.setattr(power_allocation, "_mgf_rate", counted_rate)
+    ergodic_capacity(cfg)
+    return sum(terms)
+
+
+# the counts with the log-rate samples on one shared lattice; sampling
+# each row's Chebyshev powers with a trapezoid sum of their own, and
+# stepping on r instead of 1 / r, took 7,538,060 and 6,172,639
+@pytest.mark.parametrize("code, p_avg_db, measured", [("EP", 13.0, 3_539_930),
+                                                      ("EE", 0.0, 3_595_470)])
+def test_estimated_direct_capacity_mgf_work_stays_bounded(monkeypatch, code,
+                                                          p_avg_db, measured):
+    assert _mgf_node_terms(monkeypatch, _grid_point(code, p_avg_db)) <= 1.05 * measured
+
+
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
@@ -420,9 +458,10 @@ def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch):
     # a spent-power curve that jumps across the budget at lam = 0.5 can
     # be bracketed but never met: the bisection must not hand back its
     # last midpoint as if it had converged
-    def jump(self, lam, p_avg):
-        return 2.0 * p_avg if lam < 0.5 else 0.5 * p_avg
+    def jump(self, lam, p_avg, no_csi_const=None):
+        mean = 2.0 * p_avg if lam < 0.5 else 0.5 * p_avg
+        return np.full(self.n_cells, mean / self.w.sum())
 
-    monkeypatch.setattr(power_allocation._SlGrid, "mean_budget_component", jump)
+    monkeypatch.setattr(power_allocation._SlGrid, "budget_component", jump)
     with pytest.raises(NumericsError, match="capless multiplier bisection"):
         low_budget_asymptote(scenario(PERFECT, PERFECT))

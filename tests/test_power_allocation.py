@@ -288,6 +288,24 @@ def test_mgf_kernels_match_30_digit_mpmath():
         assert r[0] == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
+def test_shared_lattice_log_rate_matches_40_digit_mpmath():
+    # the capacity samples every row at the same powers on one lattice
+    # (u = s P); here it spans the table's eleven decades, where
+    # e^{-u / P} at P = 1e-3 reaches the subnormal range
+    table = {}
+    for alpha, m, P, log_rate, _ in MGF_MPMATH:
+        table.setdefault(alpha, {}).setdefault(m, {})[P] = log_rate
+    for alpha, rows in table.items():
+        m = np.array(sorted(rows))
+        P = np.array(sorted(rows[0.0]))
+        _, W = power_allocation._mgf_lattice(m, alpha, P)
+        assert np.all((W == 0.0) | (W >= np.finfo(float).tiny))
+        assert np.any(W == 0.0)
+        got = power_allocation._mgf_log_rate_shared(m, alpha, P)
+        want = np.array([[rows[mj][p] for p in P] for mj in m])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 # (alpha, m, lam, P) with r(P | m) = lam: mpmath.findroot on the 40-digit
 # rate above, to 1e-34. Among them, m = 0.5, alpha = 0.5, lam = 1e-6 is
 # the corner where uniform Gauss-Legendre panels in g were off by 5e-6
@@ -438,23 +456,25 @@ def test_row_inversion_matches_scalar_oracle(alpha, lam):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
 
 
-# _mgf_invert_rate's output when the kernel was introduced. At lam = 1
-# the first three rows are inactive (mean <= lam); the others run in
-# blocks of 5 rows and converge at different steps, so the steps also run
-# on subsets of a block's rows.
+# _mgf_invert_rate's output since its Newton steps run on 1/r. Against
+# 40-digit mpmath roots of the MGF rate integral the worst relative error
+# is 1.3e-14 at lam = 1 (1.7e-14 with steps on r) and 9.4e-16 at
+# lam = 0.05 (1.1e-15). At lam = 1 the first three rows are inactive
+# (mean <= lam); the others run in blocks of 5 rows and converge at
+# different steps, so the steps also run on subsets of a block's rows.
 _FROZEN_ROW_ROOTS = {
-    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7405b0a17542ap-7",
-          "0x1.c44e3d33ca7dbp-5", "0x1.e7faccf7b4129p-3",
+    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7405b0a175444p-7",
+          "0x1.c44e3d33ca7c6p-5", "0x1.e7faccf7b412cp-3",
           "0x1.9991f1dafec48p-2", "0x1.2ff30dcc1d6f3p-1",
-          "0x1.78d481afdac17p-1", "0x1.b2f9a39350016p-1",
-          "0x1.d3c5a810c2a16p-1", "0x1.eb21588f671a0p-1",
-          "0x1.f7659771689abp-1", "0x1.fd6f028f41d08p-1"],
-    0.05: ["0x1.e8d5b22c3cc59p+3", "0x1.0d115be4e0146p+4",
-           "0x1.17d991319b96fp+4", "0x1.18c12e5191f90p+4",
-           "0x1.1c1cb6c6c0290p+4", "0x1.2821e0b8e2975p+4",
-           "0x1.3069b161f2b6bp+4", "0x1.37aa3e47003c6p+4",
+          "0x1.78d481afdac15p-1", "0x1.b2f9a39350017p-1",
+          "0x1.d3c5a810c2a17p-1", "0x1.eb21588f671a1p-1",
+          "0x1.f7659771689acp-1", "0x1.fd6f028f41d08p-1"],
+    0.05: ["0x1.e8d5b22c3cc5bp+3", "0x1.0d115be4e0147p+4",
+           "0x1.17d991319b96ep+4", "0x1.18c12e5191f91p+4",
+           "0x1.1c1cb6c6c0291p+4", "0x1.2821e0b8e2976p+4",
+           "0x1.3069b161f2b6dp+4", "0x1.37aa3e47003c6p+4",
            "0x1.3b54c7cfef0dep+4", "0x1.3d8652a3c6c3bp+4",
-           "0x1.3e9b3dc434001p+4", "0x1.3f58c23447575p+4",
+           "0x1.3e9b3dc434002p+4", "0x1.3f58c23447574p+4",
            "0x1.3fbb27dd42840p+4", "0x1.3feb77f413efep+4"],
 }
 
