@@ -28,7 +28,7 @@ from .power_allocation import (
     _cap_field,
     _expected_capped,
     _exponential_rate,
-    _SlGrid,
+    _sl_grid,
     solve_lambda,
 )
 from .quadrature import _refine
@@ -74,7 +74,7 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
     capf = policy._capf
     if policy.regime == "saturated":
         return _saturated_value(capf, panels)
-    sl, A = policy._grid_at(panels)
+    sl, A = policy._grid(panels)
     if capf.level is CsiLevel.PERFECT and sl.csi.level is CsiLevel.PERFECT:
         # the cross state integrates in closed form at each cell's gain
         t_star = capf.crossing_state(A)
@@ -112,16 +112,12 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
     def evaluate(panels: int) -> float:
         # budget equation without the cap: E[component(lam)] = p_avg;
         # the grid's edge tracks the kink
-        last = []
-
         def spent(lam: float) -> float:
-            sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
-            last[:] = [sl, sl.budget_component(lam, config.p_avg)]
-            return float(sl.w @ last[1])
+            sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
+            return float(sl.w @ A)
 
-        # _bisect returns the point f was last evaluated at
-        _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
-        sl, A = last
+        lam = _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
+        sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
         return float(sl.w @ sl.rate_cells(A))
 
     return _refine(evaluate, ns)[0]

@@ -80,6 +80,7 @@ __all__ = [
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
+_GRID_CACHE_SIZE = 128  # direct-link grids kept per process, see _sl_grid
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
 _RATE_INVERSION_STEPS = 200  # cap on bisection steps of invert_rate_integral
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
@@ -537,17 +538,18 @@ def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
     """Row j's interpolant through (nodes, f[j]) evaluated at x[j].
 
-    The barycentric formula of the second kind with the given weights;
-    a point that lands on a node takes that node's value.
+    The barycentric formula of the second kind with the given weights, for
+    decreasing nodes; a point on a node (a non-finite quotient) takes that
+    node's value.
     """
     d = x[:, :, None] - nodes
-    hit = d == 0.0
-    d[hit] = 1.0
-    np.divide(weights, d, out=d)
-    num_den = d @ np.stack([f, np.ones_like(f)], axis=2)
-    vals = num_den[:, :, 0] / num_den[:, :, 1]
-    on_node = np.take_along_axis(f, hit.argmax(axis=2), axis=1)
-    return np.where(hit.any(axis=2), on_node, vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, d, out=d)
+        num_den = d @ np.stack([f, np.ones_like(f)], axis=2)
+        vals = num_den[:, :, 0] / num_den[:, :, 1]
+    j, k = np.nonzero(~np.isfinite(vals))
+    vals[j, k] = f[j, np.searchsorted(-nodes, -x[j, k])]
+    return vals
 
 
 class _SlGrid:
@@ -582,11 +584,8 @@ class _SlGrid:
                                            lower=lower - csi.alpha)
         self.n_cells = self.state.size
 
-    def budget_component(self, lam: float, p_avg: float,
-                         no_csi_const: Optional[float] = None) -> np.ndarray:
-        """Per-cell budget component A_j at multiplier lam."""
-        if self.csi.level is CsiLevel.NONE:
-            return np.array([p_avg if no_csi_const is None else no_csi_const])
+    def budget_component(self, lam: float) -> np.ndarray:
+        """Per-cell budget component A_j at lam (a link with knowledge)."""
         if self.csi.level is CsiLevel.PERFECT:
             return _water_fill(lam, self.state)
         return _mgf_invert_rate(self.state, self.csi.alpha, lam)
@@ -616,6 +615,23 @@ class _SlGrid:
         whole: not with estimated knowledge, whose interpolant nodes span
         every row it is given."""
         return self.csi.level is not CsiLevel.ESTIMATED
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
+             lam: float):
+    """A direct link's grid at panels from lam's boundary and its budget
+    component A at lam, read-only: one entry serves every search, capacity
+    level and thread in the process. Every bisection visits lam = 1,
+    1e-12, 0.5, ..., and the capacity at 2 base_panels reads the search's
+    final trial. Threads that miss together each build the same bits; no
+    lock, so sweep threads never wait. A knowledge_grid round has 132 keys.
+    """
+    sl = _SlGrid(csi, settings, panels, lam=lam)
+    A = sl.budget_component(lam)
+    for a in (sl.state, sl.w, A):
+        a.setflags(write=False)
+    return sl, A
 
 
 class _Pchip:
@@ -936,7 +952,7 @@ class PowerPolicy:
     power(sl_state, cl_state) evaluates the rule per sample; states that a
     knowledge level does not provide are ignored and may be None. In the
     saturated regime the rule is the cap alone and direct-link state is
-    never consulted.
+    never consulted. Direct-link grids come from _sl_grid; none is held.
 
     Large-batch evaluation for estimated knowledge goes through a monotone
     interpolant of the component over 1025 estimates, each inverted by
@@ -955,7 +971,6 @@ class PowerPolicy:
         self._capf = cap_field
         self._no_csi_const = no_csi_const
         self._budget_interp = None
-        self._trial = None      # (lam, panels, _SlGrid, A) of the last solve trial
 
     # -- interface requirements ----------------------------------------
     @property
@@ -1036,22 +1051,17 @@ class PowerPolicy:
         panels = panels or cfg.numerics.base_panels * 2
         if self.regime == "saturated":
             return self._capf.mean_cap(panels)
-        sl, A = self._grid_at(panels)
+        sl, A = self._grid(panels)
         return float(sl.w @ self._capf.capped_mean(A))
 
-    def _grid_at(self, panels: int):
-        """The direct-link grid at panels and its budget component at lam.
-
-        The multiplier search's last trial serves once, if it ran at this
-        lam and panel count; a copy whose lam was changed builds afresh.
-        """
-        trial = self._trial
-        if trial is not None and trial[:2] == (self.lam, panels):
-            self._trial = None
-            return trial[2:]
+    def _grid(self, panels: int):
+        """_sl_grid at lam (a copy with a changed lam reads another entry);
+        without direct-link knowledge the one cell and the constant."""
         cfg = self.config
-        sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=self.lam)
-        return sl, sl.budget_component(self.lam, cfg.p_avg, self._no_csi_const)
+        if cfg.sl_csi.level is CsiLevel.NONE:
+            return (_SlGrid(cfg.sl_csi, cfg.numerics, panels),
+                    np.array([self.budget_component()]))
+        return _sl_grid(cfg.sl_csi, cfg.numerics, panels, self.lam)
 
 
 # ----------------------------------------------------------------------
@@ -1117,13 +1127,13 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     that numeric limit saturate too (the capacity they forgo is at tail-
     mass level). Otherwise _bisect solves for the multiplier until the
     achieved average power is within lambda_rel_tol of the budget,
-    relative, and raises NumericsError if it cannot. Each trial builds its
-    own direct-link grid, so a panel edge always sits on the zero-power
-    kink; with an estimated direct link a trial is one MGF row inversion
-    (_mgf_invert_rate). The cap part of each trial comes from the cap
-    table's tail integral (_CapField.capped_mean). The last trial's grid
-    and component go to the policy, whose capacity and expected power
-    need them at the same panel count (_grid_at). A direct link without
+    relative, and raises NumericsError if it cannot. Each trial reads its
+    own direct-link grid from _sl_grid, so a panel edge always sits on the
+    zero-power kink; with an estimated direct link a missed entry costs
+    one MGF row inversion (_mgf_invert_rate). The cap part of each trial
+    comes from the cap table's tail integral (_CapField.capped_mean). The
+    policy holds no grid: its capacity and expected power at the same
+    panel count read the final trial's entry. A direct link without
     knowledge has no multiplier: its constant is the budget, or with
     rescale_no_csi_budget the one whose capped average meets it.
     """
@@ -1149,16 +1159,10 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 
-    last = []
-
     def achieved(lam: float) -> float:
-        sl = _SlGrid(config.sl_csi, ns, panels, lam=lam)
-        A = sl.budget_component(lam, config.p_avg)
-        last[:] = lam, panels, sl, A
+        sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
         return float(sl.w @ capf.capped_mean(A))
 
     lam = _bisect(achieved, config.p_avg, _LAMBDA_LO, 1.0, ns.lambda_rel_tol,
                   "power multiplier")
-    policy = PowerPolicy(config, lam, "power_limited", p_star, capf)
-    policy._trial = tuple(last)
-    return policy
+    return PowerPolicy(config, lam, "power_limited", p_star, capf)

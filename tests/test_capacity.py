@@ -240,6 +240,7 @@ def _solved(monkeypatch, code, p_avg_db):
         return out
 
     monkeypatch.setattr(power_allocation._SlGrid, "rate_cells", recorded)
+    power_allocation._sl_grid.cache_clear()
     pol = solve_lambda(_grid_point(code, p_avg_db))
     res = capacity._capacity_of(pol)
     values = (res.capacity, res.quadrature_error_estimate, res.lam,
@@ -264,7 +265,8 @@ def test_row_block_size_leaves_every_bit_unchanged(monkeypatch, code, p_avg_db):
 
 def _mgf_node_terms(monkeypatch, cfg):
     """MGF node terms (cells x nodes, times powers per cell for the
-    per-row trapezoid sum) that ergodic_capacity(cfg) evaluates."""
+    per-row trapezoid sum) that ergodic_capacity(cfg) evaluates from an
+    empty grid memo."""
     terms = []
     log_rate = power_allocation._mgf_log_rate
     shared = power_allocation._mgf_log_rate_shared
@@ -286,6 +288,7 @@ def _mgf_node_terms(monkeypatch, cfg):
     monkeypatch.setattr(power_allocation, "_mgf_log_rate", counted_log_rate)
     monkeypatch.setattr(power_allocation, "_mgf_log_rate_shared", counted_shared)
     monkeypatch.setattr(power_allocation, "_mgf_rate", counted_rate)
+    power_allocation._sl_grid.cache_clear()
     ergodic_capacity(cfg)
     return sum(terms)
 
@@ -298,6 +301,31 @@ def _mgf_node_terms(monkeypatch, cfg):
 def test_estimated_direct_capacity_mgf_work_stays_bounded(monkeypatch, code,
                                                           p_avg_db, measured):
     assert _mgf_node_terms(monkeypatch, _grid_point(code, p_avg_db)) <= 1.05 * measured
+
+
+ESTIMATED_GRID = [(code, p) for code in ("EP", "EE", "EN") for p in (-10.0, 0.0, 10.0, 13.0)]
+
+
+@pytest.mark.parametrize("order", [ESTIMATED_GRID, ESTIMATED_GRID[::-1]],
+                         ids=["forward", "reverse"])
+def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grids,
+                                                         order):
+    # the estimated-direct points of the benchmark's knowledge grid in one
+    # process: every bisection visits lam = 1, 1e-12, 0.5, ... and each
+    # capacity reads its search's final trial, so of the 136 row
+    # inversions that one grid per trial would run, 61 are distinct, and
+    # the grid memo runs each of those once, in any visit order
+    keys = []
+    invert = power_allocation._mgf_invert_rate
+
+    def counted(m, alpha, lam):
+        keys.append((m.tobytes(), alpha, lam))
+        return invert(m, alpha, lam)
+
+    monkeypatch.setattr(power_allocation, "_mgf_invert_rate", counted)
+    for code, p_avg_db in order:
+        ergodic_capacity(_grid_point(code, p_avg_db))
+    assert len(keys) == len(set(keys)) <= 61
 
 
 def _traced_peak_mb(fn):
@@ -332,7 +360,7 @@ def test_estimated_grid_and_row_inversion_build_in_row_blocks():
     def build_and_invert():
         grid = power_allocation._SlGrid(EST, NumericSettings(), 128)
         assert grid.n_cells == 2560
-        grid.budget_component(0.05, 1.0)
+        grid.budget_component(0.05)
 
     assert _traced_peak_mb(build_and_invert) < 9.0
 
@@ -410,7 +438,7 @@ def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
     for level in range(1, ns.max_refinements + 1):
         panels = ns.base_panels * 2 ** level
         sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
-        A = sl.budget_component(pol.lam, cfg.p_avg, pol._no_csi_const)
+        A = sl.budget_component(pol.lam)
         rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
                                                  sl.rate_cells)
         assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=0.0,
@@ -447,19 +475,19 @@ def test_estimated_links_keep_the_cross_state_rule(code, p_avg_db):
     ns = cfg.numerics
     for panels in (ns.base_panels, 2 * ns.base_panels):
         sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
-        A = sl.budget_component(pol.lam, cfg.p_avg)
+        A = sl.budget_component(pol.lam)
         rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
                                                  sl.rate_cells,
                                                  blocks=sl.rows_separable)
         assert capacity._capacity_at(pol, panels) == rule
 
 
-def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch):
+def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch, fresh_grids):
     # a spent-power curve that jumps across the budget at lam = 0.5 can
     # be bracketed but never met: the bisection must not hand back its
-    # last midpoint as if it had converged
-    def jump(self, lam, p_avg, no_csi_const=None):
-        mean = 2.0 * p_avg if lam < 0.5 else 0.5 * p_avg
+    # last midpoint as if it had converged (budget p_avg = 1)
+    def jump(self, lam):
+        mean = 2.0 if lam < 0.5 else 0.5
         return np.full(self.n_cells, mean / self.w.sum())
 
     monkeypatch.setattr(power_allocation._SlGrid, "budget_component", jump)

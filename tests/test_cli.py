@@ -274,21 +274,58 @@ def test_verify_jsonl_deterministic(tmp_path):
         (out2 / "verify.jsonl").read_bytes()
 
 
-def test_verify_solves_the_policy_once(tmp_path, monkeypatch):
-    from crcap import capacity, cli
+def test_verify_solves_the_policy_once(tmp_path, monkeypatch, fresh_grids):
+    from crcap import capacity, cli, power_allocation
     calls = []
+    builds = []
 
     def counted(config):
         calls.append(solve_lambda(config))
         return calls[-1]
 
+    class Recorded(power_allocation._SlGrid):
+        def __init__(self, csi, settings, panels, lam=None):
+            builds.append((panels, lam))
+            super().__init__(csi, settings, panels, lam)
+
     monkeypatch.setattr(cli, "solve_lambda", counted)
     monkeypatch.setattr(capacity, "solve_lambda", counted)
+    monkeypatch.setattr(power_allocation, "_SlGrid", Recorded)
     cfg = write(tmp_path, BASE)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
-    # the capacity took the multiplier search's last grid
-    assert calls[0]._trial is None
+    # the capacity and the expected power read the search's grids from
+    # the memo: no grid is built twice, the final trial's included
+    assert len(builds) == len(set(builds))
+    assert (2 * NumericSettings().base_panels, calls[0].lam) in builds
+
+
+def test_threaded_sweep_matches_serial_bit_for_bit(fresh_grids):
+    # the CLI's sweep threads share the direct-link grid memo without a
+    # lock: threads that miss together build the same bits, so the 2-thread
+    # pool gives the serial sweep, from an empty memo and from a full one
+    from crcap import capacity, power_allocation
+    est = CsiKnowledge.estimated(0.5)
+    base = ScenarioConfig(sl_csi=est, cl_csi=est, p_avg=1.0, i_peak=10.0,
+                          epsilon=0.05)
+    grid = db_to_linear(np.array([-10.0, -5.0, 0.0, 5.0]))
+    serial = capacity.capacity_sweep(base, "p_avg", grid)
+    assert {r.regime for r in serial} == {"power_limited"}
+
+    def point(v):
+        return (ergodic_capacity(base.with_axis("p_avg", v)),)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            power_allocation._sl_grid.cache_clear()
+            threaded = [r for (r,) in _map_grid(point, grid, threads=2, strict=True)]
+            assert threaded == serial
+        threaded = [r for (r,) in _map_grid(point, grid, threads=2, strict=True)]
+        assert threaded == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_verify_corrupt_lambda_fails_power_check(tmp_path):

@@ -10,6 +10,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -505,7 +506,7 @@ def _tail_powers(cross, i_peak, panels):
     pol = solve_lambda(cfg)
     assert pol.regime == "power_limited"
     sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=pol.lam)
-    A = sl.budget_component(pol.lam, cfg.p_avg)
+    A = sl.budget_component(pol.lam)
     nodes, _ = pol._capf.tail_rule(pol._capf.crossing_state(A), panels)
     return sl, pol._capf.cap(nodes)
 
@@ -528,6 +529,30 @@ def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels):
                      for j in range(P.shape[0])])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert np.array_equal(got[2], np.zeros(P.shape[1]))
+
+
+def test_barycentric_rows_take_the_node_value_on_a_node():
+    # a point on a node divides by zero: the quotient is inf / inf, or
+    # NaN where f is 0 there, and must come back as f at that node, with
+    # no warning; points off the nodes reproduce a polynomial of degree
+    # below L
+    L = 9
+    k = np.arange(L)
+    nodes = np.cos(np.pi * k / (L - 1))
+    bary = np.where(k % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    f = np.stack([nodes ** 3 - 2.0 * nodes + 0.5,
+                  (nodes - nodes[5]) * (nodes + 2.0)])
+    assert f[1, 5] == 0.0
+    x = np.array([[nodes[2], 0.3, nodes[8]],
+                  [nodes[5], -0.7, nodes[0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = power_allocation._barycentric_rows(x, f, nodes, bary)
+    assert got[0, 0] == f[0, 2] and got[0, 2] == f[0, 8]
+    assert got[1, 0] == 0.0 and got[1, 2] == f[1, 0]
+    np.testing.assert_allclose(got[:, 1], [0.3 ** 3 - 0.6 + 0.5, (-0.7 - nodes[5]) * 1.3],
+                               rtol=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +583,7 @@ def test_one_water_filling_formula_for_grid_and_policy():
     assert power_allocation._water_fill(lam, g).tolist() == want
     sl = power_allocation._SlGrid(CsiKnowledge.perfect(), NumericSettings(), 8, lam=0.4)
     policy = _policy_at(CsiKnowledge.perfect(), 0.4)
-    assert np.array_equal(sl.budget_component(0.4, 1.0), policy.budget_component(sl.state))
+    assert np.array_equal(sl.budget_component(0.4), policy.budget_component(sl.state))
 
 
 # e^{1/P} E1(1/P) from mpmath at 40 digits, rounded to 25
@@ -733,6 +758,29 @@ def test_cap_table_built_once_when_threads_miss_together(monkeypatch):
     assert tables[0] is tables[1]
 
 
+def test_grid_memo_shared_between_threads(fresh_grids):
+    # more threads than cores fill the direct-link grid memo, which takes
+    # no lock: threads that miss together each build the same bits, so
+    # every multiplier equals the serial solve's and the memo ends with
+    # the same keys
+    fast = NumericSettings(quad_points=8, base_panels=4, max_refinements=2)
+    cfgs = [scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(), p_avg=p, ns=fast)
+            for p in (0.25, 0.5, 1.0, 2.0)]
+    expected = [solve_lambda(cfg).lam for cfg in cfgs]
+    keys = power_allocation._sl_grid.cache_info().currsize
+    power_allocation._sl_grid.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(solve_lambda, cfgs[i % 4]) for i in range(16)]
+            lams = [f.result(timeout=120).lam for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert lams == expected * 4
+    assert power_allocation._sl_grid.cache_info().currsize == keys
+
+
 # ----------------------------------------------------------------------
 # cap tail table
 
@@ -819,23 +867,12 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _drop_handover(monkeypatch):
-    solve = power_allocation.solve_lambda
-
-    def solve_without_handover(config):
-        policy = solve(config)
-        policy._trial = None
-        return policy
-
-    monkeypatch.setattr(capacity, "solve_lambda", solve_without_handover)
-
-
 @pytest.mark.parametrize("p_avg_db", [0.0, -10.0])
-def test_multiplier_search_hands_over_its_last_grid(monkeypatch, p_avg_db):
+def test_capacity_reads_the_search_final_grid(monkeypatch, fresh_grids, p_avg_db):
     # every trial inverts the rate through the MGF kernel, with no density
     # evaluation; the capacity refines at base_panels and 2 * base_panels,
-    # and the second level takes the search's last inversion instead of
-    # running it again
+    # and the second level reads the search's final trial from the grid
+    # memo instead of inverting it again
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(),
                    p_avg=10.0 ** (p_avg_db / 10.0))
     density = _count_calls(monkeypatch, fading, "conditional_power_pdf")
@@ -845,27 +882,46 @@ def test_multiplier_search_hands_over_its_last_grid(monkeypatch, p_avg_db):
     assert trials > 5
     res = capacity._capacity_of(pol)
     assert len(inversions) == trials + 1
-    assert pol._trial is None
+    assert inversions[-1][2] == pol.lam
+    base = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics,
+                                    cfg.numerics.base_panels, lam=pol.lam)
+    assert np.array_equal(inversions[-1][0], base.state)
 
-    _drop_handover(monkeypatch)
+    # a second solve reads every grid from the memo; an empty memo
+    # rebuilds the same bits
     inversions.clear()
     assert capacity.ergodic_capacity(cfg) == res
-    assert len(inversions) == trials + 2
+    assert inversions == []
+    power_allocation._sl_grid.cache_clear()
+    assert capacity.ergodic_capacity(cfg) == res
+    assert len(inversions) == trials + 1
     assert density == []
 
 
-def test_handed_over_grid_serves_once():
-    # the search's last grid is released by its first user, so a policy
-    # does not hold it for its whole life
+def test_policy_holds_no_grid(fresh_grids):
+    # the grids live in the process-wide memo, so a policy kept for its
+    # whole life holds no cells, and reads the same values after the memo
+    # has been emptied
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
     pol = solve_lambda(cfg)
-    assert pol._trial[:2] == (pol.lam, 2 * cfg.numerics.base_panels)
-    capacity._capacity_of(pol)
-    assert pol._trial is None
-    pol = solve_lambda(cfg)
+    res = capacity._capacity_of(pol)
     power = pol.expected_power()
-    assert pol._trial is None
+    held = [v for v in vars(pol).values()
+            if isinstance(v, (np.ndarray, tuple, list, power_allocation._SlGrid))]
+    assert held == []
+    power_allocation._sl_grid.cache_clear()
     assert pol.expected_power() == power
+    assert capacity._capacity_of(pol) == res
+
+
+def test_memoised_grid_is_read_only(fresh_grids):
+    # one entry serves every caller and thread, so none may write into it
+    key = (CsiKnowledge.estimated(0.5), NumericSettings(), 16, 0.1)
+    sl, A = power_allocation._sl_grid(*key)
+    for a in (sl.state, sl.w, A):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert power_allocation._sl_grid(*key)[1] is A
 
 
 def test_corrupted_lambda_copy_builds_its_own_grid():
@@ -878,12 +934,12 @@ def test_corrupted_lambda_copy_builds_its_own_grid():
     bad._budget_interp = None
     panels = 2 * cfg.numerics.base_panels
     sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=bad.lam)
-    A = sl.budget_component(bad.lam, cfg.p_avg)
+    A = sl.budget_component(bad.lam)
     assert bad.expected_power() == float(sl.w @ pol._capf.capped_mean(A))
     assert bad.expected_power() != pol.expected_power()
 
 
-def test_capless_multiplier_search_reads_no_density(monkeypatch):
+def test_capless_multiplier_search_reads_no_density(monkeypatch, fresh_grids):
     # a tight multiplier: at the default tolerance the capped policy may
     # overspend its budget by lambda_rel_tol and rise above the bound
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(), ns=TIGHT)
@@ -1002,19 +1058,18 @@ def test_bisection_driver_frozen_bit_for_bit(what, code, p_avg, want):
     assert got.hex() == want
 
 
-def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch):
+def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch, fresh_grids):
     # a spent-power curve that jumps across the budget at lam = 0.5 by
     # 5 lambda_rel_tol can be bracketed but never met: no midpoint within
     # some looser slack may come back as the multiplier
     tol = NumericSettings().lambda_rel_tol
 
     class OneCell:
-        w = np.array([1.0])
-
         def __init__(self, csi, settings, panels, lam=None):
-            pass
+            self.state = np.array([1.0])
+            self.w = np.array([1.0])
 
-        def budget_component(self, lam, p_avg, no_csi_const=None):
+        def budget_component(self, lam):
             return np.array([lam])
 
     def jump(self, a):
