@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fading import CsiKnowledge, CsiLevel, marginal_power_quantile
+from .fading import CsiLevel, marginal_power_quantile
 from .power_allocation import ScenarioConfig, _cap_field, interference_power_cap
 from .quadrature import _refine
 from .special_functions import exp_integral_e1
@@ -52,15 +52,6 @@ class OnOffPolicy:
         _require_perfect_direct(self.config)
         if self.tau < 0.0:
             raise ValueError("threshold must be nonnegative")
-
-    @property
-    def budget_level(self) -> float:
-        """The uncapped on-level p_avg / P(g >= tau)."""
-        return self.config.p_avg * float(np.exp(self.tau))
-
-    @property
-    def cl_csi(self) -> CsiKnowledge:
-        return self.config.cl_csi
 
     # state kinds consumed by the simulator's interface guard
     @property

@@ -590,7 +590,7 @@ class _SlGrid:
             return _water_fill(lam, self.state)
         return _mgf_invert_rate(self.state, self.csi.alpha, lam)
 
-    def rate_cells(self, power: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def rate_cells(self, power: np.ndarray, rows=slice(None)) -> np.ndarray:
         """E[log(1 + P g) | cell j] for the cells j in rows at powers P.
 
         power has shape (J,) or (J, K), J the number of cells in rows; the
@@ -913,15 +913,17 @@ def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
                      f, blocks: bool = True) -> float:
     """E over cells j (weights w) and cross states t of f_j(min(A_j, cap(t))).
 
-    f(P, rows) evaluates f_j for the cells rows at their powers P, shaped
-    (J,) or (J, K); a rate gives the capacity (the expected power needs no
-    f: _CapField.capped_mean). Split at each cell's crossing state t*_j:
-    the head is f_j(A_j) F(t*_j), the tail sum wt f_j(cap(nodes)) over
-    tail_rule's nodes, built for a block of rows at a time so no
-    intermediate outgrows _CHUNK_ELEMS elements. Each row's sum is the
-    same however rows are grouped, so the value does not depend on the
-    block size. blocks=False hands f every row at once, for an f whose
-    rows are not independent (_SlGrid.rows_separable).
+    f(P, rows) evaluates f_j for the cells rows (a slice or an index
+    array) at their powers P, shaped (J,) or (J, K); a rate gives the
+    capacity (the expected power needs no f: _CapField.capped_mean). Split
+    at each cell's crossing state t*_j: the head is f_j(A_j) F(t*_j), the
+    tail sum wt f_j(cap(nodes)) over tail_rule's nodes. A row with t*_j at
+    upper has an empty tail (all weights 0) and is skipped; the others are
+    built a block at a time so no intermediate outgrows _CHUNK_ELEMS
+    elements. Each row's sum is the same however rows are grouped, so the
+    value does not depend on the block size. blocks=False hands f every
+    live row at once, for an f whose rows are not independent
+    (_SlGrid.rows_separable).
 
     The capacity uses this rule for every pair but one: with perfect
     knowledge of both links the tail has a closed form instead
@@ -932,12 +934,13 @@ def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
         return float(w @ f(np.minimum(A, capf.constant), slice(None)))
     t_star = capf.crossing_state(A)
     head = f(A, slice(None)) * capf.cdf(t_star)
-    tail = np.empty_like(head)
-    step = A.size
+    tail = np.zeros_like(head)
+    live = np.flatnonzero(t_star < capf.upper)
+    step = max(1, live.size)
     if blocks:
         step = max(1, _CHUNK_ELEMS // (panels * capf.settings.quad_points))
-    for s in range(0, A.size, step):
-        rows = slice(s, s + step)
+    for s in range(0, live.size, step):
+        rows = live[s:s + step]
         nodes, wt = capf.tail_rule(t_star[rows], panels)
         tail[rows] = (wt * f(capf.cap(nodes), rows)).sum(axis=1)
     return float(w @ (head + tail))

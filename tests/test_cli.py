@@ -6,6 +6,7 @@ the installed console script end to end, and one checks what a fresh
 """
 
 import ast
+import dataclasses
 import json
 import math
 import subprocess
@@ -25,7 +26,6 @@ from crcap.cli import (
     ConfigError,
     _map_grid,
     db_to_linear,
-    linear_to_db,
     load_config,
     main,
     parse_csi,
@@ -75,7 +75,7 @@ def rows_of(csv_path):
 
 def test_db_conversion_roundtrip():
     for db in [-30.0, 0.0, 3.0, 17.5]:
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+        assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
     assert db_to_linear(0.0) == 1.0
 
@@ -118,6 +118,67 @@ def test_load_config_rejects_missing_required(tmp_path):
 def test_load_config_rejects_empty_grid(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, SWEEP.replace("points = 5", "points = 0")))
+
+
+def test_load_config_without_sweep_is_the_scenario_point(tmp_path):
+    run = load_config(write(tmp_path, BASE))
+    assert run.sweep_axis == "p_avg" and run.sweep_grid.tolist() == [0.0]
+    assert not [key for key, _ in run.echo if key.startswith("sweep.")]
+
+
+@pytest.mark.parametrize("axis, start, stop, reason", [
+    ("epsilon", 0.0, 0.1, "epsilon must lie strictly between 0 and 1"),
+    ("epsilon", 0.01, 1.0, "epsilon must lie strictly between 0 and 1"),
+    ("snr", 0.0, 1.0, "unknown sweep axis 'snr'"),
+], ids=["epsilon-start-0", "epsilon-stop-1", "unknown-axis"])
+def test_out_of_domain_sweep_value_is_config_error(tmp_path, capsys, axis, start,
+                                                   stop, reason):
+    # every grid value goes through the scenario's own axis map and checks
+    # when the config loads, so no sweep dies halfway with a traceback
+    cfg = write(tmp_path, BASE + f"""
+[sweep]
+axis = {axis}
+start = {start}
+stop = {stop}
+points = 3
+""")
+    with pytest.raises(ConfigError, match=reason):
+        load_config(cfg)
+    assert main(["capacity", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+    assert not (tmp_path / "o" / "capacity.csv").exists()
+
+
+def test_overflowing_scenario_power_is_config_error(tmp_path):
+    cfg = write(tmp_path, BASE.replace("p_avg_db = 0.0", "p_avg_db = 4000"))
+    with pytest.raises(ConfigError, match="bad scenario"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("raw, expect", [
+    ("true", True), ("YES", True), ("On", True), ("1", True),
+    ("false", False), ("No", False), ("OFF", False), ("0", False),
+])
+def test_booleans_take_every_configparser_spelling(tmp_path, raw, expect):
+    run = load_config(write(tmp_path, BASE + f"\n[output]\nplot_script = {raw}\n"))
+    assert run.plot_script is expect
+
+
+def test_boolean_rejects_other_words(tmp_path):
+    with pytest.raises(ConfigError, match="output.plot_script"):
+        load_config(write(tmp_path, BASE + "\n[output]\nplot_script = maybe\n"))
+
+
+def test_every_numeric_setting_is_a_config_key_echoed_in_field_order(tmp_path):
+    fields = dataclasses.fields(NumericSettings)
+    text = BASE + "\n[numerics]\n" + "".join(f"{f.name} = {f.default}\n"
+                                           for f in fields)
+    run = load_config(write(tmp_path, text))
+    assert run.scenario.numerics == NumericSettings()
+    assert [key for key, _ in run.echo if key.startswith("numerics.")] == \
+        [f"numerics.{f.name}" for f in fields]
 
 
 def test_load_config_log_spacing(tmp_path):
@@ -388,6 +449,36 @@ def test_map_grid_nonstrict_marks_point_and_continues(capsys):
                     strict=False)
     assert out[0] == (10.0,) and out[1] is None and out[2] == (30.0,)
     assert "bad point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, failed", [
+    ("capacity", ["nan", "nan", "error", "nan", "nan"]),
+    ("asymptote", ["nan"] * 3),
+    ("onoff", ["nan"] * 4),
+])
+def test_sweep_writes_a_failed_point_as_its_failure_row(tmp_path, monkeypatch, capsys,
+                                                        command, failed):
+    from crcap import cli
+    engine = cli.ergodic_capacity
+
+    def flaky(scen):
+        if scen.p_avg == 1.0:
+            raise NumericsError("refinement stalled")
+        return engine(scen)
+
+    monkeypatch.setattr(cli, "ergodic_capacity", flaky)
+    cfg = write(tmp_path, SWEEP.replace("points = 5", "points = 3"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--threads", "2"]) == EXIT_OK
+    assert "refinement stalled" in capsys.readouterr().err
+    header, rows = rows_of(out / f"{command}.csv")
+    assert [r[0] for r in rows] == ["-10", "0", "10"]
+    assert rows[1][1:] == failed
+    for r in (rows[0], rows[2]):
+        assert len(r) == len(header) and "nan" not in r and "error" not in r
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--strict"]) == EXIT_NUMERICAL
 
 
 def test_console_script_entry_point(tmp_path):

@@ -60,7 +60,6 @@ def test_policy_power_thresholds_gain():
     lvl = min(math.exp(0.5), 3.338082006953341)
     assert p[1] == pytest.approx(lvl)  # threshold is inclusive
     assert p[2] == pytest.approx(lvl)
-    assert pol.budget_level == pytest.approx(math.exp(0.5), rel=1e-12)
     assert pol.sl_state_kind == "gain" and pol.cl_state_kind == "none"
 
 

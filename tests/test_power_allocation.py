@@ -1139,6 +1139,45 @@ def test_expected_capped_power_closed_form_perfect_cross():
     assert pol.expected_power() == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("cl", [CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5)],
+                         ids=["P", "E"])
+@pytest.mark.parametrize("chunk, blocks", [(480, True), (10 ** 12, True), (480, False)])
+def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
+    # a row whose crossing state is at upper has an empty tail (all weights
+    # 0): f never sees it, and leaving it out changes no bit of the value
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", chunk)
+    capf = power_allocation._cap_field(cl, 10.0, 0.05, NumericSettings())
+    g = np.linspace(0.1, 3.0, 12)
+    w = np.full(12, 1.0 / 12.0)
+    A = np.linspace(0.5, 20.0, 12)
+    A[::3] = [0.0, 1e-12, 0.0, 1e-12]
+    t_star = capf.crossing_state(A)
+    live = np.flatnonzero(t_star < capf.upper)
+    assert live.size == 8
+    seen = []
+
+    def f(P, rows):
+        if P.ndim == 2:
+            seen.append(np.arange(12)[rows])
+        state = g[rows]
+        return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
+
+    value = power_allocation._expected_capped(A, w, capf, 8, f, blocks=blocks)
+    assert np.array_equal(np.sort(np.concatenate(seen)), live)
+    nodes, wt = capf.tail_rule(t_star, 8)
+    every_row = f(A, slice(None)) * capf.cdf(t_star) \
+        + (wt * f(capf.cap(nodes), slice(None))).sum(axis=1)
+    assert value == float(w @ every_row)
+
+    # no live row at all: the head alone, and f is never asked for a tail
+    seen.clear()
+    A = np.where(np.arange(12) % 2, 0.0, 1e-12)
+    head = f(A, slice(None)) * capf.cdf(capf.crossing_state(A))
+    assert power_allocation._expected_capped(A, w, capf, 8, f, blocks=blocks) \
+        == float(w @ head)
+    assert seen == []
+
+
 def test_policy_interface_declarations():
     pol = solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5)))
     assert pol.sl_state_kind == "gain"
