@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .fading import (
+    ChannelDraw,
     CsiKnowledge,
     CsiLevel,
     estimate_power_quantile,
@@ -58,13 +59,6 @@ class OutageBin:
     def outage_rate(self) -> float:
         return self.outages / self.count if self.count else 0.0
 
-    @property
-    def ci_halfwidth(self) -> float:
-        if not self.count:
-            return 0.0
-        p = self.outage_rate
-        return _Z95 * float(np.sqrt(p * (1.0 - p) / self.count))
-
 
 @dataclass(frozen=True)
 class SimReport:
@@ -79,29 +73,6 @@ class SimReport:
     bins: Tuple[OutageBin, ...]
     n_samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_rate": self.empirical_rate,
-            "rate_ci": self.rate_ci,
-            "empirical_avg_power": self.empirical_avg_power,
-            "power_ci": self.power_ci,
-            "outage_fraction": self.outage_fraction,
-            "outage_ci": self.outage_ci,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "bins": [
-                {
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "count": b.count,
-                    "outages": b.outages,
-                    "outage_rate": b.outage_rate,
-                    "ci_halfwidth": b.ci_halfwidth,
-                }
-                for b in self.bins
-            ],
-        }
 
 
 def _check_policy_interface(policy, config: ScenarioConfig):
@@ -119,31 +90,35 @@ def _check_policy_interface(policy, config: ScenarioConfig):
             )
 
 
-def _bin_edges(csi: CsiKnowledge) -> Optional[np.ndarray]:
-    """Interior decile edges of the cross-link conditioning state, or None."""
+def _bin_edges(csi: CsiKnowledge) -> np.ndarray:
+    """Interior decile edges of the cross-link conditioning state; none,
+    so one bin, without knowledge."""
     probs = np.arange(1, N_OUTAGE_BINS) / N_OUTAGE_BINS
     if csi.level is CsiLevel.PERFECT:
         return marginal_power_quantile(probs)
     if csi.level is CsiLevel.ESTIMATED:
         return estimate_power_quantile(probs, csi.alpha)
-    return None
+    return np.empty(0)
+
+
+def _readable_state(draw: ChannelDraw, csi: CsiKnowledge):
+    """The state of a drawn link that its knowledge lets a policy read:
+    the true gain, the estimate power, or None."""
+    return {"gain": draw.gain, "estimate": draw.estimate}.get(csi.state_kind)
 
 
 def _run_shard(power_fn: Callable, config: ScenarioConfig, seed: int,
-               shard: int, n: int, edges: Optional[np.ndarray]):
+               shard: int, n: int, edges: np.ndarray):
+    """The shard's sums of rate, rate^2, power and power^2, and its (2, bins)
+    tally of samples and outages per bin of the cross-link state."""
     rng = np.random.Generator(np.random.Philox(
         seed=np.random.SeedSequence((seed, shard))))
     sl = sample_channel_pair(config.sl_csi, rng, n)
     cl = sample_channel_pair(config.cl_csi, rng, n)
+    cl_state = _readable_state(cl, config.cl_csi)
 
-    sl_kind = config.sl_csi.state_kind
-    cl_kind = config.cl_csi.state_kind
-    sl_state = sl.gain if sl_kind == "gain" else (
-        sl.estimate if sl_kind == "estimate" else None)
-    cl_state = cl.gain if cl_kind == "gain" else (
-        cl.estimate if cl_kind == "estimate" else None)
-
-    P = np.asarray(power_fn(sl_state, cl_state), dtype=float)
+    P = np.asarray(power_fn(_readable_state(sl, config.sl_csi), cl_state),
+                   dtype=float)
     if P.shape not in ((), (n,)):
         raise ValueError("policy returned powers with an unexpected shape")
     P = np.broadcast_to(P, (n,))
@@ -152,28 +127,23 @@ def _run_shard(power_fn: Callable, config: ScenarioConfig, seed: int,
 
     log_rate = np.log1p(P * sl.gain)
     outage = (P * cl.gain) > (config.i_peak * _OUTAGE_GUARD)
-
-    if edges is None:
-        counts = np.array([n], dtype=np.int64)
-        outs = np.array([int(outage.sum())], dtype=np.int64)
-    else:
-        cond = cl.gain if cl_kind == "gain" else cl.estimate
-        idx = np.searchsorted(edges, cond, side="right")
-        counts = np.bincount(idx, minlength=N_OUTAGE_BINS).astype(np.int64)
-        outs = np.bincount(idx, weights=outage.astype(np.int64),
-                           minlength=N_OUTAGE_BINS).astype(np.int64)
-    return (float(log_rate.sum()), float((log_rate * log_rate).sum()),
-            float(P.sum()), float((P * P).sum()),
-            int(outage.sum()), counts, outs)
+    sums = np.array([log_rate.sum(), (log_rate * log_rate).sum(),
+                     P.sum(), (P * P).sum()])
+    if not edges.size:  # one bin: no search
+        return sums, np.array([[n], [np.count_nonzero(outage)]], dtype=np.int64)
+    k = edges.size + 1
+    idx = np.searchsorted(edges, cl_state, side="right")
+    return sums, np.array([np.bincount(idx, minlength=k),
+                           np.bincount(idx, weights=outage, minlength=k)],
+                          dtype=np.int64)
 
 
 def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
                     seed: int, threads: int = 1) -> SimReport:
     """Simulate a power rule and report empirical rate, power, and outage.
 
-    policy is either an object exposing power(sl_state, cl_state) (the
-    solved PowerPolicy / OnOffPolicy objects) or a bare callable with the
-    same signature. The states passed are only those the scenario's
+    policy exposes power(sl_state, cl_state), as the solved PowerPolicy and
+    OnOffPolicy do. The states passed are only those the scenario's
     knowledge levels permit: the true gain under perfect knowledge, the
     estimate power under estimated knowledge, None when the link is
     unknown. Policies that declare needing more (sl_state_kind /
@@ -184,9 +154,6 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     if threads < 1:
         raise ValueError("threads must be positive")
     _check_policy_interface(policy, config)
-    power_fn = policy.power if hasattr(policy, "power") else policy
-    if not callable(power_fn):
-        raise TypeError("policy must be callable or expose .power")
 
     edges = _bin_edges(config.cl_csi)
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
@@ -194,7 +161,7 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
              for i in range(n_shards)]
 
     def job(i: int):
-        return _run_shard(power_fn, config, seed, i, sizes[i], edges)
+        return _run_shard(policy.power, config, seed, i, sizes[i], edges)
 
     if threads > 1 and n_shards > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -204,35 +171,22 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
 
     # reduce in shard order: sums only, so the merge is order-independent
     # in value and made bit-identical by fixing the order anyway
-    r_sum = r_sq = p_sum = p_sq = 0.0
-    out_total = 0
-    n_bins = 1 if edges is None else N_OUTAGE_BINS
-    counts = np.zeros(n_bins, dtype=np.int64)
-    outs = np.zeros(n_bins, dtype=np.int64)
-    for rs, rq, ps, pq, ot, c, o in results:
-        r_sum += rs
-        r_sq += rq
-        p_sum += ps
-        p_sq += pq
-        out_total += ot
-        counts += c
-        outs += o
+    sums = np.zeros(4)
+    tally = np.zeros((2, edges.size + 1), dtype=np.int64)
+    for s, t in results:
+        sums += s
+        tally += t
 
     n = float(n_samples)
-    rate = r_sum / n
-    power = p_sum / n
-    rate_var = max(r_sq / n - rate * rate, 0.0)
-    power_var = max(p_sq / n - power * power, 0.0)
-    out_frac = out_total / n
-    if edges is None:
-        lowers = np.array([0.0])
-        uppers = np.array([np.inf])
-    else:
-        lowers = np.concatenate(([0.0], edges))
-        uppers = np.concatenate((edges, [np.inf]))
+    rate, rate_sq, power, power_sq = (float(v) / n for v in sums)
+    rate_var = max(rate_sq - rate * rate, 0.0)
+    power_var = max(power_sq - power * power, 0.0)
+    out_frac = int(tally[1].sum()) / n
+    lowers = np.concatenate(([0.0], edges))
+    uppers = np.concatenate((edges, [np.inf]))
     bins = tuple(
         OutageBin(float(lo), float(hi), int(c), int(o))
-        for lo, hi, c, o in zip(lowers, uppers, counts, outs)
+        for lo, hi, c, o in zip(lowers, uppers, *tally)
     )
     return SimReport(
         empirical_rate=rate,
@@ -260,14 +214,6 @@ def verify_outage(policy, config: ScenarioConfig, n_samples: int, seed: int,
     report = simulate_policy(policy, config, n_samples, seed, threads=threads)
     eps = config.epsilon
     if config.cl_csi.level is CsiLevel.PERFECT:
-        passed = report.outage_fraction == 0.0
-        return passed, report
-    passed = True
-    for b in report.bins:
-        if not b.count:
-            continue
-        sigma = float(np.sqrt(eps * (1.0 - eps) / b.count))
-        if b.outage_rate > eps + 3.0 * sigma:
-            passed = False
-            break
-    return passed, report
+        return report.outage_fraction == 0.0, report
+    return all(b.outage_rate <= eps + 3.0 * float(np.sqrt(eps * (1.0 - eps) / b.count))
+               for b in report.bins if b.count), report

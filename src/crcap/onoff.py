@@ -11,7 +11,8 @@ The burst rate has a closed form under Rayleigh fading:
   integral_tau^inf log(1 + P g) e^{-g} dg
     = e^{-tau} * (log(1 + P tau) + e^{tau + 1/P} E1(tau + 1/P))
 evaluated through the scaled exponential integral so large 1/P and large
-tau never overflow.
+tau never overflow (power_allocation._exponential_rate, which at tau = 0
+is also the rate without direct-link knowledge).
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from typing import Tuple
 import numpy as np
 
 from .fading import CsiLevel, marginal_power_quantile
-from .power_allocation import ScenarioConfig, _cap_field, interference_power_cap
+from .power_allocation import (
+    ScenarioConfig,
+    _cap_field,
+    _exponential_rate,
+    interference_power_cap,
+)
 from .quadrature import _refine
-from .special_functions import exp_integral_e1
 
 __all__ = ["OnOffPolicy", "on_level", "onoff_rate", "optimize_threshold"]
 
@@ -90,18 +95,6 @@ def on_level(tau: float, cl_state, config: ScenarioConfig):
     return np.minimum(budget, cap) if np.ndim(cap) else min(budget, float(cap))
 
 
-def _rate_above(tau: float, power) -> np.ndarray:
-    """E[log(1 + P g); g >= tau] for Rayleigh g, closed form, P >= 0."""
-    P = np.atleast_1d(np.asarray(power, dtype=float))
-    out = np.zeros_like(P)
-    pos = P > 0.0
-    if np.any(pos):
-        x = tau + 1.0 / P[pos]
-        out[pos] = np.exp(-tau) * (np.log1p(P[pos] * tau)
-                                   + exp_integral_e1(x, scaled=True))
-    return out
-
-
 def onoff_rate(tau: float, config: ScenarioConfig) -> float:
     """Ergodic rate of the on-off rule at threshold tau, in nats/use.
 
@@ -116,14 +109,14 @@ def onoff_rate(tau: float, config: ScenarioConfig) -> float:
     budget = config.p_avg * float(np.exp(tau))
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     if capf.is_constant:
-        return float(_rate_above(tau, min(budget, capf.constant))[0])
+        return float(_exponential_rate(min(budget, capf.constant), tau))
     t_star = np.atleast_1d(capf.crossing_state(budget))
     head = float(np.asarray(capf.cdf(t_star)).reshape(-1)[0]) \
-        * float(_rate_above(tau, budget)[0])
+        * float(_exponential_rate(budget, tau))
 
     def evaluate(panels: int) -> float:
         nodes, wt = capf.tail_rule(t_star, panels)
-        return head + float((wt * _rate_above(tau, capf.cap(nodes))).sum())
+        return head + float((wt * _exponential_rate(capf.cap(nodes), tau)).sum())
 
     return _refine(evaluate, ns)[0]
 

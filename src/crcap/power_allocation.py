@@ -80,7 +80,7 @@ __all__ = [
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
-_GRID_CACHE_SIZE = 128  # direct-link grids kept per process, see _sl_grid
+_GRID_CACHE_SIZE = 128  # direct-link grids (and budget interpolants) kept per process
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
 _RATE_INVERSION_STEPS = 200  # cap on bisection steps of invert_rate_integral
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
@@ -430,16 +430,19 @@ def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return out
 
 
-def _exponential_rate(power) -> np.ndarray:
-    """E[log(1 + P g)] for unit-mean exponential g: e^{1/P} E1(1/P), 0 at P = 0.
+def _exponential_rate(power, tau: float = 0.0) -> np.ndarray:
+    """E[log(1 + P g); g >= tau] for unit-mean exponential g, 0 at P = 0:
+    e^{-tau} (log(1 + P tau) + e^{tau + 1/P} E1(tau + 1/P)), elementwise.
 
-    The rate without direct-link knowledge: _mgf_log_rate's integral at
-    m = 0, alpha = 1, where M(u) = 1 / (1 + u). Elementwise over power.
+    At tau = 0 it is e^{1/P} E1(1/P), the rate without direct-link
+    knowledge: _mgf_log_rate's integral at m = 0, alpha = 1, where
+    M(u) = 1 / (1 + u). The on-off scheme's burst rate is tau > 0.
     """
     P = np.asarray(power, dtype=float)
     out = np.zeros_like(P)
     pos = P > 0.0
-    out[pos] = exp_integral_e1(1.0 / P[pos], scaled=True)
+    out[pos] = np.exp(-tau) * (np.log1p(P[pos] * tau)
+                               + exp_integral_e1(tau + 1.0 / P[pos], scaled=True))
     return out
 
 
@@ -632,6 +635,21 @@ def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
     for a in (sl.state, sl.w, A):
         a.setflags(write=False)
     return sl, A
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _budget_interpolant(csi: CsiKnowledge, settings: NumericSettings, lam: float):
+    """An estimated direct link's budget component at lam as (m_c, m_hi,
+    interpolant) over 1025 estimates in [m_c, m_hi], each inverted by
+    _mgf_invert_rate. The component is exactly zero below m_c = lam - alpha,
+    so the knots stay on its active side. Memoised like _sl_grid: a copy of
+    a policy with another lam reads another entry, and no thread ever
+    writes a policy's fields.
+    """
+    upper = fading.estimate_power_quantile(1.0 - settings.tail_mass, csi.alpha)
+    m_c = max(lam - csi.alpha, 0.0)
+    grid = np.linspace(m_c, max(upper, m_c + 1.0), 1025)
+    return m_c, grid[-1], _Pchip(grid, _mgf_invert_rate(grid, csi.alpha, lam))
 
 
 class _Pchip:
@@ -955,11 +973,11 @@ class PowerPolicy:
     power(sl_state, cl_state) evaluates the rule per sample; states that a
     knowledge level does not provide are ignored and may be None. In the
     saturated regime the rule is the cap alone and direct-link state is
-    never consulted. Direct-link grids come from _sl_grid; none is held.
+    never consulted. Direct-link grids come from _sl_grid and budget
+    interpolants from _budget_interpolant; none is held.
 
-    Large-batch evaluation for estimated knowledge goes through a monotone
-    interpolant of the component over 1025 estimates, each inverted by
-    _mgf_invert_rate: against the density-based bisection, which remains
+    Large-batch evaluation for estimated knowledge goes through that
+    interpolant: against the density-based bisection, which remains
     available as invert_rate_integral, it errs by under 1e-8 of the
     largest component (EP and EN at -10, 0 and 13 dB).
     """
@@ -973,7 +991,6 @@ class PowerPolicy:
         self.p_avg_star = float(p_avg_star)
         self._capf = cap_field
         self._no_csi_const = no_csi_const
-        self._budget_interp = None
 
     # -- interface requirements ----------------------------------------
     @property
@@ -992,28 +1009,12 @@ class PowerPolicy:
     def cap_component(self, cl_state=None):
         """Interference cap at the given cross-link states."""
         capf = self._capf
-        if capf.is_constant:
-            if cl_state is None:
-                return capf.constant
-            out = np.full(np.asarray(cl_state, dtype=float).shape, capf.constant)
-            return out if out.ndim else float(out)
         if cl_state is None:
+            if capf.is_constant:
+                return capf.constant
             raise ValueError("this policy needs a cross-link state")
-        t = np.asarray(cl_state, dtype=float)
-        out = capf.i_peak / capf.quantile_of_state(t)
+        out = capf.cap(cl_state)
         return out if out.ndim else float(out)
-
-    def _build_budget_interp(self):
-        cfg = self.config
-        ns = cfg.numerics
-        alpha = cfg.sl_csi.alpha
-        upper = fading.estimate_power_quantile(1.0 - ns.tail_mass, alpha)
-        # the component is exactly zero below m_c = lam - alpha; keep the
-        # interpolation knots on the active side of the kink
-        m_c = max(self.lam - alpha, 0.0)
-        grid = np.linspace(m_c, max(upper, m_c + 1.0), 1025)
-        vals = _mgf_invert_rate(grid, alpha, self.lam)
-        self._budget_interp = (m_c, grid[-1], _Pchip(grid, vals))
 
     def budget_component(self, sl_state=None):
         """Budget-driven component at the given direct-link states."""
@@ -1033,9 +1034,7 @@ class PowerPolicy:
         if level is CsiLevel.PERFECT:
             out = _water_fill(self.lam, s)
             return out if out.ndim else float(out)
-        if self._budget_interp is None:
-            self._build_budget_interp()
-        m_c, m_hi, interp = self._budget_interp
+        m_c, m_hi, interp = _budget_interpolant(cfg.sl_csi, cfg.numerics, self.lam)
         # strict: when the kink sits at m = 0 the component there is positive
         out = np.where(s < m_c, 0.0, interp(np.clip(s, m_c, m_hi)))
         out = np.clip(out, 0.0, None)

@@ -7,9 +7,13 @@ from crcap import power_allocation
 
 @pytest.fixture
 def fresh_grids():
-    """An empty direct-link grid memo (power_allocation._sl_grid), emptied
-    again afterwards: counts of the work a solve does start cold, and
-    grids built under a patch never reach another test."""
-    power_allocation._sl_grid.cache_clear()
+    """Empty direct-link memos (power_allocation._sl_grid and
+    _budget_interpolant), emptied again afterwards: counts of the work a
+    solve does start cold, and entries built under a patch never reach
+    another test."""
+    memos = (power_allocation._sl_grid, power_allocation._budget_interpolant)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    power_allocation._sl_grid.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

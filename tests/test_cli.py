@@ -126,35 +126,42 @@ def test_load_config_without_sweep_is_the_scenario_point(tmp_path):
     assert not [key for key, _ in run.echo if key.startswith("sweep.")]
 
 
-@pytest.mark.parametrize("axis, start, stop, reason", [
-    ("epsilon", 0.0, 0.1, "epsilon must lie strictly between 0 and 1"),
-    ("epsilon", 0.01, 1.0, "epsilon must lie strictly between 0 and 1"),
-    ("snr", 0.0, 1.0, "unknown sweep axis 'snr'"),
-], ids=["epsilon-start-0", "epsilon-stop-1", "unknown-axis"])
-def test_out_of_domain_sweep_value_is_config_error(tmp_path, capsys, axis, start,
-                                                   stop, reason):
-    # every grid value goes through the scenario's own axis map and checks
-    # when the config loads, so no sweep dies halfway with a traceback
-    cfg = write(tmp_path, BASE + f"""
+def _sweep_of(axis, start, stop):
+    return BASE + f"""
 [sweep]
 axis = {axis}
 start = {start}
 stop = {stop}
 points = 3
-""")
+"""
+
+
+_P_AVG_REASON = "p_avg must be positive and finite"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, reason", [
+    (_sweep_of("epsilon", 0.0, 0.1), "epsilon must lie strictly between 0 and 1"),
+    (_sweep_of("epsilon", 0.01, 1.0), "epsilon must lie strictly between 0 and 1"),
+    (_sweep_of("snr", 0.0, 1.0), "unknown sweep axis 'snr'"),
+    (_sweep_of("p_avg", 0.0, 4000.0), "bad sweep point p_avg = 4000: " + _P_AVG_REASON),
+    (BASE.replace("p_avg_db = 0.0", "p_avg_db = 4000"), "bad scenario: " + _P_AVG_REASON),
+], ids=["epsilon-start-0", "epsilon-stop-1", "unknown-axis", "p_avg-stop-4000",
+        "scenario-p_avg_db-4000"])
+def test_out_of_domain_sweep_value_is_config_error(tmp_path, capsys, text, reason):
+    # every grid value goes through the scenario's own axis map and checks
+    # when the config loads, so no sweep dies halfway with a traceback; a
+    # dB value past the float range is inf, which the scenario rejects
+    # like any other, without a numpy warning
+    cfg = write(tmp_path, text)
     with pytest.raises(ConfigError, match=reason):
         load_config(cfg)
     assert main(["capacity", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
+    assert err.count("\n") == 1  # nothing else on stderr
     assert not (tmp_path / "o" / "capacity.csv").exists()
-
-
-def test_overflowing_scenario_power_is_config_error(tmp_path):
-    cfg = write(tmp_path, BASE.replace("p_avg_db = 0.0", "p_avg_db = 4000"))
-    with pytest.raises(ConfigError, match="bad scenario"):
-        load_config(cfg)
 
 
 @pytest.mark.parametrize("raw, expect", [
@@ -399,6 +406,20 @@ def test_verify_corrupt_lambda_fails_power_check(tmp_path):
     power = next(r for r in records if r["name"] == "average_power_meets_budget")
     assert power["pass"] is False
     assert power["observed"] < power["expected"]
+
+
+def test_verify_perfect_cross_link_expects_no_outage(tmp_path):
+    # the cap holds pointwise, so the check passes only at zero outages:
+    # the record says so instead of showing epsilon and a 3-sigma band
+    cfg = write(tmp_path, BASE.replace("cl_csi = none", "cl_csi = perfect")
+                .replace("n_samples = 60000", "n_samples = 20000"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    records = {r["name"]: r for r in map(
+        json.loads, (out / "verify.jsonl").read_text().splitlines())}
+    outage = records["interference_outage_within_epsilon"]
+    assert outage == {"name": "interference_outage_within_epsilon", "expected": 0.0,
+                      "observed": 0.0, "tolerance": 0.0, "pass": True}
 
 
 def test_corrupt_lambda_hidden_from_help():

@@ -213,11 +213,65 @@ def test_ci_shrinks_like_root_n():
     assert ratio == pytest.approx(2.0, abs=0.2)
 
 
-def test_report_serializes():
+def test_report_carries_samples_seed_and_ten_bins():
     cfg = scenario(PERFECT, EST)
     pol = solve_lambda(cfg)
     r = simulate_policy(pol, cfg, 50_000, seed=17)
-    d = r.to_dict()
-    assert d["n_samples"] == 50_000 and d["seed"] == 17
-    assert len(d["bins"]) == 10
     assert isinstance(r, SimReport)
+    assert r.n_samples == 50_000 and r.seed == 17
+    assert len(r.bins) == 10
+    assert sum(b.count for b in r.bins) == 50_000
+
+
+# float.hex of (empirical_rate, rate_ci, empirical_avg_power, power_ci,
+# outage_fraction, outage_ci), then the bins' counts and outages, of
+# 300,001 samples at seed 19 (five shards, the last one short)
+FROZEN_REPORTS = {
+    "EE": (
+        ("0x1.3d648299ad564p-1", "0x1.fbbef8660a543p-10", "0x1.0055c32bffc9bp+0",
+         "0x1.abf9f590d925cp-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
+        [29994, 29563, 30266, 29972, 30110, 29943, 30059, 30221, 29744, 30129],
+        [0, 1, 1, 0, 1, 3, 7, 11, 22, 140]),
+    "PN": (
+        ("0x1.6e131e4d12a89p-1", "0x1.4fa1fd88b5aedp-9", "0x1.00a74f7dde31ap+0",
+         "0x1.9080681039fe3p-9", "0x1.34e4590b17aa6p-9", "0x1.6be0182b00a0ap-13"),
+        [300001],
+        [707]),
+    "NN": (
+        ("0x1.32140baf056b8p-1", "0x1.8ac5f62dddad7p-10", "0x1.0000000000000p+0",
+         "0x0.0p+0", "0x1.f75096e1ea741p-16", "0x1.48d244d387d51p-16"),
+        [300001],
+        [9]),
+    "onoff PE": (
+        ("0x1.683d8ed6ec3aep-1", "0x1.2e91b63aad71bp-9", "0x1.004132e8477fdp+0",
+         "0x1.7966b9db0ee97p-9", "0x1.3b7210575e0d3p-10", "0x1.042a055724886p-13"),
+        [29994, 29563, 30266, 29972, 30110, 29943, 30059, 30221, 29744, 30129],
+        [0, 2, 1, 0, 3, 6, 11, 12, 47, 279]),
+}
+_FROZEN_FIELDS = ("empirical_rate", "rate_ci", "empirical_avg_power", "power_ci",
+                  "outage_fraction", "outage_ci")
+
+
+def _assert_frozen(key, report):
+    floats, counts, outages = FROZEN_REPORTS[key]
+    assert tuple(float(getattr(report, f)).hex() for f in _FROZEN_FIELDS) == floats
+    assert [b.count for b in report.bins] == counts
+    assert [b.outages for b in report.bins] == outages
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("code", ["EE", "PN", "NN"])
+def test_reports_are_frozen_bit_for_bit(code, threads):
+    # the simulator's draws, policy reads, sums and tallies may be
+    # rearranged, but not one bit of a report may move
+    levels = {"P": PERFECT, "E": EST, "N": NONE}
+    cfg = scenario(levels[code[0]], levels[code[1]])
+    report = simulate_policy(solve_lambda(cfg), cfg, 300_001, seed=19, threads=threads)
+    _assert_frozen(code, report)
+
+
+def test_onoff_report_is_frozen_bit_for_bit():
+    cfg = scenario(PERFECT, EST)
+    report = simulate_policy(OnOffPolicy(tau=0.5, config=cfg), cfg, 300_001,
+                             seed=19, threads=3)
+    _assert_frozen("onoff PE", report)

@@ -658,14 +658,17 @@ def test_cap_table_interpolants_equal_scipy_pchip(monkeypatch, alpha, eps):
     _assert_equals_scipy_pchip(capf._m_of_q, q, m)
 
 
-def test_budget_interpolant_equals_scipy_pchip(monkeypatch):
+def test_budget_interpolant_equals_scipy_pchip(monkeypatch, fresh_grids):
     est = CsiKnowledge.estimated(0.5)
     pol = solve_lambda(scenario(est, est))
     assert pol.regime == "power_limited"
     made = _recording_pchip(monkeypatch)
     pol.budget_component(np.array([0.5]))
     (m, vals), = made
-    _assert_equals_scipy_pchip(pol._budget_interp[2], m, vals)
+    memo = power_allocation._budget_interpolant(est, pol.config.numerics, pol.lam)
+    _assert_equals_scipy_pchip(memo[2], m, vals)
+    pol.budget_component(np.array([0.7]))
+    assert len(made) == 1  # the second call reads the memo
 
 
 def test_pchip_rejects_bad_knots():
@@ -926,12 +929,15 @@ def test_memoised_grid_is_read_only(fresh_grids):
 
 def test_corrupted_lambda_copy_builds_its_own_grid():
     # cli verify --corrupt-lambda rescales lam on a shallow copy of the
-    # policy: the grid solved at the old lam must not reach it
+    # policy: the grid and the budget interpolant solved at the old lam
+    # must not reach it
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
     pol = solve_lambda(cfg)
+    m = np.array([0.5, 2.0])
+    good = pol.budget_component(m)
     bad = copy.copy(pol)
     bad.lam = pol.lam * 1.5
-    bad._budget_interp = None
+    assert np.all(bad.budget_component(m) < good)
     panels = 2 * cfg.numerics.base_panels
     sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=bad.lam)
     A = sl.budget_component(bad.lam)
