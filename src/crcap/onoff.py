@@ -13,10 +13,17 @@ The burst rate has a closed form under Rayleigh fading:
 evaluated through the scaled exponential integral so large 1/P and large
 tau never overflow (power_allocation._exponential_rate, which at tau = 0
 is also the rate without direct-link knowledge).
+
+onoff_rate takes one threshold or a 1-D array of them; each element of
+an array is refined on its own and equals its scalar call bit for bit.
+optimize_threshold scans _SCAN_POINTS thresholds, _SCAN_BLOCK per array
+call, then polishes inside the best scan bracket with Brent's localmin
+until the bracket [a, b] is at most 1e-10 * max(1, b) wide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,11 +37,17 @@ from .power_allocation import (
     interference_power_cap,
 )
 from .quadrature import _refine
+from .special_functions import NumericsError
 
 __all__ = ["OnOffPolicy", "on_level", "onoff_rate", "optimize_threshold"]
 
 _SCAN_POINTS = 64
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# thresholds per array onoff_rate call of the scan: the quadrature's
+# thresholds x nodes temporaries stay at 16 x 320 elements at 16 panels
+_SCAN_BLOCK = 16
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_POLISH_REL = 1e-10
+_POLISH_STEPS = 100
 
 
 def _require_perfect_direct(config: ScenarioConfig):
@@ -95,40 +108,110 @@ def on_level(tau: float, cl_state, config: ScenarioConfig):
     return np.minimum(budget, cap) if np.ndim(cap) else min(budget, float(cap))
 
 
-def onoff_rate(tau: float, config: ScenarioConfig) -> float:
+def onoff_rate(tau, config: ScenarioConfig):
     """Ergodic rate of the on-off rule at threshold tau, in nats/use.
 
+    tau is a scalar (the rate comes back as a float) or a 1-D array of
+    thresholds (an array of rates, each equal to its own scalar call).
     The direct-link average is closed form; the cross-link average uses
     the same split-at-the-crossing quadrature as the capacity integrals,
-    refined until two panel resolutions agree.
+    refined per threshold until two panel resolutions agree.
     """
     _require_perfect_direct(config)
-    if tau < 0.0:
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("thresholds must be a scalar or a 1-D array")
+    if np.any(taus < 0.0):
         raise ValueError("threshold must be nonnegative")
+    t = np.atleast_1d(taus)
     ns = config.numerics
-    budget = config.p_avg * float(np.exp(tau))
+    budget = config.p_avg * np.exp(t)
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     if capf.is_constant:
-        return float(_exponential_rate(min(budget, capf.constant), tau))
-    t_star = np.atleast_1d(capf.crossing_state(budget))
-    head = float(np.asarray(capf.cdf(t_star)).reshape(-1)[0]) \
-        * float(_exponential_rate(budget, tau))
+        rates = _exponential_rate(np.minimum(budget, capf.constant), t)
+    else:
+        t_star = capf.crossing_state(budget)
+        head = capf.cdf(t_star) * _exponential_rate(budget, t)
 
-    def evaluate(panels: int) -> float:
-        nodes, wt = capf.tail_rule(t_star, panels)
-        return head + float((wt * _exponential_rate(capf.cap(nodes), tau)).sum())
+        def evaluate(panels: int) -> np.ndarray:
+            nodes, wt = capf.tail_rule(t_star, panels)
+            tail = wt * _exponential_rate(capf.cap(nodes), t[:, None])
+            return head + tail.sum(axis=1)
 
-    return _refine(evaluate, ns)[0]
+        rates = _refine(evaluate, ns)[0]
+    return rates if taus.ndim else float(rates[0])
+
+
+def _polish(f, a: float, b: float) -> Tuple[float, float]:
+    """Maximum of f on [a, b] by Brent's localmin, and f there.
+
+    Parabolic steps through the three best points, golden-section steps
+    where the parabola is not trusted (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5). Stops when the bracket is at most
+    _POLISH_REL * max(1, b) wide; raises NumericsError after
+    _POLISH_STEPS steps without getting there.
+    """
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = -f(x)
+    d = e = 0.0
+    for _ in range(_POLISH_STEPS):
+        if b - a <= _POLISH_REL * max(1.0, b):
+            return x, -fx
+        m = 0.5 * (a + b)
+        tol = 0.25 * _POLISH_REL * max(1.0, abs(x))
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q                                   # parabolic step
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b - x) if x < m else (a - x)           # golden-section step
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    raise NumericsError(f"threshold polish did not reach its bracket in "
+                        f"{_POLISH_STEPS} steps")
 
 
 def optimize_threshold(config: ScenarioConfig,
                        scan_points: int = _SCAN_POINTS) -> Tuple[float, float]:
-    """Best threshold and its rate: coarse scan, then golden-section.
+    """Best threshold and its rate: batched scan, then Brent's method.
 
-    The scan guards against non-unimodal shapes; golden-section then
-    polishes inside the best scan bracket. The search interval is
-    [0, the 1 - 1e-8 quantile of the direct gain].
+    The search interval is [0, the 1 - 1e-8 quantile of the direct gain].
+    A scan of scan_points evenly spaced thresholds, evaluated
+    _SCAN_BLOCK at a time through array onoff_rate calls, guards against
+    non-unimodal shapes; Brent's localmin then polishes inside the
+    bracket around the best scan point until the bracket [a, b] is at
+    most 1e-10 * max(1, b) wide, and its best point and rate come back.
+    If the polish ends below the scan maximum, the scan maximum is kept.
     """
+    if scan_points < 3:
+        raise ValueError("the threshold scan needs at least 3 points")
     _require_perfect_direct(config)
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon,
                       config.numerics)
@@ -138,29 +221,12 @@ def optimize_threshold(config: ScenarioConfig,
 
     t_max = marginal_power_quantile(1.0 - 1e-8)
     taus = np.linspace(0.0, t_max, scan_points)
-    rates = np.array([onoff_rate(t, config) for t in taus])
+    rates = np.concatenate([onoff_rate(taus[i:i + _SCAN_BLOCK], config)
+                            for i in range(0, scan_points, _SCAN_BLOCK)])
     k = int(np.argmax(rates))
-    lo = taus[max(k - 1, 0)]
-    hi = taus[min(k + 1, scan_points - 1)]
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = onoff_rate(x1, config)
-    f2 = onoff_rate(x2, config)
-    for _ in range(80):
-        if b - a <= 1e-10 * max(1.0, b):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = onoff_rate(x2, config)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = onoff_rate(x1, config)
-    tau_star = 0.5 * (a + b)
-    rate_star = onoff_rate(tau_star, config)
+    lo = float(taus[max(k - 1, 0)])
+    hi = float(taus[min(k + 1, scan_points - 1)])
+    tau_star, rate_star = _polish(lambda t: onoff_rate(t, config), lo, hi)
     # the scan maximum is a lower bound; keep it if polishing lost it
     if rates[k] > rate_star:
         tau_star, rate_star = float(taus[k]), float(rates[k])

@@ -430,19 +430,27 @@ def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return out
 
 
-def _exponential_rate(power, tau: float = 0.0) -> np.ndarray:
+def _exponential_rate(power, tau=0.0) -> np.ndarray:
     """E[log(1 + P g); g >= tau] for unit-mean exponential g, 0 at P = 0:
-    e^{-tau} (log(1 + P tau) + e^{tau + 1/P} E1(tau + 1/P)), elementwise.
+    e^{-tau} (log(1 + P tau) + e^{tau + 1/P} E1(tau + 1/P)), elementwise,
+    with tau broadcast against power.
 
     At tau = 0 it is e^{1/P} E1(1/P), the rate without direct-link
     knowledge: _mgf_log_rate's integral at m = 0, alpha = 1, where
     M(u) = 1 / (1 + u). The on-off scheme's burst rate is tau > 0.
     """
     P = np.asarray(power, dtype=float)
-    out = np.zeros_like(P)
+    tau = np.asarray(tau, dtype=float)
+    # a scalar tau (0 on the capacity paths) stays one: no per-element copy
+    if tau.ndim:
+        P, tau = np.broadcast_arrays(P, tau)
+    out = np.zeros(P.shape)
     pos = P > 0.0
-    out[pos] = np.exp(-tau) * (np.log1p(P[pos] * tau)
-                               + exp_integral_e1(tau + 1.0 / P[pos], scaled=True))
+    P = P[pos]
+    if tau.ndim:
+        tau = tau[pos]
+    out[pos] = np.exp(-tau) * (np.log1p(P * tau)
+                               + exp_integral_e1(tau + 1.0 / P, scaled=True))
     return out
 
 

@@ -72,16 +72,27 @@ def _refine(evaluate, settings):
     at most max(settings.quad_rel_tol * |value|, 1e-12). Returns
     (value, error_estimate), the estimate being the last change; when the
     budget runs out first, the last level comes back with its last change.
+
+    evaluate may return an array. Each element then stops at the first
+    level where it agrees with the one before and keeps that level's value
+    and change; later levels, still computed for the others, leave it as
+    it is. The doubling ends when every element has stopped, and arrays
+    come back as arrays, scalars as floats.
     """
     panels = settings.base_panels
-    prev = None
-    err = np.inf
-    for _ in range(settings.max_refinements + 1):
-        val = evaluate(panels)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= max(settings.quad_rel_tol * abs(val), 1e-12):
-                return val, err
-        prev = val
+    level = evaluate(panels)
+    value, error = level, np.full(np.shape(level), np.inf)
+    done = np.zeros(np.shape(level), dtype=bool)
+    for _ in range(settings.max_refinements):
         panels *= 2
-    return prev, err
+        prev, level = level, evaluate(panels)
+        change = np.abs(level - prev)
+        value = np.where(done, value, level)
+        error = np.where(done, error, change)
+        done = done | (change <= np.maximum(settings.quad_rel_tol * np.abs(level),
+                                            1e-12))
+        if done.all():
+            break
+    if np.ndim(value) == 0:
+        return float(value), float(error)
+    return value, error

@@ -422,6 +422,25 @@ def test_verify_perfect_cross_link_expects_no_outage(tmp_path):
                       "observed": 0.0, "tolerance": 0.0, "pass": True}
 
 
+def test_verify_unknown_direct_link_may_spend_below_budget(tmp_path):
+    # without rescaling, an unknown direct link transmits min(p_avg, cap):
+    # at 20 dB it spends about 28 of 100 by design, which passes the
+    # within-budget inequality and would fail a meets-budget equality
+    cfg = write(tmp_path, BASE.replace("sl_csi = perfect", "sl_csi = none")
+                .replace("cl_csi = none", "cl_csi = perfect")
+                .replace("p_avg_db = 0.0", "p_avg_db = 20.0")
+                .replace("n_samples = 60000", "n_samples = 20000")
+                .replace("seed = 11", "seed = 7"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    records = {r["name"]: r for r in map(
+        json.loads, (out / "verify.jsonl").read_text().splitlines())}
+    power = records["average_power_within_budget"]
+    assert power["pass"] is True
+    assert power["expected"] == 100.0 and power["observed"] < 50.0
+    assert "average_power_meets_budget" not in records
+
+
 def test_corrupt_lambda_hidden_from_help():
     from crcap.cli import _build_parser
     parser = _build_parser()

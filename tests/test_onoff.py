@@ -11,10 +11,11 @@ import pytest
 from scipy import special
 
 from crcap.capacity import ergodic_capacity
-from crcap.fading import CsiKnowledge
+from crcap import onoff, power_allocation
+from crcap.fading import CsiKnowledge, marginal_power_quantile
 from crcap.onoff import OnOffPolicy, on_level, onoff_rate, optimize_threshold
-from crcap import power_allocation
 from crcap.power_allocation import NumericSettings, ScenarioConfig
+from crcap.special_functions import NumericsError
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 PERFECT = CsiKnowledge.perfect()
@@ -227,3 +228,98 @@ def test_threshold_search_builds_the_cap_table_once(monkeypatch):
     power_allocation._cap_table.cache_clear()
     optimize_threshold(cfg)
     assert len(builds) == 1
+
+
+# ----------------------------------------------------------------------
+# batched rates and the threshold search's work
+
+SCAN = np.linspace(0.0, marginal_power_quantile(1.0 - 1e-8), 64)
+
+
+@pytest.mark.parametrize("cl", [NONE, PERFECT, EST], ids=["PN", "PP", "PE"])
+@pytest.mark.parametrize("p_avg", [1.0, 0.01])
+def test_array_rate_equals_scalar_calls_bit_for_bit(cl, p_avg):
+    cfg = scenario(cl, p_avg=p_avg)
+    rates = onoff_rate(SCAN, cfg)
+    assert isinstance(rates, np.ndarray) and rates.shape == SCAN.shape
+    assert [float(r).hex() for r in rates] \
+        == [onoff_rate(float(t), cfg).hex() for t in SCAN]
+    # blocks of the scan give the same bits as the whole scan
+    blocks = np.concatenate([onoff_rate(SCAN[i:i + 16], cfg)
+                             for i in range(0, SCAN.size, 16)])
+    assert [float(r).hex() for r in blocks] == [float(r).hex() for r in rates]
+
+
+@pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP", "PE"])
+def test_scan_covers_thresholds_with_an_empty_tail(cl):
+    # at a low budget the burst stays below every cap for small tau: the
+    # crossing state sits at the top of the state range, so the tail rule
+    # has zero weights; larger tau cross inside it
+    cfg = scenario(cl, p_avg=0.01)
+    capf = power_allocation._cap_field(cfg.cl_csi, cfg.i_peak, cfg.epsilon,
+                                       cfg.numerics)
+    at_top = capf.crossing_state(cfg.p_avg * np.exp(SCAN)) == capf.upper
+    assert at_top[0] and not at_top[-1]
+
+
+def test_exponential_rate_broadcasts_thresholds_like_a_scalar_loop():
+    P = np.array([[0.0, 0.3, 2.0, 1e4], [5.0, 0.0, 1e-3, 40.0],
+                  [1.0, 1.0, 1.0, 0.0]])
+    tau = np.array([0.0, 0.7, 12.0])
+    rates = power_allocation._exponential_rate(P, tau[:, None])
+    loop = [[float(power_allocation._exponential_rate(p, float(t))) for p in row]
+            for row, t in zip(P, tau)]
+    assert [[float(r).hex() for r in row] for row in rates] \
+        == [[r.hex() for r in row] for row in loop]
+    assert rates[0, 0] == rates[1, 1] == rates[2, 3] == 0.0
+
+
+def test_array_rate_rejects_a_negative_element():
+    with pytest.raises(ValueError):
+        onoff_rate(np.array([0.5, -1e-12, 1.0]), scenario(PERFECT))
+    with pytest.raises(ValueError):
+        onoff_rate(np.zeros((2, 2)), scenario(PERFECT))
+
+
+def test_search_rejects_a_scan_of_fewer_than_three_points():
+    with pytest.raises(ValueError):
+        optimize_threshold(scenario(NONE), scan_points=2)
+
+
+@pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP@0dB", "PE@0dB"])
+def test_search_makes_one_batched_scan_and_a_short_polish(cl, monkeypatch):
+    # 4 scan blocks of 16 thresholds, then Brent's steps; a scalar scan with
+    # golden-section polishing made 114 calls here
+    calls = []
+
+    def counting(tau, config):
+        calls.append(np.size(tau))
+        return onoff_rate(tau, config)
+
+    monkeypatch.setattr(onoff, "onoff_rate", counting)
+    optimize_threshold(scenario(cl).replace(numerics=NumericSettings()))
+    assert calls[:4] == [16, 16, 16, 16]
+    assert set(calls[4:]) == {1}
+    assert len(calls) <= 32
+
+
+def test_polish_finds_a_smooth_and_a_kinked_maximum():
+    calls = []
+
+    def smooth(x):
+        calls.append(x)
+        return -(x - 0.3) ** 2
+
+    x, fx = onoff._polish(smooth, 0.0, 1.0)
+    # the parabola through three points is exact: a few steps suffice
+    assert x == pytest.approx(0.3, abs=1e-8) and fx == smooth(x)
+    assert len(calls) <= 12
+    # a kink (the burst meeting a constant cap) is found to the bracket
+    x, fx = onoff._polish(lambda t: -abs(t - 0.3), 0.0, 1.0)
+    assert abs(x - 0.3) <= 1e-10 and fx == -abs(x - 0.3)
+
+
+def test_polish_out_of_steps_raises(monkeypatch):
+    monkeypatch.setattr(onoff, "_POLISH_STEPS", 3)
+    with pytest.raises(NumericsError):
+        optimize_threshold(scenario(PERFECT))

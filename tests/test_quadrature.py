@@ -110,6 +110,30 @@ def test_refine_without_refinements_has_no_error_estimate():
     assert val == 0.7 and err == math.inf
 
 
+def test_refine_array_elements_stop_at_their_own_level():
+    # element 0 agrees at the second level, element 1 at the third, and
+    # element 2 never: each keeps its own stopping level's value and change
+    levels = [np.array([1.0, 1.0, 1.0]),
+              np.array([1.0 + 1e-9, 2.0, 2.0]),
+              np.array([7.0, 2.0 + 1e-8, 3.0]),
+              np.array([9.0, 9.0, 4.0])]
+    evaluate, calls = _recorded(levels)
+    ns = NumericSettings(quad_rel_tol=1e-7, base_panels=2, max_refinements=3)
+    val, err = _refine(evaluate, ns)
+    assert calls == [2, 4, 8, 16]
+    np.testing.assert_array_equal(val, [1.0 + 1e-9, 2.0 + 1e-8, 4.0])
+    np.testing.assert_array_equal(err, [abs((1.0 + 1e-9) - 1.0),
+                                        abs((2.0 + 1e-8) - 2.0), 1.0])
+
+
+def test_refine_array_stops_when_every_element_agrees():
+    evaluate, calls = _recorded([np.array([1.0, 3.0]), np.array([1.0, 3.0]), None])
+    val, err = _refine(evaluate, NumericSettings(base_panels=4))
+    assert calls == [4, 8]
+    np.testing.assert_array_equal(val, [1.0, 3.0])
+    np.testing.assert_array_equal(err, [0.0, 0.0])
+
+
 # values of the refinement loops that _refine replaced, keyed by
 # (epsilon, i_peak): the average-power threshold (no absolute floor), the
 # high-budget asymptote (_refine itself) and onoff_rate at tau = 0.7 under
