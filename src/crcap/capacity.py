@@ -3,17 +3,19 @@ high-budget limits and parameter sweeps.
 
 capacity = E[ log(1 + P(states) * g_direct) ] in nats per channel use,
 averaged over both links' fading, with P the policy from
-power_allocation.solve_lambda. Expectations of min-of-two-components are
-split at the crossing state so every quadrature piece is smooth; the
-whole evaluation is repeated with doubled panel counts until two levels
-agree, and the last change is reported as the error estimate. With
-perfect knowledge of both links, the integral over the cross state above
-the crossing has a closed form in E1 (_CapField.rate_tail), so only the
-direct-link axis is a quadrature.
+power_allocation.solve_lambda. The cap table (_CapField) averages over
+the cross state: expect splits each cell's rate at its crossing state so
+every quadrature piece is smooth, saturated_mean takes the rate at the
+cap alone. The whole evaluation is repeated with doubled panel counts
+until two levels agree, and the last change is reported as the error
+estimate. With perfect knowledge of both links, the integral over the
+cross state above the crossing has a closed form in E1
+(_CapField.rate_tail), so only the direct-link axis is a quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -24,9 +26,7 @@ from .power_allocation import (
     PowerPolicy,
     ScenarioConfig,
     _bisect,
-    _CapField,
     _cap_field,
-    _expected_capped,
     _exponential_rate,
     _sl_grid,
     solve_lambda,
@@ -58,30 +58,21 @@ class CapacityResult:
     quadrature_error_estimate: float
 
 
-def _saturated_value(capf: _CapField, panels: int) -> float:
-    """E[log(1 + cap * g)] with g the marginal direct gain.
-
-    Valid for any direct-link knowledge: at saturation the policy ignores
-    the direct link, so the estimate layer integrates out.
-    """
-    if capf.is_constant:
-        return float(_exponential_rate(capf.constant))
-    t, wt = capf.full_rule(panels)
-    return float(wt @ _exponential_rate(capf.cap(t)))
-
-
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
+    """The capacity at one panel count. At saturation E[log(1 + cap g)]
+    for the marginal direct gain g: the policy ignores the direct link."""
     capf = policy._capf
     if policy.regime == "saturated":
-        return _saturated_value(capf, panels)
+        return capf.saturated_mean(_exponential_rate, panels)
     sl, A = policy._grid(panels)
     if capf.level is CsiLevel.PERFECT and sl.csi.level is CsiLevel.PERFECT:
         # the cross state integrates in closed form at each cell's gain
-        t_star = capf.crossing_state(A)
-        tail = capf.rate_tail(t_star, sl.state)
-        return float(sl.w @ (sl.rate_cells(A) * capf.cdf(t_star) + tail))
-    return _expected_capped(A, sl.w, capf, panels, sl.rate_cells,
-                            blocks=sl.rows_separable)
+        def tail(t_star, rows):
+            return capf.rate_tail(t_star, sl.state[rows])
+    else:
+        tail = functools.partial(capf.tail_sum, f=sl.rate_cells, panels=panels,
+                                 blocks=sl.rows_separable)
+    return float(sl.w @ capf.expect(A, sl.rate_cells, tail))
 
 
 def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
@@ -132,7 +123,7 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
-    return _refine(lambda p: _saturated_value(capf, p), ns)[0]
+    return _refine(lambda p: capf.saturated_mean(_exponential_rate, p), ns)[0]
 
 
 def capacity_sweep(config: ScenarioConfig, param: str,

@@ -234,9 +234,11 @@ def load_config(path: str) -> RunConfig:
     out = {**_DEFAULTS["output"], **values.get("output", {})}
     if str(out["format"]).strip().lower() != "csv":
         raise ConfigError(f"output.format must be csv, got {out['format']!r}")
-    n_samples = int(mc["n_samples"])
+    n_samples, seed = int(mc["n_samples"]), int(mc["seed"])
     if n_samples < 1000:
         raise ConfigError("monte_carlo.n_samples must be at least 1000")
+    if seed < 0:
+        raise ConfigError("monte_carlo.seed must be nonnegative")
 
     echo: List[Tuple[str, str]] = [
         ("scenario.sl_csi", sl.describe()),
@@ -252,14 +254,14 @@ def load_config(path: str) -> RunConfig:
     for f in dataclasses.fields(NumericSettings):
         echo.append((f"numerics.{f.name}", f"{getattr(numerics, f.name):.10g}"))
     echo.append(("monte_carlo.n_samples", str(n_samples)))
-    echo.append(("monte_carlo.seed", str(int(mc["seed"]))))
+    echo.append(("monte_carlo.seed", str(seed)))
 
     return RunConfig(
         scenario=scenario,
         sweep_axis=sweep_axis,
         sweep_grid=sweep_grid,
         n_samples=n_samples,
-        seed=int(mc["seed"]),
+        seed=seed,
         include_capacity=bool(out["include_capacity"]),
         plot_script=bool(out["plot_script"]),
         echo=echo,
@@ -518,7 +520,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         run = load_config(args.config)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {out_dir}: {exc}") from exc
         if args.threads < 1:
             raise ConfigError("--threads must be positive")
         if args.command == "verify":

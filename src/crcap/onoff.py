@@ -14,8 +14,10 @@ evaluated through the scaled exponential integral so large 1/P and large
 tau never overflow (power_allocation._exponential_rate, which at tau = 0
 is also the rate without direct-link knowledge).
 
-onoff_rate takes one threshold or a 1-D array of them; each element of
-an array is refined on its own and equals its scalar call bit for bit.
+The cross-link average splits at the crossing state once per call and
+refines only the part above it (_CapField.tail_sum). onoff_rate takes
+one threshold or a 1-D array of them; each element of an array is
+refined on its own and equals its scalar call bit for bit.
 optimize_threshold scans _SCAN_POINTS thresholds, _SCAN_BLOCK per array
 call, then polishes inside the best scan bracket with Brent's localmin
 until the bracket [a, b] is at most 1e-10 * max(1, b) wide.
@@ -80,17 +82,12 @@ class OnOffPolicy:
     def cl_state_kind(self) -> str:
         return self.config.cl_csi.state_kind
 
-    def on_power(self, cl_state=None):
-        """The burst power for the given cross-link states."""
-        return on_level(self.tau, cl_state, self.config)
-
     def power(self, sl_state=None, cl_state=None):
         """Transmit power per sample: the on-level above tau, else 0."""
         if sl_state is None:
             raise ValueError("the on-off rule needs the true direct gain")
         g = np.asarray(sl_state, dtype=float)
-        p_on = self.on_power(cl_state)
-        out = np.where(g >= self.tau, p_on, 0.0)
+        out = np.where(g >= self.tau, on_level(self.tau, cl_state, self.config), 0.0)
         return out if out.ndim else float(out)
 
 
@@ -114,8 +111,8 @@ def onoff_rate(tau, config: ScenarioConfig):
     tau is a scalar (the rate comes back as a float) or a 1-D array of
     thresholds (an array of rates, each equal to its own scalar call).
     The direct-link average is closed form; the cross-link average uses
-    the same split-at-the-crossing quadrature as the capacity integrals,
-    refined per threshold until two panel resolutions agree.
+    the cap table's quadrature tail, as the capacity does, refined per
+    threshold until two panel resolutions agree.
     """
     _require_perfect_direct(config)
     taus = np.asarray(tau, dtype=float)
@@ -132,11 +129,15 @@ def onoff_rate(tau, config: ScenarioConfig):
     else:
         t_star = capf.crossing_state(budget)
         head = capf.cdf(t_star) * _exponential_rate(budget, t)
+        live = np.flatnonzero(t_star < capf.upper)
+
+        def burst_rate(P, rows):
+            return _exponential_rate(P, t[rows, None])
 
         def evaluate(panels: int) -> np.ndarray:
-            nodes, wt = capf.tail_rule(t_star, panels)
-            tail = wt * _exponential_rate(capf.cap(nodes), t[:, None])
-            return head + tail.sum(axis=1)
+            rates = head.copy()
+            rates[live] += capf.tail_sum(t_star[live], live, burst_rate, panels)
+            return rates
 
         rates = _refine(evaluate, ns)[0]
     return rates if taus.ndim else float(rates[0])

@@ -42,13 +42,15 @@ conditional rate and log-rate are trapezoid sums in log s of closed-form
 MGF terms (_mgf_log_rate, _mgf_rate), so no density is evaluated on the
 solve or capacity paths; the capacity samples every cell's log-rate at
 the same powers on one lattice in u = s P (_mgf_lattice) and
-interpolates in log P. Expectations of min(a, cap(t)) are split at the
-crossing state where the cap equals a, so each quadrature piece is
-smooth and converges spectrally; see _CapField.crossing_state. The part
-above the crossing, the cap tail integral, depends on the crossing state
-alone, so each cap table integrates it once into a cumulative table and
-the average-power equation reads it off (_CapField.capped_mean): a
-multiplier trial costs one Gauss-Legendre panel per direct-link cell.
+interpolates in log P. Every expectation over the cross-link state
+belongs to the cap table _CapField: E[f(min(a, cap(t)))] is split at the
+crossing state where the cap equals a (expect), so each quadrature piece
+is smooth and converges spectrally, and E[f(cap(t))] runs over all states
+(saturated_mean). The power's part above the crossing depends on the
+crossing state alone, so each cap table integrates it once into a
+cumulative table and the average-power equation reads it off
+(capped_mean): a multiplier trial costs one Gauss-Legendre panel per
+direct-link cell. A rate's part is a quadrature (tail_sum).
 """
 
 from __future__ import annotations
@@ -439,16 +441,11 @@ def _exponential_rate(power, tau=0.0) -> np.ndarray:
     knowledge: _mgf_log_rate's integral at m = 0, alpha = 1, where
     M(u) = 1 / (1 + u). The on-off scheme's burst rate is tau > 0.
     """
-    P = np.asarray(power, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    # a scalar tau (0 on the capacity paths) stays one: no per-element copy
-    if tau.ndim:
-        P, tau = np.broadcast_arrays(P, tau)
+    P, tau = np.broadcast_arrays(np.asarray(power, dtype=float),
+                                 np.asarray(tau, dtype=float))
     out = np.zeros(P.shape)
     pos = P > 0.0
-    P = P[pos]
-    if tau.ndim:
-        tau = tau[pos]
+    P, tau = P[pos], tau[pos]
     out[pos] = np.exp(-tau) * (np.log1p(P * tau)
                                + exp_integral_e1(tau + 1.0 / P, scaled=True))
     return out
@@ -729,11 +726,11 @@ class _CapField:
     """Interference cap as a function of the cross-link conditioning state.
 
     Exposes the cap, the state distribution, the crossing state where the
-    cap equals a given level, quadrature rules over the state, and the
-    capped mean E[min(a, cap)]. For estimated knowledge the conditional
-    quantile is tabulated once on a dense grid and evaluated through
-    monotone (PCHIP) interpolation; the exact quantile stays available
-    through interference_power_cap.
+    cap equals a given level, and every expectation over the state: of
+    f(min(a, cap)) split there (expect) and of f(cap) (saturated_mean).
+    For estimated knowledge the conditional quantile is tabulated once on
+    a dense grid and evaluated through monotone (PCHIP) interpolation;
+    the exact quantile stays available through interference_power_cap.
 
     The cap tail G(s) = integral of cap(t) p(t) over [s, upper] is
     tabulated once as well, at knots where cap is smooth in between: the
@@ -783,18 +780,15 @@ class _CapField:
     def is_constant(self) -> bool:
         return self.level is CsiLevel.NONE
 
-    def quantile_of_state(self, t):
-        """Denominator of the cap: the (1 - epsilon) gain quantile at state t."""
-        t = np.asarray(t, dtype=float)
-        if self.level is CsiLevel.PERFECT:
-            return np.maximum(t, _GAIN_FLOOR)
-        return np.clip(self._q_of_m(np.clip(t, 0.0, self.upper)),
-                       self._q_lo, None)
-
     def cap(self, t):
+        """i_peak over the (1 - epsilon) gain quantile at state t."""
+        t = np.asarray(t, dtype=float)
         if self.is_constant:
-            return np.full(np.asarray(t, dtype=float).shape, self.constant)
-        return self.i_peak / self.quantile_of_state(t)
+            return np.full(t.shape, self.constant)
+        if self.level is CsiLevel.PERFECT:
+            return self.i_peak / np.maximum(t, _GAIN_FLOOR)
+        return self.i_peak / np.clip(self._q_of_m(np.clip(t, 0.0, self.upper)),
+                                     self._q_lo, None)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -831,22 +825,6 @@ class _CapField:
         nodes, w = panel_rule_batch(t_star, self.upper, panels,
                                     self.settings.quad_points, spacing=spacing)
         return nodes, w * self.pdf(nodes)
-
-    def full_rule(self, panels: int):
-        """Rule for E over the whole state range; weights include pdf.
-
-        With perfect knowledge the cap blows up like 1/t at t -> 0, so the
-        state is integrated on a log-spaced grid from a tiny floor; the
-        neglected head [0, floor] carries O(floor * log) mass.
-        """
-        pts = self.settings.quad_points
-        if self.level is CsiLevel.PERFECT:
-            y_edges = np.linspace(np.log(1e-13), np.log(self.upper),
-                                  max(panels, 6) + 1)
-            y, wy = panel_rule(y_edges, pts)
-            t = np.exp(y)
-            return t, wy * t * fading.marginal_power_pdf(t)
-        return _exp_rule(1.0 - self.csi.alpha, panels, pts, self.settings.tail_mass)
 
     def _panel_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """One Gauss-Legendre panel of cap * pdf over each [lo_j, hi_j]."""
@@ -890,29 +868,71 @@ class _CapField:
         return np.where(a < self.upper,
                         primitive(self.upper) - primitive(b) + sliver, 0.0)
 
+    def expect(self, A: np.ndarray, f, tail) -> np.ndarray:
+        """E over states t of f_j(min(A_j, cap(t))), per row j of the 1-D A.
+
+        f(P, rows) evaluates f_j for the rows (a slice or an index array)
+        at powers P shaped (J,) or (J, K). Split at each crossing state
+        t*_j: f_j(A_j) F(t*_j) below it, and above it tail(t*[rows], rows)
+        for the rows whose t* lies below upper: tail_integral, rate_tail or
+        tail_sum. A constant cap needs no split: f(min(A, cap)).
+        """
+        if self.is_constant:
+            return f(np.minimum(A, self.constant), slice(None))
+        t_star = self.crossing_state(A)
+        head = f(A, slice(None)) * self.cdf(t_star)
+        above = np.zeros_like(head)
+        rows = np.flatnonzero(t_star < self.upper)
+        above[rows] = tail(t_star[rows], rows)
+        return head + above
+
+    def tail_sum(self, t_star: np.ndarray, rows: np.ndarray, f, panels: int,
+                 blocks: bool = True) -> np.ndarray:
+        """expect's tail by quadrature: per row, the sum of wt f(cap(nodes),
+        rows) over tail_rule's nodes above its t*, in blocks of rows so no
+        intermediate outgrows _CHUNK_ELEMS elements. A row's sum does not
+        depend on its block. blocks=False hands f every row at once, for
+        an f whose rows are not independent (_SlGrid.rows_separable).
+        """
+        out = np.empty(rows.size)
+        step = max(1, rows.size)
+        if blocks:
+            step = max(1, _CHUNK_ELEMS // (panels * self.settings.quad_points))
+        for s in range(0, rows.size, step):
+            nodes, wt = self.tail_rule(t_star[s:s + step], panels)
+            out[s:s + step] = (wt * f(self.cap(nodes), rows[s:s + step])).sum(axis=1)
+        return out
+
     def capped_mean(self, a):
-        """E over states of min(a, cap(t)), per level in a.
-
-        Split at the crossing state t*: a F(t*) below it, G(t*) above.
-        """
+        """E over states of min(a, cap(t)), per level in a (any shape):
+        a F(t*) below the crossing state, G(t*) from the table above it."""
         a = np.asarray(a, dtype=float)
-        if self.is_constant:
-            return np.minimum(a, self.constant)
-        t_star = self.crossing_state(a)
-        return a * self.cdf(t_star) + self.tail_integral(t_star)
+        mean = self.expect(a.ravel(), lambda P, rows: P,
+                           lambda t_star, rows: self.tail_integral(t_star))
+        return mean.reshape(a.shape)
 
-    def mean_cap(self, panels: int) -> float:
-        """E[cap] over the truncated state grid.
+    def saturated_mean(self, f, panels: int) -> float:
+        """E[f(cap(t))] over the truncated states; with f = identity the
+        mean cap, the saturation threshold.
 
-        With perfect knowledge the untruncated mean is infinite (the cap
-        grows like 1/t near a vanishing cross gain); this value is the
-        finite amount the policy can actually spend on the truncated
-        states, which is what the saturation decision needs.
+        With perfect knowledge the cap blows up like 1/t at t -> 0, so the
+        state is integrated on a log-spaced grid from a tiny floor; the
+        neglected head [0, floor] carries O(floor * log) mass, and the mean
+        cap is the finite amount the policy can spend on the rest.
         """
         if self.is_constant:
-            return float(self.constant)
-        t, w = self.full_rule(panels)
-        return float(w @ self.cap(t))
+            return float(f(self.constant))
+        pts = self.settings.quad_points
+        if self.level is CsiLevel.PERFECT:
+            y_edges = np.linspace(np.log(1e-13), np.log(self.upper),
+                                  max(panels, 6) + 1)
+            y, wy = panel_rule(y_edges, pts)
+            t = np.exp(y)
+            w = wy * t * fading.marginal_power_pdf(t)
+        else:
+            t, w = _exp_rule(1.0 - self.csi.alpha, panels, pts,
+                             self.settings.tail_mass)
+        return float(w @ f(self.cap(t)))
 
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
@@ -933,43 +953,6 @@ def _cap_field(csi: CsiKnowledge, i_peak: float, epsilon: float,
     """
     with _CAP_LOCK:
         return _cap_table(csi, i_peak, epsilon, settings)
-
-
-def _expected_capped(A: np.ndarray, w: np.ndarray, capf: _CapField, panels: int,
-                     f, blocks: bool = True) -> float:
-    """E over cells j (weights w) and cross states t of f_j(min(A_j, cap(t))).
-
-    f(P, rows) evaluates f_j for the cells rows (a slice or an index
-    array) at their powers P, shaped (J,) or (J, K); a rate gives the
-    capacity (the expected power needs no f: _CapField.capped_mean). Split
-    at each cell's crossing state t*_j: the head is f_j(A_j) F(t*_j), the
-    tail sum wt f_j(cap(nodes)) over tail_rule's nodes. A row with t*_j at
-    upper has an empty tail (all weights 0) and is skipped; the others are
-    built a block at a time so no intermediate outgrows _CHUNK_ELEMS
-    elements. Each row's sum is the same however rows are grouped, so the
-    value does not depend on the block size. blocks=False hands f every
-    live row at once, for an f whose rows are not independent
-    (_SlGrid.rows_separable).
-
-    The capacity uses this rule for every pair but one: with perfect
-    knowledge of both links the tail has a closed form instead
-    (_CapField.rate_tail). A cross link without knowledge has a constant
-    cap and needs no rule.
-    """
-    if capf.is_constant:
-        return float(w @ f(np.minimum(A, capf.constant), slice(None)))
-    t_star = capf.crossing_state(A)
-    head = f(A, slice(None)) * capf.cdf(t_star)
-    tail = np.zeros_like(head)
-    live = np.flatnonzero(t_star < capf.upper)
-    step = max(1, live.size)
-    if blocks:
-        step = max(1, _CHUNK_ELEMS // (panels * capf.settings.quad_points))
-    for s in range(0, live.size, step):
-        rows = live[s:s + step]
-        nodes, wt = capf.tail_rule(t_star[rows], panels)
-        tail[rows] = (wt * f(capf.cap(nodes), rows)).sum(axis=1)
-    return float(w @ (head + tail))
 
 
 # ----------------------------------------------------------------------
@@ -1060,7 +1043,7 @@ class PowerPolicy:
         cfg = self.config
         panels = panels or cfg.numerics.base_panels * 2
         if self.regime == "saturated":
-            return self._capf.mean_cap(panels)
+            return self._capf.saturated_mean(lambda c: c, panels)
         sl, A = self._grid(panels)
         return float(sl.w @ self._capf.capped_mean(A))
 
@@ -1120,11 +1103,9 @@ def average_power_threshold(config: ScenarioConfig) -> float:
     level.
     """
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
-    if capf.is_constant:
-        return float(capf.constant)
     if capf.level is CsiLevel.PERFECT:
         return np.inf
-    return _refine(capf.mean_cap, config.numerics)[0]
+    return _refine(lambda p: capf.saturated_mean(lambda c: c, p), config.numerics)[0]
 
 
 def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
@@ -1151,7 +1132,8 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     p_star = average_power_threshold(config)
     panels = ns.base_panels * 2
-    p_star_numeric = p_star if np.isfinite(p_star) else capf.mean_cap(panels)
+    p_star_numeric = (p_star if np.isfinite(p_star)
+                      else capf.saturated_mean(lambda c: c, panels))
     if config.p_avg >= min(p_star, p_star_numeric):
         return PowerPolicy(config, 0.0, "saturated", p_star, capf)
 

@@ -427,6 +427,14 @@ def test_rate_tail_matches_40_digit_mpmath():
     assert np.array_equal(beyond, [0.0, 0.0])
 
 
+def _cross_state_rule(capf, sl, A, panels, blocks=True):
+    """The capacity at panels with the cross state above each crossing
+    integrated by the cells x cross nodes rule (_CapField.tail_sum)."""
+    def tail(t_star, rows):
+        return capf.tail_sum(t_star, rows, sl.rate_cells, panels, blocks=blocks)
+    return float(sl.w @ capf.expect(A, sl.rate_cells, tail))
+
+
 @pytest.mark.parametrize("code, p_avg_db", [("PP", 0.0), ("PP", 13.0), ("PP", 22.5)])
 def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
     # the closed form against the cells x cross nodes rule it replaced,
@@ -439,8 +447,7 @@ def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
         panels = ns.base_panels * 2 ** level
         sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
         A = sl.budget_component(pol.lam)
-        rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
-                                                 sl.rate_cells)
+        rule = _cross_state_rule(pol._capf, sl, A, panels)
         assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=0.0,
                                                                    abs=1e-13)
 
@@ -476,9 +483,8 @@ def test_estimated_links_keep_the_cross_state_rule(code, p_avg_db):
     for panels in (ns.base_panels, 2 * ns.base_panels):
         sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
         A = sl.budget_component(pol.lam)
-        rule = power_allocation._expected_capped(A, sl.w, pol._capf, panels,
-                                                 sl.rate_cells,
-                                                 blocks=sl.rows_separable)
+        rule = _cross_state_rule(pol._capf, sl, A, panels,
+                                 blocks=sl.rows_separable)
         assert capacity._capacity_at(pol, panels) == rule
 
 

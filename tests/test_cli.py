@@ -146,8 +146,9 @@ _P_AVG_REASON = "p_avg must be positive and finite"
     (_sweep_of("snr", 0.0, 1.0), "unknown sweep axis 'snr'"),
     (_sweep_of("p_avg", 0.0, 4000.0), "bad sweep point p_avg = 4000: " + _P_AVG_REASON),
     (BASE.replace("p_avg_db = 0.0", "p_avg_db = 4000"), "bad scenario: " + _P_AVG_REASON),
+    (BASE.replace("seed = 11", "seed = -1"), "monte_carlo.seed must be nonnegative"),
 ], ids=["epsilon-start-0", "epsilon-stop-1", "unknown-axis", "p_avg-stop-4000",
-        "scenario-p_avg_db-4000"])
+        "scenario-p_avg_db-4000", "monte_carlo-seed-negative"])
 def test_out_of_domain_sweep_value_is_config_error(tmp_path, capsys, text, reason):
     # every grid value goes through the scenario's own axis map and checks
     # when the config loads, so no sweep dies halfway with a traceback; a
@@ -466,6 +467,13 @@ def test_bad_threads_is_config_error(tmp_path):
     cfg = write(tmp_path, BASE)
     assert main(["capacity", "--config", cfg, "--out", str(tmp_path),
                  "--threads", "0"]) == EXIT_CONFIG_ERROR
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, BASE)
+    assert main(["verify", "--config", cfg, "--out", cfg]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use --out ") and err.count("\n") == 1
 
 
 def test_map_grid_strict_aborts_with_machine_readable_record():

@@ -262,6 +262,31 @@ def test_scan_covers_thresholds_with_an_empty_tail(cl):
     assert at_top[0] and not at_top[-1]
 
 
+@pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP", "PE"])
+def test_tail_quadrature_skips_thresholds_with_an_empty_tail(cl, monkeypatch):
+    # the cross-state quadrature sees only thresholds whose crossing state
+    # lies below upper, at every panel level, and skipping the others
+    # leaves each rate equal to its scalar call bit for bit
+    cfg = scenario(cl, p_avg=0.01)
+    capf = power_allocation._cap_field(cfg.cl_csi, cfg.i_peak, cfg.epsilon,
+                                       cfg.numerics)
+    live = capf.crossing_state(cfg.p_avg * np.exp(SCAN)) < capf.upper
+    seen = []
+    tail_sum = power_allocation._CapField.tail_sum
+
+    def spy(self, t_star, rows, f, panels, blocks=True):
+        assert t_star.shape == rows.shape and np.all(t_star < self.upper)
+        seen.append(rows.size)
+        return tail_sum(self, t_star, rows, f, panels, blocks)
+
+    monkeypatch.setattr(power_allocation._CapField, "tail_sum", spy)
+    rates = onoff_rate(SCAN, cfg)
+    assert 0 < live.sum() < SCAN.size
+    assert seen and set(seen) == {live.sum()}
+    assert [float(r).hex() for r in rates] \
+        == [onoff_rate(float(t), cfg).hex() for t in SCAN]
+
+
 def test_exponential_rate_broadcasts_thresholds_like_a_scalar_loop():
     P = np.array([[0.0, 0.3, 2.0, 1e4], [5.0, 0.0, 1e-3, 40.0],
                   [1.0, 1.0, 1.0, 0.0]])

@@ -1150,7 +1150,8 @@ def test_expected_capped_power_closed_form_perfect_cross():
 @pytest.mark.parametrize("chunk, blocks", [(480, True), (10 ** 12, True), (480, False)])
 def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
     # a row whose crossing state is at upper has an empty tail (all weights
-    # 0): f never sees it, and leaving it out changes no bit of the value
+    # 0): neither expect's tail nor f sees it, and leaving it out changes
+    # no bit of the value
     monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", chunk)
     capf = power_allocation._cap_field(cl, 10.0, 0.05, NumericSettings())
     g = np.linspace(0.1, 3.0, 12)
@@ -1168,7 +1169,11 @@ def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
         state = g[rows]
         return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
 
-    value = power_allocation._expected_capped(A, w, capf, 8, f, blocks=blocks)
+    def tail(t_star, rows):
+        assert t_star.shape == rows.shape and np.all(t_star < capf.upper)
+        return capf.tail_sum(t_star, rows, f, 8, blocks=blocks)
+
+    value = float(w @ capf.expect(A, f, tail))
     assert np.array_equal(np.sort(np.concatenate(seen)), live)
     nodes, wt = capf.tail_rule(t_star, 8)
     every_row = f(A, slice(None)) * capf.cdf(t_star) \
@@ -1179,8 +1184,7 @@ def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
     seen.clear()
     A = np.where(np.arange(12) % 2, 0.0, 1e-12)
     head = f(A, slice(None)) * capf.cdf(capf.crossing_state(A))
-    assert power_allocation._expected_capped(A, w, capf, 8, f, blocks=blocks) \
-        == float(w @ head)
+    assert float(w @ capf.expect(A, f, tail)) == float(w @ head)
     assert seen == []
 
 
