@@ -6,11 +6,15 @@ averaged over both links' fading, with P the policy from
 power_allocation.solve_lambda. The cap table (_CapField) averages over
 the cross state: expect splits each cell's rate at its crossing state so
 every quadrature piece is smooth, saturated_mean takes the rate at the
-cap alone. The whole evaluation is repeated with doubled panel counts
-until two levels agree, and the last change is reported as the error
-estimate. With perfect knowledge of both links, the integral over the
-cross state above the crossing has a closed form in E1
-(_CapField.rate_tail), so only the direct-link axis is a quadrature.
+cap alone. Above the crossings the cross state runs on one grid shared
+by every direct-link cell (_CapField.shared_tail), so the cap and the
+rates' shared powers are evaluated once per node, and each cell adds one
+panel of its own from its crossing. The whole evaluation is repeated
+with doubled panel counts until two levels agree, and the last change is
+reported as the error estimate. With perfect knowledge of both links,
+the integral over the cross state above the crossing has a closed form
+in E1 (_CapField.rate_tail), so only the direct-link axis is a
+quadrature.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
         def tail(t_star, rows):
             return capf.rate_tail(t_star, sl.state[rows])
     else:
-        tail = functools.partial(capf.tail_sum, f=sl.rate_cells, panels=panels,
-                                 blocks=sl.rows_separable)
+        tail = functools.partial(capf.shared_tail, sums=sl.rate_sums, panels=panels)
     return float(sl.w @ capf.expect(A, sl.rate_cells, tail))
 
 

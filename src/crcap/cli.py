@@ -518,14 +518,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every argument is checked before anything is created on disk
         run = load_config(args.config)
+        if args.threads < 1:
+            raise ConfigError("--threads must be positive")
         out_dir = args.out
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use --out {out_dir}: {exc}") from exc
-        if args.threads < 1:
-            raise ConfigError("--threads must be positive")
         if args.command == "verify":
             return cmd_verify(run, out_dir, args.threads, args.strict,
                               corrupt_lambda=args.corrupt_lambda)

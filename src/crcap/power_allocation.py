@@ -50,7 +50,9 @@ is smooth and converges spectrally, and E[f(cap(t))] runs over all states
 crossing state alone, so each cap table integrates it once into a
 cumulative table and the average-power equation reads it off
 (capped_mean): a multiplier trial costs one Gauss-Legendre panel per
-direct-link cell. A rate's part is a quadrature (tail_sum).
+direct-link cell. The capacity's rate part is a quadrature on one grid
+shared by the direct-link cells (shared_tail, with _SlGrid.rate_sums),
+the on-off rate's one rule per threshold (tail_sum).
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def rate_integral(power, m: float, alpha: float,
     With n panels the edges are 0 and hi * 1e-14**(1 - k/n), k = 1..n,
     up to the support bound hi: graded geometrically towards 0, so the
     layer g <~ 1/P, where g / (1 + P g) turns from linear to flat, is
-    resolved at every power. n starts at 8, about two decades a panel:
+    resolved at every power. hi leaves out a g-weighted tail below
+    tail_mass 1e-2 of m + alpha. n starts at 8, about two decades a panel:
     from fewer panels a doubling only splits the negligible bottom panel
     and can agree with itself at the wrong value. Doubling n stops when
     every value changes by at most 1e-11 of itself.
@@ -241,7 +244,14 @@ def rate_integral(power, m: float, alpha: float,
     p_arr = np.asarray(power, dtype=float)
     if np.any(p_arr < 0.0):
         raise ValueError("power must be nonnegative")
-    hi = fading.conditional_support_bound(m, alpha, settings.tail_mass * 1e-2)
+    # the integrand carries g, and the states above a truncation point hi
+    # have mean about hi + alpha: leaving out the probability
+    # q (m + alpha) / (2 (hi + alpha)) keeps the g-weighted tail below
+    # q (m + alpha), q = tail_mass 1e-2, the same share of r(0) = m + alpha
+    q = settings.tail_mass * 1e-2
+    hi = fading.conditional_support_bound(m, alpha, q)
+    hi = fading.conditional_support_bound(m, alpha,
+                                          q * (m + alpha) / (2.0 * (hi + alpha)))
     p_flat = np.atleast_1d(p_arr).ravel()
 
     def integrand(g):
@@ -505,41 +515,40 @@ def _mgf_log_rate_shared(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarr
     return out
 
 
-def _rate_rows_log_power(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarray:
-    """_mgf_log_rate(m, alpha, P) through a Chebyshev interpolant in
-    u = log P, one per row.
+def _log_rate_sums(m: np.ndarray, alpha: float, shared, own):
+    """_SlGrid.rate_sums for estimated knowledge: the rates
+    _mgf_log_rate(m, alpha, .) through a Chebyshev interpolant in u = log P.
 
     Every row is sampled at the same L Chebyshev powers spanning log P
-    over all positive powers, half-width at least 1e-3, on one lattice
-    (_mgf_log_rate_shared), and interpolated at its K powers with the
-    barycentric formula. L comes from that span (_chebyshev_points_needed);
-    the direct sum takes over when L would reach K. Zero powers rate
-    exactly 0 and do not widen the span. The passes over P run in blocks
-    of rows, so only P and the result span all J rows."""
-    J, K = P.shape
-    rows = max(1, _CHUNK_ELEMS // K)
-    p_hi = float(P.max())
-    if p_hi <= 0.0:
-        return np.zeros((J, K))
-    u_lo = min(np.log(P[s:s + rows].min(initial=np.inf, where=P[s:s + rows] > 0.0))
-               for s in range(0, J, rows))
-    centre, half = 0.5 * (u_lo + np.log(p_hi)), max(0.5 * (np.log(p_hi) - u_lo), 1e-3)
-    L = _chebyshev_points_needed(half)
-    if L >= K:
-        return _mgf_log_rate(m, alpha, P)
-    k = np.arange(L)
-    x_nodes = np.cos(np.pi * k / (L - 1))
+    over all powers given, half-width at least 1e-3, on one lattice
+    (_mgf_log_rate_shared); L comes from that span
+    (_chebyshev_points_needed). The panel sums are one einsum of the
+    samples with the barycentric matrix of the shared powers, weighted
+    and summed over each panel in advance; einsum sums each row in an
+    order that does not depend on the block, BLAS matmul does not. Each
+    row's own powers go through _barycentric_rows. Both barycentric
+    passes run in blocks of _CHUNK_ELEMS terms.
+    """
+    (P, w), (Q, v) = shared, own
+    u_lo, u_hi = np.log(min(P.min(), Q.min())), np.log(max(P.max(), Q.max()))
+    centre, half = 0.5 * (u_lo + u_hi), max(0.5 * (u_hi - u_lo), 1e-3)
+    k = np.arange(_chebyshev_points_needed(half))
+    x_nodes = np.cos(np.pi * k / (k.size - 1))
     bary = np.where(k % 2, -1.0, 1.0)
     bary[[0, -1]] *= 0.5
     f = _mgf_log_rate_shared(m, alpha, np.exp(centre + half * x_nodes))
-    out = np.empty((J, K))
-    chunk = max(1, _CHUNK_ELEMS // (K * L))
-    for s in range(0, J, chunk):
-        e = min(s + chunk, J)
-        pos = P[s:e] > 0.0
-        x = (np.where(pos, np.log(np.where(pos, P[s:e], 1.0)), centre) - centre) / half
-        out[s:e] = np.where(pos, _barycentric_rows(x, f[s:e], x_nodes, bary), 0.0)
-    return out
+    C = np.empty((k.size, P.shape[0]))
+    step = max(1, _CHUNK_ELEMS // (P.shape[1] * k.size))
+    for s in range(0, P.shape[0], step):
+        B = _barycentric_matrix((np.log(P[s:s + step]) - centre) / half, x_nodes, bary)
+        C[:, s:s + step] = np.einsum("pnl,pn->lp", B, w[s:s + step])
+    own_sums = np.empty(m.size)
+    step = max(1, _CHUNK_ELEMS // (Q.shape[1] * k.size))
+    for s in range(0, m.size, step):
+        x = (np.log(Q[s:s + step]) - centre) / half
+        r = _barycentric_rows(x, f[s:s + step], x_nodes, bary)
+        own_sums[s:s + step] = np.einsum("jn,jn->j", r, v[s:s + step])
+    return np.einsum("jl,lp->jp", f, C), own_sums
 
 
 def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
@@ -558,6 +567,22 @@ def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
     j, k = np.nonzero(~np.isfinite(vals))
     vals[j, k] = f[j, np.searchsorted(-nodes, -x[j, k])]
     return vals
+
+
+def _barycentric_matrix(x: np.ndarray, nodes: np.ndarray,
+                        weights: np.ndarray) -> np.ndarray:
+    """B, shaped x.shape + (L,), with B @ f _barycentric_rows' interpolant
+    through (nodes, f) at the points x; a point on a node has 1 there and
+    0 elsewhere in its row."""
+    B = x[..., None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, B, out=B)
+        den = B.sum(axis=-1, keepdims=True)
+        B /= den
+    on = ~np.isfinite(den[..., 0])
+    B[on] = 0.0
+    B[on, np.searchsorted(-nodes, -x[on])] = 1.0
+    return B
 
 
 class _SlGrid:
@@ -602,10 +627,10 @@ class _SlGrid:
         """E[log(1 + P g) | cell j] for the cells j in rows at powers P.
 
         power has shape (J,) or (J, K), J the number of cells in rows; the
-        result matches. With estimated knowledge a (J, K) input goes
-        through an interpolant in log P (_rate_rows_log_power) instead of
-        the (J, K, N) trapezoid sum; its nodes depend on every row it is
-        given (see rows_separable).
+        result matches. A closed-form rate also takes (1, K) powers shared
+        by every cell. With estimated knowledge it is the trapezoid sum of
+        _mgf_log_rate, whose nodes depend on every row it is given; the
+        capacity's tail reads its rates through rate_sums instead.
         """
         P = np.asarray(power, dtype=float)
         if self.csi.level is CsiLevel.NONE:
@@ -615,14 +640,28 @@ class _SlGrid:
             return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
         if P.ndim == 1:
             return self.rate_cells(P[:, None], rows)[:, 0]
-        return _rate_rows_log_power(self.state[rows], self.csi.alpha, P)
+        return _mgf_log_rate(self.state[rows], self.csi.alpha, P)
 
-    @property
-    def rows_separable(self) -> bool:
-        """Whether rate_cells over a block of rows equals those rows of the
-        whole: not with estimated knowledge, whose interpolant nodes span
-        every row it is given."""
-        return self.csi.level is not CsiLevel.ESTIMATED
+    def rate_sums(self, shared, own, rows: np.ndarray):
+        """Weighted sums of the cells' rates, for the cells j in rows (an
+        index array): rate_cells' form for powers shared by every cell.
+
+        shared = (P, w), both (panels, n): powers every cell shares, each
+        cell's sums taken per panel, (J, panels). own = (Q, v), both
+        (J, n): each cell's own powers, one sum per cell, (J,). Every
+        power is positive. With estimated knowledge each cell is sampled
+        once at Chebyshev powers spanning all of them (_log_rate_sums).
+        Closed-form rates run in blocks of cells of _CHUNK_ELEMS values.
+        """
+        if self.csi.level is CsiLevel.ESTIMATED:
+            return _log_rate_sums(self.state[rows], self.csi.alpha, shared, own)
+        (P, w), (Q, v) = shared, own
+        sums = np.empty((rows.size, P.shape[0]))
+        step = max(1, _CHUNK_ELEMS // P.size)
+        for s in range(0, rows.size, step):
+            r = self.rate_cells(P.reshape(1, -1), rows[s:s + step])
+            sums[s:s + step] = np.einsum("jpn,pn->jp", r.reshape(-1, *P.shape), w)
+        return sums, np.einsum("jn,jn->j", self.rate_cells(Q, rows), v)
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -742,7 +781,8 @@ class _CapField:
     more panel from s to the next knot. A multiplier trial then costs one
     panel per direct-link cell, and its value does not depend on the
     trial's panel count. Under perfect knowledge the capacity's rate tail
-    has a closed form in E1 as well (rate_tail).
+    has a closed form in E1 as well (rate_tail); otherwise it runs on one
+    grid shared by the direct-link cells (shared_tail).
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
@@ -874,8 +914,9 @@ class _CapField:
         f(P, rows) evaluates f_j for the rows (a slice or an index array)
         at powers P shaped (J,) or (J, K). Split at each crossing state
         t*_j: f_j(A_j) F(t*_j) below it, and above it tail(t*[rows], rows)
-        for the rows whose t* lies below upper: tail_integral, rate_tail or
-        tail_sum. A constant cap needs no split: f(min(A, cap)).
+        for the rows whose t* lies below upper (not called when there are
+        none): tail_integral, rate_tail, shared_tail or tail_sum. A
+        constant cap needs no split: f(min(A, cap)).
         """
         if self.is_constant:
             return f(np.minimum(A, self.constant), slice(None))
@@ -883,25 +924,58 @@ class _CapField:
         head = f(A, slice(None)) * self.cdf(t_star)
         above = np.zeros_like(head)
         rows = np.flatnonzero(t_star < self.upper)
-        above[rows] = tail(t_star[rows], rows)
+        if rows.size:
+            above[rows] = tail(t_star[rows], rows)
         return head + above
 
-    def tail_sum(self, t_star: np.ndarray, rows: np.ndarray, f, panels: int,
-                 blocks: bool = True) -> np.ndarray:
-        """expect's tail by quadrature: per row, the sum of wt f(cap(nodes),
-        rows) over tail_rule's nodes above its t*, in blocks of rows so no
-        intermediate outgrows _CHUNK_ELEMS elements. A row's sum does not
-        depend on its block. blocks=False hands f every row at once, for
-        an f whose rows are not independent (_SlGrid.rows_separable).
+    def tail_sum(self, t_star: np.ndarray, rows: np.ndarray, f,
+                 panels: int) -> np.ndarray:
+        """expect's tail by quadrature, one rule per row: the sum of
+        wt f(cap(nodes), rows) over tail_rule's nodes above the row's t*,
+        in blocks of rows so no intermediate outgrows _CHUNK_ELEMS
+        elements. A row's sum depends on its own t* and f alone, so the
+        on-off rate of a threshold does not depend on the other thresholds
+        of its call.
         """
         out = np.empty(rows.size)
-        step = max(1, rows.size)
-        if blocks:
-            step = max(1, _CHUNK_ELEMS // (panels * self.settings.quad_points))
+        step = max(1, _CHUNK_ELEMS // (panels * self.settings.quad_points))
         for s in range(0, rows.size, step):
             nodes, wt = self.tail_rule(t_star[s:s + step], panels)
             out[s:s + step] = (wt * f(self.cap(nodes), rows[s:s + step])).sum(axis=1)
         return out
+
+    def shared_tail(self, t_star: np.ndarray, rows: np.ndarray, sums,
+                    panels: int) -> np.ndarray:
+        """expect's tail by quadrature on one grid shared by the rows.
+
+        The grid has panels Gauss-Legendre panels of quad_points nodes
+        from the lowest t* to upper: geometric above tail_rule's 1e-13
+        floor under perfect knowledge, linear under estimated. Row j adds
+        one panel of its own from t*_j up to the next knot, and its tail
+        is that panel plus its panel sums from that knot up, a reverse
+        cumulative sum like the cap-tail table's. The cap and pdf are
+        evaluated once per shared node. sums(shared, own, rows) takes
+        (powers, weights) pairs shaped (panels, n) and (rows, n) and
+        returns each row's panel sums (rows, panels) and own-panel sums
+        (rows,) (_SlGrid.rate_sums).
+        """
+        pts = self.settings.quad_points
+        lo = float(t_star.min())
+        if self.level is CsiLevel.PERFECT:
+            lo = max(lo, 1e-13)
+            knots = np.geomspace(lo, self.upper, panels + 1)
+        else:
+            knots = np.linspace(lo, self.upper, panels + 1)
+        t = np.maximum(t_star, lo)
+        i = np.searchsorted(knots, t)   # the first knot at or above t*
+        nodes, w = panel_rule(knots, pts)
+        own, v = panel_rule_batch(t, knots[i], 1, pts)
+        panel_sums, own_sums = sums(
+            (self.cap(nodes).reshape(panels, pts), (w * self.pdf(nodes)).reshape(panels, pts)),
+            (self.cap(own), v * self.pdf(own)), rows)
+        above = np.zeros((rows.size, panels + 1))
+        above[:, :-1] = np.cumsum(panel_sums[:, ::-1], axis=1)[:, ::-1]
+        return own_sums + above[np.arange(rows.size), i]
 
     def capped_mean(self, a):
         """E over states of min(a, cap(t)), per level in a (any shape):

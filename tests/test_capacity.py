@@ -221,6 +221,7 @@ def test_capacity_nearly_continuous_at_saturation_threshold():
 
 KNOWLEDGE = {"P": PERFECT, "E": EST, "N": NONE}
 RATE_CELLS = power_allocation._SlGrid.rate_cells
+RATE_SUMS = power_allocation._SlGrid.rate_sums
 
 
 def _grid_point(code, p_avg_db):
@@ -230,7 +231,8 @@ def _grid_point(code, p_avg_db):
 
 def _solved(monkeypatch, code, p_avg_db):
     """Capacity, error, multiplier and expected power, plus every tail
-    rate the capacity quadrature computed, flattened in call order."""
+    rate and rate sum the capacity quadrature computed, flattened in call
+    order."""
     tails = []
 
     def recorded(self, power, rows=slice(None)):
@@ -239,7 +241,13 @@ def _solved(monkeypatch, code, p_avg_db):
             tails.append(out.ravel())
         return out
 
+    def recorded_sums(self, shared, own, rows):
+        out = RATE_SUMS(self, shared, own, rows)
+        tails.extend(a.ravel() for a in out)
+        return out
+
     monkeypatch.setattr(power_allocation._SlGrid, "rate_cells", recorded)
+    monkeypatch.setattr(power_allocation._SlGrid, "rate_sums", recorded_sums)
     power_allocation._sl_grid.cache_clear()
     pol = solve_lambda(_grid_point(code, p_avg_db))
     res = capacity._capacity_of(pol)
@@ -340,14 +348,13 @@ def _traced_peak_mb(fn):
 def test_capacity_working_set_follows_the_block_budget():
     # a block temporary is 2**18 float64s (2 MiB). PE at 0 dB integrates
     # 2560 cells x 2560 cross nodes at 128 panels, 50 MiB per full-size
-    # temporary: 400 MiB traced with the tail in one block, 16 MiB blocked
+    # temporary: 104 MiB traced with the tail in one block, 10.5 MiB blocked
     assert power_allocation._CHUNK_ELEMS <= 2 ** 18
     pol = solve_lambda(_grid_point("PE", 0.0))
     assert _traced_peak_mb(lambda: capacity._capacity_at(pol, 128)) < 32.0
-    # an estimated direct link keeps its tail unblocked (the interpolant
-    # degree depends on every row) and relies on its chunked kernels; EP
-    # at 13 dB stops at 16 panels: 50 MiB traced with 32 MiB chunks, 11 MiB
-    # with 2 MiB ones
+    # an estimated direct link sums its tail rates through cells x
+    # Chebyshev points x panels; EP at 13 dB stops at 16 panels and traced
+    # 4 MiB with 2 MiB chunks and with 32 MiB ones
     assert _traced_peak_mb(lambda: ergodic_capacity(_grid_point("EP", 13.0))) < 48.0
 
 
@@ -427,11 +434,11 @@ def test_rate_tail_matches_40_digit_mpmath():
     assert np.array_equal(beyond, [0.0, 0.0])
 
 
-def _cross_state_rule(capf, sl, A, panels, blocks=True):
+def _cross_state_rule(capf, sl, A, panels):
     """The capacity at panels with the cross state above each crossing
-    integrated by the cells x cross nodes rule (_CapField.tail_sum)."""
+    integrated by a rule of its own per cell (_CapField.tail_sum)."""
     def tail(t_star, rows):
-        return capf.tail_sum(t_star, rows, sl.rate_cells, panels, blocks=blocks)
+        return capf.tail_sum(t_star, rows, sl.rate_cells, panels)
     return float(sl.w @ capf.expect(A, sl.rate_cells, tail))
 
 
@@ -472,20 +479,32 @@ def test_no_direct_knowledge_perfect_cross_matches_40_digit_mpmath(p_avg_db, wan
     assert res.quadrature_error_estimate <= 1e-14 * want
 
 
-@pytest.mark.parametrize("code, p_avg_db", [("EP", 13.0), ("PE", 0.0)])
+@pytest.mark.parametrize("code, p_avg_db", [("EP", 13.0), ("PE", 0.0), ("EE", 0.0)])
 def test_estimated_links_keep_the_cross_state_rule(code, p_avg_db):
-    # an estimated direct link with a perfect cross link, and an estimated
-    # cross link, still integrate the cross state by quadrature: same bits
+    # an estimated link integrates the cross state on one grid shared by
+    # every cell: against the rule of its own per cell that it replaced,
+    # at the levels where both have resolved the tail
     cfg = _grid_point(code, p_avg_db)
     pol = solve_lambda(cfg)
     assert pol.regime == "power_limited"
     ns = cfg.numerics
-    for panels in (ns.base_panels, 2 * ns.base_panels):
+    for panels in (2 * ns.base_panels, 4 * ns.base_panels):
         sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
         A = sl.budget_component(pol.lam)
-        rule = _cross_state_rule(pol._capf, sl, A, panels,
-                                 blocks=sl.rows_separable)
-        assert capacity._capacity_at(pol, panels) == rule
+        rule = _cross_state_rule(pol._capf, sl, A, panels)
+        assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=1e-12,
+                                                                   abs=0.0)
+
+
+@pytest.mark.parametrize("code, p_avg_db", [("EP", 13.0), ("PE", 0.0), ("EE", 0.0)])
+def test_shared_tail_does_not_depend_on_the_block_size(monkeypatch, code, p_avg_db):
+    # blocks of one cell and one panel give every level the same bits as
+    # the default blocks
+    pol = solve_lambda(_grid_point(code, p_avg_db))
+    levels = (8, 16, 32)
+    want = [capacity._capacity_at(pol, panels).hex() for panels in levels]
+    monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 64)
+    assert [capacity._capacity_at(pol, panels).hex() for panels in levels] == want
 
 
 def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch, fresh_grids):

@@ -469,6 +469,14 @@ def test_bad_threads_is_config_error(tmp_path):
                  "--threads", "0"]) == EXIT_CONFIG_ERROR
 
 
+def test_rejected_run_creates_no_output_directory(tmp_path):
+    cfg = write(tmp_path, BASE)
+    out = tmp_path / "new"
+    assert main(["capacity", "--config", cfg, "--out", str(out),
+                 "--threads", "0"]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path, BASE)
     assert main(["verify", "--config", cfg, "--out", cfg]) == EXIT_CONFIG_ERROR

@@ -274,10 +274,10 @@ def test_tail_quadrature_skips_thresholds_with_an_empty_tail(cl, monkeypatch):
     seen = []
     tail_sum = power_allocation._CapField.tail_sum
 
-    def spy(self, t_star, rows, f, panels, blocks=True):
+    def spy(self, t_star, rows, f, panels):
         assert t_star.shape == rows.shape and np.all(t_star < self.upper)
         seen.append(rows.size)
-        return tail_sum(self, t_star, rows, f, panels, blocks)
+        return tail_sum(self, t_star, rows, f, panels)
 
     monkeypatch.setattr(power_allocation._CapField, "tail_sum", spy)
     rates = onoff_rate(SCAN, cfg)

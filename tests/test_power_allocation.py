@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -381,6 +381,7 @@ def test_mgf_inversion_matches_30_digit_mpmath():
 @settings(max_examples=20, deadline=None)
 @given(alpha=st.floats(0.05, 0.95), m=st.floats(0.0, 20.0),
        log_p=st.floats(-3.0, 7.0))
+@example(alpha=0.125, m=0.0, log_p=-3.0)  # a g-weighted tail cut at probability alone
 def test_mgf_rate_matches_the_density_oracles(alpha, m, log_p):
     # the kernels against the pdf-based quadrature of rate_integral and
     # the bisection of invert_rate_integral, which share no code with them
@@ -498,17 +499,25 @@ def test_row_inversion_raises_when_out_of_steps(monkeypatch):
         power_allocation._mgf_invert_rate(np.array([0.5, 2.0]), 0.5, 0.05)
 
 
-def _tail_powers(cross, i_peak, panels):
-    """Direct-link grid and the (cells x cross nodes) tail powers that the
-    capacity integrates at 13 dB for an estimated direct link."""
+def _captured_rate_sums(cross, i_peak, panels, monkeypatch):
+    """Direct-link grid and the rate_sums arguments (shared and own powers
+    and weights, cells) of the capacity's tail at 13 dB for an estimated
+    direct link."""
     cfg = scenario(CsiKnowledge.estimated(0.5), cross, p_avg=10.0 ** 1.3,
                    i_peak=i_peak)
     pol = solve_lambda(cfg)
     assert pol.regime == "power_limited"
-    sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=pol.lam)
-    A = sl.budget_component(pol.lam)
-    nodes, _ = pol._capf.tail_rule(pol._capf.crossing_state(A), panels)
-    return sl, pol._capf.cap(nodes)
+    calls = []
+    rate_sums = power_allocation._SlGrid.rate_sums
+
+    def spy(self, shared, own, rows):
+        calls.append((self, shared, own, rows))
+        return rate_sums(self, shared, own, rows)
+
+    monkeypatch.setattr(power_allocation._SlGrid, "rate_sums", spy)
+    capacity._capacity_at(pol, panels)
+    assert len(calls) == 1
+    return calls[0]
 
 
 # an estimated cross link saturates above ~6.3 dB at i_peak 10; i_peak 100
@@ -517,18 +526,18 @@ def _tail_powers(cross, i_peak, panels):
                                            (CsiKnowledge.estimated(0.5), 100.0)],
                          ids=["EP", "EE"])
 @pytest.mark.parametrize("panels", [16, 32])
-def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels):
-    # the interpolant in log P against the trapezoid sum at every power,
-    # one row at a time
-    sl, P = _tail_powers(cross, i_peak, panels)
-    P[0] = P[0, P.shape[1] // 2]   # a row of equal powers
-    P[1, ::3] = 0.0                # a row that includes P = 0
-    P[2] = 0.0                     # a row of zeros
-    got = sl.rate_cells(P)
-    want = np.array([power_allocation._mgf_log_rate(sl.state[j:j + 1], 0.5, P[j:j + 1])[0]
-                     for j in range(P.shape[0])])
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert np.array_equal(got[2], np.zeros(P.shape[1]))
+def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels, monkeypatch):
+    # the tail's rate sums through the interpolant in log P against the
+    # trapezoid sum at every power, one row at a time
+    sl, (P, w), (Q, v), rows = _captured_rate_sums(cross, i_peak, panels, monkeypatch)
+    got_panels, got_own = sl.rate_sums((P, w), (Q, v), rows)
+    m = sl.state[rows]
+    rate = power_allocation._mgf_log_rate
+    want_panels = [(rate(m[j:j + 1], 0.5, P.reshape(1, -1)).reshape(P.shape) * w).sum(axis=1)
+                   for j in range(m.size)]
+    want_own = [rate(m[j:j + 1], 0.5, Q[j:j + 1])[0] @ v[j] for j in range(m.size)]
+    np.testing.assert_allclose(got_panels, want_panels, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got_own, want_own, rtol=1e-13, atol=0.0)
 
 
 def test_barycentric_rows_take_the_node_value_on_a_node():
@@ -549,10 +558,14 @@ def test_barycentric_rows_take_the_node_value_on_a_node():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = power_allocation._barycentric_rows(x, f, nodes, bary)
+        B = power_allocation._barycentric_matrix(x, nodes, bary)
     assert got[0, 0] == f[0, 2] and got[0, 2] == f[0, 8]
     assert got[1, 0] == 0.0 and got[1, 2] == f[1, 0]
     np.testing.assert_allclose(got[:, 1], [0.3 ** 3 - 0.6 + 0.5, (-0.7 - nodes[5]) * 1.3],
                                rtol=1e-14)
+    # the same interpolant as a matrix: a point on a node has a one-hot row
+    assert B[0, 0].tolist() == np.eye(L)[2].tolist() and B[1, 2].tolist() == np.eye(L)[0].tolist()
+    np.testing.assert_allclose(np.einsum("jkl,jl->jk", B, f), got, rtol=1e-14, atol=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -1151,7 +1164,9 @@ def test_expected_capped_power_closed_form_perfect_cross():
 def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
     # a row whose crossing state is at upper has an empty tail (all weights
     # 0): neither expect's tail nor f sees it, and leaving it out changes
-    # no bit of the value
+    # no bit of the value. blocks: the tail hands f its rows in blocks
+    # (tail_sum, one rule per row, the on-off rate's) or all at once
+    # (shared_tail, one grid shared by the rows, the capacity's)
     monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", chunk)
     capf = power_allocation._cap_field(cl, 10.0, 0.05, NumericSettings())
     g = np.linspace(0.1, 3.0, 12)
@@ -1169,15 +1184,30 @@ def test_expected_capped_skips_empty_tails(monkeypatch, cl, chunk, blocks):
         state = g[rows]
         return np.log1p(P * (state if P.ndim == 1 else state[:, None]))
 
+    def sums(shared, own, rows):
+        (P, wt), (Q, v) = shared, own
+        panels = f(P.reshape(1, -1), rows).reshape(rows.size, *P.shape)
+        return (panels * wt).sum(axis=2), (f(Q, rows) * v).sum(axis=1)
+
+    def quadrature(t_star, rows):
+        if blocks:
+            return capf.tail_sum(t_star, rows, f, 8)
+        return capf.shared_tail(t_star, rows, sums, 8)
+
     def tail(t_star, rows):
         assert t_star.shape == rows.shape and np.all(t_star < capf.upper)
-        return capf.tail_sum(t_star, rows, f, 8, blocks=blocks)
+        return quadrature(t_star, rows)
 
     value = float(w @ capf.expect(A, f, tail))
-    assert np.array_equal(np.sort(np.concatenate(seen)), live)
-    nodes, wt = capf.tail_rule(t_star, 8)
-    every_row = f(A, slice(None)) * capf.cdf(t_star) \
-        + (wt * f(capf.cap(nodes), slice(None))).sum(axis=1)
+    # shared_tail asks f once for the shared powers and once for the own ones
+    calls = 1 if blocks else 2
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.repeat(live, calls))
+    if blocks:
+        nodes, wt = capf.tail_rule(t_star, 8)
+        above = (wt * f(capf.cap(nodes), slice(None))).sum(axis=1)
+    else:
+        above = quadrature(t_star, np.arange(12))
+    every_row = f(A, slice(None)) * capf.cdf(t_star) + above
     assert value == float(w @ every_row)
 
     # no live row at all: the head alone, and f is never asked for a tail
