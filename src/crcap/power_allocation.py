@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -84,7 +85,7 @@ __all__ = [
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
-_GRID_CACHE_SIZE = 128  # direct-link grids (and budget interpolants) kept per process
+_GRID_CACHE_SIZE = 256  # direct-link grids (and budget interpolants) kept per process
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
 _RATE_INVERSION_STEPS = 200  # cap on bisection steps of invert_rate_integral
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
@@ -92,6 +93,9 @@ _CHUNK_ELEMS = 2 ** 18      # largest intermediate of every row-blocked kernel
 _MGF_STEP = 0.25            # trapezoid step in y = log s of the MGF rate kernels
 _MGF_S_HI = 40.0            # top node s of the MGF rate kernels: e^-40 is left above
 _MGF_S_LO = 1e-17           # their bottom node, times 1 / (P_max (m + alpha))
+_MGF_TAIL_TERMS = 8         # K: Taylor terms of _mgf_rate's closed-form tail in s
+# delta, that tail's cut in s top: K (K+1) delta^(K-1) = 2^-53 (see _mgf_rate_rule)
+_MGF_TAIL_U = (2.0 ** -53 / math.perm(_MGF_TAIL_TERMS + 1, 2)) ** (1 / (_MGF_TAIL_TERMS - 1))
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +330,34 @@ def _mgf_rule(top: float):
     top = max(P_max (m + alpha), 1) over the powers and states served.
     The integrands below decay like e^{-s} above and s P (m + alpha) below
     and are analytic for |Im y| < pi/2, so the rule errs like
-    e^{-pi^2 / h} (Trefethen and Weideman, SIAM Review 56, 2014).
+    e^{-pi^2 / h} (Trefethen and Weideman, SIAM Review 56, 2014). The log
+    rates sum every node; _mgf_rate_rule splits them for the rate.
     """
     y_hi = np.log(_MGF_S_HI)
     n = int(np.ceil((y_hi - np.log(_MGF_S_LO / max(top, 1.0))) / _MGF_STEP)) + 1
     s = np.exp(y_hi - _MGF_STEP * np.arange(n))
     return s, _MGF_STEP * np.exp(-s)
+
+
+def _mgf_rate_rule(m: np.ndarray, alpha: float, top: float):
+    """_mgf_rule(top) split at s top = delta = _MGF_TAIL_U for _mgf_rate
+    at estimates m: head nodes s and weights w, and the tail's
+    T[j, k] = mu_{k+1}(m_j) S_k / k!, k < K = _MGF_TAIL_TERMS, with
+    S_k = sum of h e^{-s} s^{k+1} and mu_k = E[g^k | m] = k! alpha^k
+    L_k(-m / alpha) = sum over i of k! C(k, i) / i! m^i alpha^{k-i}, whose
+    terms are positive. On the tail u (m + alpha) < delta, and e^{-x} cut
+    after K terms errs by at most x^K / K!, so as mu_k <= k! (m + alpha)^k
+    a tail node errs by at most (K+1) delta^K e^{2 delta} relative in r and
+    K (K+1) delta^{K-1} e^{3 delta} = 1.01 * 2^-53 in -r' (by Jensen,
+    E[g^i e^{-u g}] >= mu_i e^{-u mu_{i+1} / mu_i}); so does each sum."""
+    s, w = _mgf_rule(top)
+    head = s * top >= _MGF_TAIL_U
+    K = _MGF_TAIL_TERMS
+    S = np.einsum("nk,n->k", np.vander(s[~head], K + 1, increasing=True)[:, 1:], w[~head])
+    coef = [[math.comb(k, i) * math.factorial(k) // math.factorial(i) * alpha ** max(k - i, 0)
+             for i in range(K + 1)] for k in range(1, K + 1)]
+    mu = np.einsum("ji,ki->jk", np.vander(m, K + 1, increasing=True), coef)
+    return s[head], w[head], mu * (S / [math.factorial(k) for k in range(K)])
 
 
 def _mgf_log_rate(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarray:
@@ -365,14 +391,16 @@ def _mgf_log_rate(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarray:
 
 
 def _mgf_rate(P: np.ndarray, m: np.ndarray, alpha: float, s: np.ndarray,
-              w: np.ndarray):
+              w: np.ndarray, T: np.ndarray):
     """r(P_j) = E[g / (1 + P_j g) | estimate m_j] and -r'(P_j) on the
-    rule (s, w) of _mgf_rule.
+    split rule (s, w, T) of _mgf_rate_rule, T's rows for the m_j.
 
     With M and D as in _mgf_log_rate, r(P) = integral of
     e^{-s} (-M'(s P)) ds and r'(P) = -integral of s e^{-s} M''(s P) ds,
     where -M' = E c / D^2 and M'' = E ((c + alpha)^2 - 2 alpha^2) / D^3
-    for E = exp(-u m / D) and c = m / D + alpha.
+    for E = exp(-u m / D) and c = m / D + alpha, over the head nodes. On
+    the tail -M'(u) = E[g e^{-u g}] = sum of (-u)^k mu_{k+1} / k!, so r's
+    part there is p(-P) = sum of T_jk (-P)^k over k, and -r''s is p'(-P).
     """
     ws = w * s
     u = np.multiply.outer(P, s)
@@ -383,47 +411,49 @@ def _mgf_rate(P: np.ndarray, m: np.ndarray, alpha: float, s: np.ndarray,
     e *= inv
     e *= inv
     c += alpha
-    r = np.einsum("jn,jn,n->j", e, c, ws)
+    x = np.vander(-P, _MGF_TAIL_TERMS, increasing=True)
+    r = np.einsum("jn,jn,n->j", e, c, ws) + np.einsum("jk,jk->j", x, T)
     c += alpha
     c *= c
     c -= 2.0 * alpha * alpha
     c *= inv
-    return r, np.einsum("jn,jn,n->j", e, c, ws * s)
+    tail = np.einsum("jk,jk,k->j", x[:, :-1], T[:, 1:], np.arange(1, _MGF_TAIL_TERMS))
+    return r, np.einsum("jn,jn,n->j", e, c, ws * s) + tail
 
 
 def _mgf_invert_rate(m: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     """Per-state root P_j of r(P) = E[g / (1 + P g) | estimate m_j] = lam.
 
-    r and r' come from _mgf_rate on _mgf_rule's nodes for powers up to
-    1/lam. States with m_j + alpha <= lam get P = 0; the others run Newton
-    steps on 1/r(P) - 1/lam inside a bracket [lo, hi] kept from the sign
-    of the residual; a step leaving the (inclusive) bracket is replaced by
-    its midpoint. 1/r is exactly linear for a fixed gain (1/g + P), and
-    the start 1/lam - 1/(m_j + alpha), Jensen's upper bound on the root
-    (g / (1 + P g) is concave in g), is its root there. 1/lam brackets
-    from above since g/(1+Pg) < 1/P. Raises NumericsError if a state has
-    not converged after _ROW_INVERSION_STEPS. States are solved in blocks
-    of at most _CHUNK_ELEMS node values; each state's iterates depend on
-    it alone.
+    r and r' come from _mgf_rate on _mgf_rate_rule's split for powers up
+    to 1/lam, moments once per call. States with m_j + alpha <= lam get
+    P = 0; the others run Newton steps on 1/r(P) - 1/lam inside a bracket
+    [lo, hi] kept from the sign of the residual; a step leaving the
+    (inclusive) bracket is replaced by its midpoint. 1/r is exactly linear
+    for a fixed gain (1/g + P), and the start 1/lam - 1/(m_j + alpha),
+    Jensen's upper bound on the root (g / (1 + P g) is concave in g), is
+    its root there. 1/lam brackets from above since g/(1+Pg) < 1/P. Raises
+    NumericsError if a state has not converged after _ROW_INVERSION_STEPS.
+    States are solved in blocks of at most _CHUNK_ELEMS head node values;
+    each state's iterates depend on it alone.
     """
     mean = m + alpha
     out = np.zeros(m.size)
     active = np.flatnonzero(mean > lam)
     if active.size == 0:
         return out
-    s, w = _mgf_rule(float(mean[active].max()) / lam)
+    s, w, T = _mgf_rate_rule(m[active], alpha, float(mean[active].max()) / lam)
     tol = 1e-13 * max(1.0, 1.0 / lam)
     rows = max(1, _CHUNK_ELEMS // s.size)
     for a in range(0, active.size, rows):
         idx = active[a:a + rows]
-        mj = m[idx]
+        mj, Tj = m[idx], T[a:a + rows]
         lo = np.zeros(idx.size)
         hi = np.full(idx.size, 1.0 / lam)
         P = 1.0 / lam - 1.0 / mean[idx]
         todo = np.arange(idx.size)
         for _ in range(_ROW_INVERSION_STEPS):
             x = P[todo]
-            r, slope = _mgf_rate(x, mj[todo], alpha, s, w)
+            r, slope = _mgf_rate(x, mj[todo], alpha, s, w, Tj[todo])
             step = (1.0 / lam - 1.0 / r) * r * r / slope
             above = r > lam
             lo[todo] = l = np.where(above, x, lo[todo])
@@ -672,7 +702,7 @@ def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
     level and thread in the process. Every bisection visits lam = 1,
     1e-12, 0.5, ..., and the capacity at 2 base_panels reads the search's
     final trial. Threads that miss together each build the same bits; no
-    lock, so sweep threads never wait. A knowledge_grid round has 132 keys.
+    lock, so sweep threads never wait. It holds a knowledge_grid round's 132 keys.
     """
     sl = _SlGrid(csi, settings, panels, lam=lam)
     A = sl.budget_component(lam)

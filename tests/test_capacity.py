@@ -273,8 +273,8 @@ def test_row_block_size_leaves_every_bit_unchanged(monkeypatch, code, p_avg_db):
 
 def _mgf_node_terms(monkeypatch, cfg):
     """MGF node terms (cells x nodes, times powers per cell for the
-    per-row trapezoid sum) that ergodic_capacity(cfg) evaluates from an
-    empty grid memo."""
+    per-row trapezoid sum; the rate's head nodes plus its tail terms) that
+    ergodic_capacity(cfg) evaluates from an empty grid memo."""
     terms = []
     log_rate = power_allocation._mgf_log_rate
     shared = power_allocation._mgf_log_rate_shared
@@ -289,9 +289,9 @@ def _mgf_node_terms(monkeypatch, cfg):
         terms.append(m.size * power_allocation._mgf_lattice(m, alpha, P)[0].size)
         return shared(m, alpha, P)
 
-    def counted_rate(P, m, alpha, s, w):
-        terms.append(P.size * s.size)
-        return rate(P, m, alpha, s, w)
+    def counted_rate(P, m, alpha, s, w, T):
+        terms.append(P.size * (s.size + T.shape[1]))
+        return rate(P, m, alpha, s, w, T)
 
     monkeypatch.setattr(power_allocation, "_mgf_log_rate", counted_log_rate)
     monkeypatch.setattr(power_allocation, "_mgf_log_rate_shared", counted_shared)
@@ -301,11 +301,13 @@ def _mgf_node_terms(monkeypatch, cfg):
     return sum(terms)
 
 
-# the counts with the log-rate samples on one shared lattice; sampling
-# each row's Chebyshev powers with a trapezoid sum of their own, and
-# stepping on r instead of 1 / r, took 7,538,060 and 6,172,639
-@pytest.mark.parametrize("code, p_avg_db, measured", [("EP", 13.0, 3_539_930),
-                                                      ("EE", 0.0, 3_595_470)])
+# the counts with the log-rate samples on one shared lattice and the
+# rate's small-s tail in closed form; the rate on every node took
+# 3,539,930 and 3,595,470, and before that, sampling each row's Chebyshev
+# powers with a trapezoid sum of their own and stepping on r instead of
+# 1 / r, 7,538,060 and 6,172,639
+@pytest.mark.parametrize("code, p_avg_db, measured", [("EP", 13.0, 1_405_031),
+                                                      ("EE", 0.0, 1_308_104)])
 def test_estimated_direct_capacity_mgf_work_stays_bounded(monkeypatch, code,
                                                           p_avg_db, measured):
     assert _mgf_node_terms(monkeypatch, _grid_point(code, p_avg_db)) <= 1.05 * measured
@@ -334,6 +336,21 @@ def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grid
     for code, p_avg_db in order:
         ergodic_capacity(_grid_point(code, p_avg_db))
     assert len(keys) == len(set(keys)) <= 61
+
+
+KNOWLEDGE_GRID = [(a + b, p) for a in "PEN" for b in "PEN" for p in (-10.0, 0.0, 10.0, 13.0)]
+
+
+@pytest.mark.parametrize("order", [KNOWLEDGE_GRID, KNOWLEDGE_GRID[::-1]],
+                         ids=["forward", "reverse"])
+def test_grid_memo_holds_a_whole_knowledge_grid(fresh_grids, order):
+    # the benchmark's 36 knowledge-grid points in one process: every
+    # direct-link grid key is built once, so none is evicted and built
+    # again while the round runs, in any visit order
+    for code, p_avg_db in order:
+        ergodic_capacity(_grid_point(code, p_avg_db))
+    info = power_allocation._sl_grid.cache_info()
+    assert info.misses == info.currsize
 
 
 def _traced_peak_mb(fn):

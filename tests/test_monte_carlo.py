@@ -225,11 +225,13 @@ def test_report_carries_samples_seed_and_ten_bins():
 
 # float.hex of (empirical_rate, rate_ci, empirical_avg_power, power_ci,
 # outage_fraction, outage_ci), then the bins' counts and outages, of
-# 300,001 samples at seed 19 (five shards, the last one short)
+# 300,001 samples at seed 19 (five shards, the last one short); EE's
+# power moments moved by 2-3 ulp when the row inversion began to sum its
+# small-s tail in closed form, its counts and outages did not
 FROZEN_REPORTS = {
     "EE": (
-        ("0x1.3d648299ad564p-1", "0x1.fbbef8660a543p-10", "0x1.0055c32bffc9bp+0",
-         "0x1.abf9f590d925cp-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
+        ("0x1.3d648299ad564p-1", "0x1.fbbef8660a545p-10", "0x1.0055c32bffc9dp+0",
+         "0x1.abf9f590d925fp-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
         [29994, 29563, 30266, 29972, 30110, 29943, 30059, 30221, 29744, 30129],
         [0, 1, 1, 0, 1, 3, 7, 11, 22, 140]),
     "PN": (

@@ -275,18 +275,24 @@ MGF_MPMATH = [
 ]
 
 
-def _rule_at(P, m, alpha):
-    """The trapezoid rule for powers up to P at estimate m."""
-    return power_allocation._mgf_rule(P * (m + alpha))
+def _kernel_rate(P, m, alpha, top):
+    """_mgf_rate at powers P and estimates m (arrays of one shape) on the
+    split rule for top, and the rule's head node count."""
+    s, w, T = power_allocation._mgf_rate_rule(m, alpha, top)
+    return power_allocation._mgf_rate(P, m, alpha, s, w, T), s.size
+
+
+def _rate_at(P, m, alpha):
+    """r(P | m) and -r'(P | m) on the rule for powers up to P at estimate m."""
+    (r, slope), _ = _kernel_rate(np.array([P]), np.array([m]), alpha, P * (m + alpha))
+    return r[0], slope[0]
 
 
 def test_mgf_kernels_match_30_digit_mpmath():
     for alpha, m, P, log_rate, rate in MGF_MPMATH:
         got = power_allocation._mgf_log_rate(np.array([m]), alpha, np.array([[P]]))
         assert got[0, 0] == pytest.approx(log_rate, rel=1e-12, abs=0.0)
-        r, _ = power_allocation._mgf_rate(np.array([P]), np.array([m]), alpha,
-                                          *_rule_at(P, m, alpha))
-        assert r[0] == pytest.approx(rate, rel=1e-12, abs=0.0)
+        assert _rate_at(P, m, alpha)[0] == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
 def test_shared_lattice_log_rate_matches_40_digit_mpmath():
@@ -386,13 +392,12 @@ def test_mgf_rate_matches_the_density_oracles(alpha, m, log_p):
     # the kernels against the pdf-based quadrature of rate_integral and
     # the bisection of invert_rate_integral, which share no code with them
     P = 10.0 ** log_p
-    r, slope = power_allocation._mgf_rate(np.array([P]), np.array([m]), alpha,
-                                          *_rule_at(P, m, alpha))
-    assert r[0] == pytest.approx(rate_integral(P, m, alpha), rel=1e-10, abs=0.0)
-    assert slope[0] > 0.0
+    r, slope = _rate_at(P, m, alpha)
+    assert r == pytest.approx(rate_integral(P, m, alpha), rel=1e-10, abs=0.0)
+    assert slope > 0.0
     ns = NumericSettings(bisect_tol=1e-13, tail_mass=1e-12)
-    root = power_allocation._mgf_invert_rate(np.array([m]), alpha, float(r[0]))
-    assert root[0] == pytest.approx(invert_rate_integral(float(r[0]), m, alpha, ns),
+    root = power_allocation._mgf_invert_rate(np.array([m]), alpha, float(r))
+    assert root[0] == pytest.approx(invert_rate_integral(float(r), m, alpha, ns),
                                     rel=1e-9, abs=1e-12)
     assert root[0] == pytest.approx(P, rel=1e-9, abs=1e-12)
 
@@ -406,11 +411,40 @@ def _inversion_rows(lam, alpha):
 
 
 def _rule_rate(P, m, alpha, s, w):
-    """r(P | m) = sum of w s e^{-u m / D} (m / D + alpha) / D^2, u = s P,
-    D = 1 + alpha u: the trapezoid rule on given nodes, written out."""
+    """r(P | m) = sum of w s E (m / D + alpha) / D^2 and -r'(P | m) = sum
+    of w s^2 E ((m / D + 2 alpha)^2 - 2 alpha^2) / D^3, E = e^{-u m / D},
+    u = s P, D = 1 + alpha u: the trapezoid rule on every node, written
+    out."""
     u = P * s
     d = 1.0 + alpha * u
-    return float(np.sum(w * s * np.exp(-u * m / d) * (m / d + alpha) / d ** 2))
+    e = w * s * np.exp(-u * m / d) / d ** 2
+    return (float(np.sum(e * (m / d + alpha))),
+            float(np.sum(e * s * ((m / d + 2.0 * alpha) ** 2 - 2.0 * alpha ** 2) / d)))
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.5, 0.9, 0.999])
+def test_split_rate_kernel_matches_the_full_rule(alpha):
+    # the head nodes plus the closed-form tail against every node summed
+    # one by one, r and -r': on the inversion's rule for powers from
+    # 1e-9 / lam to 1 / lam, and on each power's own rule, whose cut moves
+    # through the nodes until at the smallest powers every node is tail
+    heads = []
+    for lam in (1e-6, 0.05, 0.3, 1.0):
+        m = np.array([x for x in (0.0, lam - alpha + 1e-6, 0.5, 5.0, 20.0, 200.0)
+                      if x >= 0.0])
+        P = np.logspace(-9.0, 0.0, 19) / lam
+        mm, pp = (a.ravel() for a in np.meshgrid(m, P, indexing="ij"))
+        top = (m.max() + alpha) / lam
+        (r, slope), _ = _kernel_rate(pp, mm, alpha, top)
+        rule = power_allocation._mgf_rule(top)
+        want = np.array([_rule_rate(p, x, alpha, *rule) for p, x in zip(pp, mm)])
+        np.testing.assert_allclose(np.stack([r, slope], axis=1), want, rtol=4e-15, atol=0.0)
+        for p, x in zip(pp, mm):
+            (r, slope), n = _kernel_rate(np.array([p]), np.array([x]), alpha, p * (x + alpha))
+            heads.append(n)
+            want = _rule_rate(p, x, alpha, *power_allocation._mgf_rule(p * (x + alpha)))
+            np.testing.assert_allclose([r[0], slope[0]], want, rtol=4e-15, atol=0.0)
+    assert min(heads) == 0 and max(heads) > 0
 
 
 def _bisect_rows(m, alpha, lam):
@@ -425,7 +459,7 @@ def _bisect_rows(m, alpha, lam):
         lo, hi = 0.0, 1.0 / lam
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
-            if _rule_rate(mid, m[j], alpha, s, w) > lam:
+            if _rule_rate(mid, m[j], alpha, s, w)[0] > lam:
                 lo = mid
             else:
                 hi = mid
@@ -458,26 +492,28 @@ def test_row_inversion_matches_scalar_oracle(alpha, lam):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
 
 
-# _mgf_invert_rate's output since its Newton steps run on 1/r. Against
-# 40-digit mpmath roots of the MGF rate integral the worst relative error
-# is 1.3e-14 at lam = 1 (1.7e-14 with steps on r) and 9.4e-16 at
-# lam = 0.05 (1.1e-15). At lam = 1 the first three rows are inactive
-# (mean <= lam); the others run in blocks of 5 rows and converge at
-# different steps, so the steps also run on subsets of a block's rows.
+# _mgf_invert_rate's output since its Newton steps run on 1/r and its
+# rule sums the small-s tail in closed form. Against 40-digit mpmath roots
+# of the MGF rate integral the worst relative error is 1.1e-14 at lam = 1
+# and 7.7e-16 at lam = 0.05; summing every node gave 1.2e-14 and 9.9e-16
+# against the same roots, and stepping on r 1.7e-14 and 1.1e-15. At
+# lam = 1 the first three rows are inactive (mean <= lam); the others run
+# in blocks of 5 rows and converge at different steps, so the steps also
+# run on subsets of a block's rows.
 _FROZEN_ROW_ROOTS = {
-    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7405b0a175444p-7",
-          "0x1.c44e3d33ca7c6p-5", "0x1.e7faccf7b412cp-3",
-          "0x1.9991f1dafec48p-2", "0x1.2ff30dcc1d6f3p-1",
-          "0x1.78d481afdac15p-1", "0x1.b2f9a39350017p-1",
-          "0x1.d3c5a810c2a17p-1", "0x1.eb21588f671a1p-1",
-          "0x1.f7659771689acp-1", "0x1.fd6f028f41d08p-1"],
-    0.05: ["0x1.e8d5b22c3cc5bp+3", "0x1.0d115be4e0147p+4",
-           "0x1.17d991319b96ep+4", "0x1.18c12e5191f91p+4",
-           "0x1.1c1cb6c6c0291p+4", "0x1.2821e0b8e2976p+4",
-           "0x1.3069b161f2b6dp+4", "0x1.37aa3e47003c6p+4",
-           "0x1.3b54c7cfef0dep+4", "0x1.3d8652a3c6c3bp+4",
-           "0x1.3e9b3dc434002p+4", "0x1.3f58c23447574p+4",
-           "0x1.3fbb27dd42840p+4", "0x1.3feb77f413efep+4"],
+    1.0: ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.7405b0a1754d8p-7",
+          "0x1.c44e3d33ca7ebp-5", "0x1.e7faccf7b4138p-3",
+          "0x1.9991f1dafec45p-2", "0x1.2ff30dcc1d6f7p-1",
+          "0x1.78d481afdac17p-1", "0x1.b2f9a3935001fp-1",
+          "0x1.d3c5a810c2a1dp-1", "0x1.eb21588f67199p-1",
+          "0x1.f7659771689aap-1", "0x1.fd6f028f41d0ap-1"],
+    0.05: ["0x1.e8d5b22c3cc5dp+3", "0x1.0d115be4e014ap+4",
+           "0x1.17d991319b96ep+4", "0x1.18c12e5191f92p+4",
+           "0x1.1c1cb6c6c028fp+4", "0x1.2821e0b8e2978p+4",
+           "0x1.3069b161f2b6ep+4", "0x1.37aa3e47003c9p+4",
+           "0x1.3b54c7cfef0e1p+4", "0x1.3d8652a3c6c39p+4",
+           "0x1.3e9b3dc434006p+4", "0x1.3f58c23447574p+4",
+           "0x1.3fbb27dd42847p+4", "0x1.3feb77f413f02p+4"],
 }
 
 
@@ -486,7 +522,7 @@ def test_row_inversion_bits_frozen(monkeypatch, lam):
     m = np.array([0.0, 0.3, 0.5, 0.52, 0.6, 1.0, 1.5, 2.5, 4.0, 7.0, 12.0,
                   25.0, 60.0, 200.0])
     whole = power_allocation._mgf_invert_rate(m, 0.5, lam)
-    nodes = power_allocation._mgf_rule((m.max() + 0.5) / lam)[0].size
+    nodes = power_allocation._mgf_rate_rule(m, 0.5, (m.max() + 0.5) / lam)[0].size
     monkeypatch.setattr(power_allocation, "_CHUNK_ELEMS", 5 * nodes)
     got = power_allocation._mgf_invert_rate(m, 0.5, lam)
     assert [float(p).hex() for p in got] == _FROZEN_ROW_ROOTS[lam]
@@ -1053,13 +1089,14 @@ def test_rescaled_constant_frozen():
 # replaced them, as float.hex, beyond the multipliers frozen above: one
 # more near the perfect-cross threshold, where the bracket grows
 # downward, the rescaled no-knowledge constant and the capless
-# multiplier's low-budget asymptote
+# multiplier's low-budget asymptote (EP moved by 4.4e-16 relative when
+# the row inversion began to sum its small-s tail in closed form)
 _BISECTED_HEX = [
     ("lam", "PP", 279.0, "0x1.05fddb81e22ddp-43"),
     ("const", "NP", 1.0, "0x1.00004043af000p+0"),
     ("const", "NE", 1.0, "0x1.00001afac5400p+0"),
     ("low", "PP", 1.0, "0x1.6d0502d1b887ap-1"),
-    ("low", "EP", 1.0, "0x1.3c2a69366fca4p-1"),
+    ("low", "EP", 1.0, "0x1.3c2a69366fca7p-1"),
 ]
 
 
