@@ -14,16 +14,13 @@ Everything works in linear units and nats per channel use; the command
 line front end converts dB at its boundary.
 """
 
-from .special_functions import NumericsError, exp_integral_e1, marcum_q1
+from .special_functions import NumericsError, exp_integral_e1
 from .quadrature import panel_rule, panel_rule_batch
 from .fading import (
     ChannelDraw,
     CsiKnowledge,
     CsiLevel,
-    conditional_power_cdf,
     conditional_power_inv_cdf,
-    conditional_power_pdf,
-    conditional_support_bound,
     estimate_power_quantile,
     marginal_power_cdf,
     marginal_power_pdf,
@@ -36,13 +33,10 @@ from .power_allocation import (
     ScenarioConfig,
     average_power_threshold,
     interference_power_cap,
-    invert_rate_integral,
-    rate_integral,
     solve_lambda,
 )
 from .capacity import (
     CapacityResult,
-    capacity_sweep,
     ergodic_capacity,
     high_budget_asymptote,
     low_budget_asymptote,
@@ -55,16 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericsError",
     "exp_integral_e1",
-    "marcum_q1",
     "panel_rule",
     "panel_rule_batch",
     "ChannelDraw",
     "CsiKnowledge",
     "CsiLevel",
-    "conditional_power_cdf",
     "conditional_power_inv_cdf",
-    "conditional_power_pdf",
-    "conditional_support_bound",
     "estimate_power_quantile",
     "marginal_power_cdf",
     "marginal_power_pdf",
@@ -75,11 +65,8 @@ __all__ = [
     "ScenarioConfig",
     "average_power_threshold",
     "interference_power_cap",
-    "invert_rate_integral",
-    "rate_integral",
     "solve_lambda",
     "CapacityResult",
-    "capacity_sweep",
     "ergodic_capacity",
     "high_budget_asymptote",
     "low_budget_asymptote",

@@ -1,5 +1,5 @@
 """Ergodic capacity of the optimally powered link, with its low- and
-high-budget limits and parameter sweeps.
+high-budget limits.
 
 capacity = E[ log(1 + P(states) * g_direct) ] in nats per channel use,
 averaged over both links' fading, with P the policy from
@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
 
 from .fading import CsiLevel
 from .power_allocation import (
@@ -42,7 +39,6 @@ __all__ = [
     "ergodic_capacity",
     "low_budget_asymptote",
     "high_budget_asymptote",
-    "capacity_sweep",
 ]
 
 
@@ -128,14 +124,3 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     return _refine(lambda p: capf.saturated_mean(_exponential_rate, p), ns)[0]
 
-
-def capacity_sweep(config: ScenarioConfig, param: str,
-                   values: Sequence[float]) -> List[CapacityResult]:
-    """Capacity along a one-parameter family of scenarios.
-
-    param is one of p_avg, i_peak, epsilon, alpha_s, alpha_p. The alpha
-    parameters reshape the corresponding knowledge level: 0 means perfect,
-    1 means none, anything between is an estimate with that error
-    variance.
-    """
-    return [ergodic_capacity(config.with_axis(param, float(v))) for v in values]

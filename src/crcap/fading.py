@@ -13,7 +13,10 @@ Three power-gain laws follow:
     with 2 degrees of freedom: density
       f(g | m) = (1/alpha) exp(-(g + m)/alpha) I0(2 sqrt(m g)/alpha)
     with mean m + alpha and cdf 1 - Q1(sqrt(2m/alpha), sqrt(2g/alpha)),
-    Q1 the first-order Marcum function.
+    Q1 the first-order Marcum function. Only its quantile is evaluated
+    here (conditional_power_inv_cdf, through scipy's chndtrix);
+    power_allocation reaches the law through its moment generating
+    function.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.special import chndtrix, i0e
-
-from .special_functions import marcum_q1
+from scipy.special import chndtrix
 
 __all__ = [
     "CsiLevel",
@@ -35,10 +36,7 @@ __all__ = [
     "marginal_power_cdf",
     "marginal_power_quantile",
     "estimate_power_quantile",
-    "conditional_power_pdf",
-    "conditional_power_cdf",
     "conditional_power_inv_cdf",
-    "conditional_support_bound",
     "sample_channel_pair",
 ]
 
@@ -180,55 +178,6 @@ def estimate_power_quantile(p, alpha: float):
 
 # ----------------------------------------------------------------------
 # conditional law of the true power given the estimate power
-
-def conditional_power_pdf(g, m, alpha: float):
-    """Density of the true power at g given estimate power m.
-
-    Evaluated in scaled form, i0e(x) exp(-(sqrt(g) - sqrt(m))^2 / alpha)
-    / alpha with x = 2 sqrt(g m) / alpha and i0e(x) = exp(-x) I0(x): the
-    exponent -(g + m)/alpha + x is folded exactly into one square, so
-    neither a large I0 argument nor the cancellation of two large
-    exponents loses digits. m = 0 reduces to the Exp(alpha) density;
-    g < 0 gives 0.
-    """
-    alpha = _check_alpha(alpha)
-    g = np.asarray(g, dtype=float)
-    m = np.asarray(m, dtype=float)
-    g_b, m_b = np.broadcast_arrays(g, m)
-    sg = np.sqrt(np.clip(g_b, 0.0, None))
-    sm = np.sqrt(m_b)
-    pdf = i0e(2.0 * sg * sm / alpha) * np.exp(-((sg - sm) ** 2) / alpha) / alpha
-    out = np.where(g_b >= 0.0, pdf, 0.0)
-    return out if out.ndim else float(out)
-
-
-def conditional_power_cdf(g, m, alpha: float):
-    """P(true power <= g | estimate power m) = 1 - Q1(sqrt(2m/a), sqrt(2g/a))."""
-    alpha = _check_alpha(alpha)
-    g = np.asarray(g, dtype=float)
-    m = np.asarray(m, dtype=float)
-    g_b, m_b = np.broadcast_arrays(g, m)
-    gc = np.clip(g_b, 0.0, None)
-    q = marcum_q1(np.sqrt(2.0 * m_b / alpha), np.sqrt(2.0 * gc / alpha))
-    out = np.where(g_b >= 0.0, 1.0 - q, 0.0)
-    return out if out.ndim else float(out)
-
-
-def conditional_support_bound(m, alpha: float, tail_mass: float = 1e-10):
-    """Upper truncation point leaving at most tail_mass conditional mass above.
-
-    Uses the Gaussian-tail envelope of the underlying Rician amplitude:
-    with b = sqrt(2m/alpha) + sqrt(-2 ln tail_mass), the bound is
-    alpha * b^2 / 2. Exact (not just a bound) when m = 0.
-    """
-    alpha = _check_alpha(alpha)
-    if not (0.0 < tail_mass < 1.0):
-        raise ValueError("tail_mass must lie strictly between 0 and 1")
-    m = np.asarray(m, dtype=float)
-    b = np.sqrt(2.0 * np.clip(m, 0.0, None) / alpha) + np.sqrt(-2.0 * np.log(tail_mass))
-    out = 0.5 * alpha * b * b
-    return out if out.ndim else float(out)
-
 
 def conditional_power_inv_cdf(p, m, alpha: float):
     """Quantile of the conditional true-power law.

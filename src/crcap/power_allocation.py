@@ -76,8 +76,6 @@ __all__ = [
     "ScenarioConfig",
     "PowerPolicy",
     "interference_power_cap",
-    "rate_integral",
-    "invert_rate_integral",
     "average_power_threshold",
     "solve_lambda",
 ]
@@ -87,7 +85,6 @@ _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
 _GRID_CACHE_SIZE = 256  # direct-link grids (and budget interpolants) kept per process
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
-_RATE_INVERSION_STEPS = 200  # cap on bisection steps of invert_rate_integral
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
 _CHUNK_ELEMS = 2 ** 18      # largest intermediate of every row-blocked kernel
 _MGF_STEP = 0.25            # trapezoid step in y = log s of the MGF rate kernels
@@ -114,7 +111,6 @@ class NumericSettings:
     quad_points: int = 20
     base_panels: int = 8
     max_refinements: int = 4
-    bisect_tol: float = 1e-10
     lambda_rel_tol: float = 1e-4
     tail_mass: float = 1e-10
 
@@ -127,8 +123,6 @@ class NumericSettings:
             raise ValueError("base_panels must be positive")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be nonnegative")
-        if not (0.0 < self.bisect_tol < 1.0):
-            raise ValueError("bisect_tol must lie in (0, 1)")
         if not (0.0 < self.lambda_rel_tol < 1.0):
             raise ValueError("lambda_rel_tol must lie in (0, 1)")
         if not (0.0 < self.tail_mass < 1e-3):
@@ -221,89 +215,6 @@ def interference_power_cap(cl_state, cl_csi: CsiKnowledge, i_peak: float,
     q = fading.conditional_power_inv_cdf(1.0 - epsilon, state, cl_csi.alpha)
     out = i_peak / np.asarray(q, dtype=float)
     return out if out.ndim else float(out)
-
-
-def rate_integral(power, m: float, alpha: float,
-                  settings: Optional[NumericSettings] = None):
-    """E[ g / (1 + P g) | estimate m ] under error variance alpha.
-
-    The marginal rate of the conditional-expected log-rate in P; equals
-    the conditional mean m + alpha at P = 0 and decreases to 0.
-    Vectorized over power.
-
-    With n panels the edges are 0 and hi * 1e-14**(1 - k/n), k = 1..n,
-    up to the support bound hi: graded geometrically towards 0, so the
-    layer g <~ 1/P, where g / (1 + P g) turns from linear to flat, is
-    resolved at every power. hi leaves out a g-weighted tail below
-    tail_mass 1e-2 of m + alpha. n starts at 8, about two decades a panel:
-    from fewer panels a doubling only splits the negligible bottom panel
-    and can agree with itself at the wrong value. Doubling n stops when
-    every value changes by at most 1e-11 of itself.
-    """
-    settings = settings or NumericSettings()
-    alpha = float(alpha)
-    m = float(m)
-    if m < 0.0:
-        raise ValueError("estimate power must be nonnegative")
-    p_arr = np.asarray(power, dtype=float)
-    if np.any(p_arr < 0.0):
-        raise ValueError("power must be nonnegative")
-    # the integrand carries g, and the states above a truncation point hi
-    # have mean about hi + alpha: leaving out the probability
-    # q (m + alpha) / (2 (hi + alpha)) keeps the g-weighted tail below
-    # q (m + alpha), q = tail_mass 1e-2, the same share of r(0) = m + alpha
-    q = settings.tail_mass * 1e-2
-    hi = fading.conditional_support_bound(m, alpha, q)
-    hi = fading.conditional_support_bound(m, alpha,
-                                          q * (m + alpha) / (2.0 * (hi + alpha)))
-    p_flat = np.atleast_1d(p_arr).ravel()
-
-    def integrand(g):
-        f = fading.conditional_power_pdf(g, m, alpha)
-        return f * (g[None, :] / (1.0 + p_flat[:, None] * g[None, :]))
-
-    # one adaptive pass drives all powers at once; converge on the vector
-    prev = None
-    n_panels = 8
-    for _ in range(15):
-        edges = hi * np.geomspace(1e-14, 1.0, n_panels + 1)
-        edges[0] = 0.0
-        x, w = panel_rule(edges, settings.quad_points + 4)
-        vals = integrand(x) @ w
-        if prev is not None and np.all(np.abs(vals - prev) <= 1e-11 * np.abs(vals)):
-            break
-        prev = vals
-        n_panels *= 2
-    else:
-        raise NumericsError("rate integral did not converge")
-    out = vals.reshape(p_arr.shape)
-    return out if out.ndim else float(out)
-
-
-def invert_rate_integral(lam: float, m: float, alpha: float,
-                         settings: Optional[NumericSettings] = None) -> float:
-    """Largest P with rate_integral(P) = lam; 0 when m + alpha <= lam."""
-    settings = settings or NumericSettings()
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if float(m) + float(alpha) <= lam:
-        return 0.0
-    # g/(1+Pg) < 1/P pointwise, so P = 1/lam always brackets from above
-    lo, hi = 0.0, 1.0 / lam
-    for _ in range(_RATE_INVERSION_STEPS):
-        mid = 0.5 * (lo + hi)
-        r = rate_integral(mid, m, alpha, settings)
-        if abs(r - lam) <= settings.bisect_tol * lam:
-            return mid
-        if r > lam:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    raise NumericsError(
-        f"rate integral inversion did not converge in {_RATE_INVERSION_STEPS} steps")
 
 
 # ----------------------------------------------------------------------
@@ -1072,9 +983,9 @@ class PowerPolicy:
     interpolants from _budget_interpolant; none is held.
 
     Large-batch evaluation for estimated knowledge goes through that
-    interpolant: against the density-based bisection, which remains
-    available as invert_rate_integral, it errs by under 1e-8 of the
-    largest component (EP and EN at -10, 0 and 13 dB).
+    interpolant: against an inversion of the density-based rate
+    quadrature it errs by under 1e-8 of the largest component (EP and EN
+    at -10, 0 and 13 dB).
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,

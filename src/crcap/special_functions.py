@@ -2,10 +2,8 @@
 
 Everything here accepts scalars or numpy arrays and stays finite over the
 argument ranges the engine produces: the exponential integral is scipy's
-exp1 with an exp-scaled variant (both within 1.6e-15 relative of 40-digit
-mpmath wherever the result is a normal float), and the Marcum series is
-summed outward from its Poisson mode so huge noncentralities neither
-underflow nor lose the head of the sum.
+exp1 with an exp-scaled variant, both within 1.6e-15 relative of 40-digit
+mpmath wherever the result is a normal float.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from scipy import special as _sp
 __all__ = [
     "NumericsError",
     "exp_integral_e1",
-    "marcum_q1",
 ]
 
 # largest x whose scaled E1 is e^x * exp1(x); E1 stays a normal float to ~700
@@ -63,86 +60,3 @@ def exp_integral_e1(x, scaled=False):
             out[high] = 1.0 / (xh + t)
     return float(out) if scalar else out
 
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function Q1(a, b).
-
-    Poisson-mixture form: Q1 = sum_n Pois(n; a^2/2) * P(Pois(b^2/2) <= n),
-    summed outward from the Poisson mode with log-domain initialization, so
-    a^2/2 in the thousands is fine. Wings truncate when the running term
-    drops below 1e-14 of the partial sum; hard cap of 1e5 terms. Absolute
-    error is below 1e-10.
-    """
-    a, a_scalar = _as_array(a)
-    b, b_scalar = _as_array(b)
-    scalar = a_scalar and b_scalar
-    a, b = np.broadcast_arrays(a, b)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("marcum_q1 requires a >= 0 and b >= 0")
-
-    out = np.empty(a.shape, dtype=float)
-    zero_b = b == 0.0
-    zero_a = (a == 0.0) & ~zero_b
-    out[zero_b] = 1.0
-    out[zero_a] = np.exp(-0.5 * b[zero_a] ** 2)
-
-    gen = ~zero_b & ~zero_a
-    if gen.any():
-        out[gen] = _marcum_series(a[gen], b[gen])
-
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if scalar else out
-
-
-def _marcum_series(a, b):
-    shape = a.shape
-    u = (0.5 * a * a).ravel()
-    v = (0.5 * b * b).ravel()
-    n0 = np.floor(u)
-
-    lg = _sp.gammaln(n0 + 1.0)
-    pu = np.exp(n0 * np.log(u) - u - lg)   # Pois(u) pmf at the mode
-    pv = np.exp(n0 * np.log(v) - v - lg)   # Pois(v) pmf at the same index
-    g0 = _sp.gammaincc(n0 + 1.0, v)        # P(Pois(v) <= n0)
-
-    total = pu * g0
-    budget = 100_000
-
-    # upward wing; lanes drop out once their term falls below 1e-14 * sum
-    pos = np.arange(u.size)
-    p, q, g, n = pu.copy(), pv.copy(), g0.copy(), n0.copy()
-    uu, vv = u, v
-    for _ in range(budget):
-        if pos.size == 0:
-            break
-        n = n + 1.0
-        p = p * uu / n
-        q = q * vv / n
-        g = np.minimum(g + q, 1.0)
-        term = p * g
-        total[pos] += term
-        keep = term > 1e-14 * total[pos]
-        pos, p, q, g, n, uu, vv = (x[keep] for x in (pos, p, q, g, n, uu, vv))
-    else:
-        raise NumericsError("marcum_q1 upward wing exceeded term budget")
-
-    # downward wing from the mode toward n = 0
-    keep = n0 > 0
-    pos = np.arange(u.size)[keep]
-    p, q, g, n = pu[keep], pv[keep], g0[keep], n0[keep]
-    uu, vv = u[keep], v[keep]
-    for _ in range(budget):
-        if pos.size == 0:
-            break
-        g = np.maximum(g - q, 0.0)   # g at n-1
-        p = p * n / uu
-        q = q * n / vv
-        n = n - 1.0
-        term = p * g
-        total[pos] += term
-        keep = (n > 0) & (term > 1e-14 * total[pos])
-        pos, p, q, g, n, uu, vv = (x[keep] for x in (pos, p, q, g, n, uu, vv))
-    else:
-        raise NumericsError("marcum_q1 downward wing exceeded term budget")
-
-    return total.reshape(shape)

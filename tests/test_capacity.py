@@ -19,7 +19,6 @@ from scipy import special
 from crcap import capacity, power_allocation
 from crcap.capacity import (
     CapacityResult,
-    capacity_sweep,
     ergodic_capacity,
     high_budget_asymptote,
     low_budget_asymptote,
@@ -182,7 +181,7 @@ def test_low_budget_asymptote_upper_bounds_capacity():
 def test_capacity_sweep_budget_axis():
     cfg = scenario(PERFECT, NONE)
     grid = [0.5, 1.0, 2.0]
-    results = capacity_sweep(cfg, "p_avg", grid)
+    results = [ergodic_capacity(cfg.with_axis("p_avg", v)) for v in grid]
     assert len(results) == 3
     assert all(isinstance(r, CapacityResult) for r in results)
     caps = [r.capacity for r in results]
@@ -193,7 +192,8 @@ def test_capacity_sweep_budget_axis():
 
 def test_capacity_sweep_alpha_endpoints():
     cfg = scenario(PERFECT, NONE)
-    r0, r_mid, r1 = capacity_sweep(cfg, "alpha_s", [0.0, 0.5, 1.0])
+    r0, r_mid, r1 = [ergodic_capacity(cfg.with_axis("alpha_s", v))
+                     for v in [0.0, 0.5, 1.0]]
     assert r0.capacity == pytest.approx(
         ergodic_capacity(scenario(PERFECT, NONE)).capacity, rel=1e-10)
     assert r1.capacity == pytest.approx(
@@ -203,7 +203,7 @@ def test_capacity_sweep_alpha_endpoints():
 
 def test_capacity_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError):
-        capacity_sweep(scenario(PERFECT, NONE), "bandwidth", [1.0])
+        scenario(PERFECT, NONE).with_axis("bandwidth", 1.0)
 
 
 def test_capacity_nearly_continuous_at_saturation_threshold():

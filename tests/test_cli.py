@@ -373,12 +373,12 @@ def test_threaded_sweep_matches_serial_bit_for_bit(fresh_grids):
     # the CLI's sweep threads share the direct-link grid memo without a
     # lock: threads that miss together build the same bits, so the 2-thread
     # pool gives the serial sweep, from an empty memo and from a full one
-    from crcap import capacity, power_allocation
+    from crcap import power_allocation
     est = CsiKnowledge.estimated(0.5)
     base = ScenarioConfig(sl_csi=est, cl_csi=est, p_avg=1.0, i_peak=10.0,
                           epsilon=0.05)
     grid = db_to_linear(np.array([-10.0, -5.0, 0.0, 5.0]))
-    serial = capacity.capacity_sweep(base, "p_avg", grid)
+    serial = [ergodic_capacity(base.with_axis("p_avg", v)) for v in grid]
     assert {r.regime for r in serial} == {"power_limited"}
 
     def point(v):
@@ -457,8 +457,10 @@ def test_missing_config_is_config_error(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
 
-def test_unknown_key_is_config_error(tmp_path):
-    cfg = write(tmp_path, BASE + "\n[numerics]\nfoo = 1\n")
+@pytest.mark.parametrize("line", ["foo = 1", "bisect_tol = 1e-10"],
+                         ids=["foo", "bisect_tol"])
+def test_unknown_key_is_config_error(tmp_path, line):
+    cfg = write(tmp_path, BASE + f"\n[numerics]\n{line}\n")
     assert main(["capacity", "--config", cfg,
                  "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 

@@ -6,7 +6,9 @@ a scaled noncentral chi-square with 2 degrees of freedom), computed in
 a separate script and frozen here.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +18,17 @@ from crcap.fading import (
     ChannelDraw,
     CsiKnowledge,
     CsiLevel,
-    conditional_power_cdf,
     conditional_power_inv_cdf,
-    conditional_power_pdf,
-    conditional_support_bound,
     estimate_power_quantile,
     marginal_power_cdf,
     marginal_power_pdf,
     marginal_power_quantile,
     sample_channel_pair,
+)
+from oracles import (
+    conditional_power_cdf,
+    conditional_power_pdf,
+    conditional_support_bound,
 )
 
 
@@ -152,7 +156,7 @@ def test_conditional_inv_cdf_roundtrip():
 def test_conditional_inv_cdf_deep_tail_is_relatively_accurate():
     # the cap table asks for the 1 - epsilon quantile; at a tiny epsilon
     # the tail mass above the quantile must be right relative to epsilon,
-    # checked through the package's own Marcum Q
+    # checked through the oracles' Marcum Q
     eps = 1e-6
     for m in (0.0, 1.0, 10.0):
         for alpha in (1e-4, 0.5, 0.9):
@@ -186,6 +190,21 @@ def test_conditional_support_bound_contains_mass():
         hi = conditional_support_bound(m, alpha, tail_mass=1e-10)
         assert conditional_power_cdf(hi, m, alpha) >= 1.0 - 2e-10
         assert hi < (math.sqrt(m) + 10.0) ** 2 + 50.0
+
+
+def test_oracles_share_no_code_with_crcap():
+    # the density, Marcum Q and rate-quadrature oracles check crcap's
+    # kernels, so they may not reach any crcap code themselves
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert modules
+    assert [m for m in modules
+            if m.startswith(".") or m.split(".")[0] == "crcap"] == []
 
 
 def test_sampler_reproducible():

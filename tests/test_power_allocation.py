@@ -19,20 +19,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from crcap import capacity, fading, power_allocation
-from crcap.fading import CsiKnowledge, conditional_power_pdf
+from crcap import capacity, power_allocation
+from crcap.fading import CsiKnowledge
 from crcap.power_allocation import (
     NumericSettings,
     PowerPolicy,
     ScenarioConfig,
     average_power_threshold,
     interference_power_cap,
-    invert_rate_integral,
-    rate_integral,
     solve_lambda,
 )
 from crcap.quadrature import panel_rule
 from crcap.special_functions import NumericsError
+from oracles import conditional_power_pdf, invert_rate_integral, rate_integral
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -106,7 +105,7 @@ def test_cap_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# conditional rate integral and its inverse
+# the oracles' conditional rate integral and its inverse
 
 def test_rate_integral_at_zero_power_is_conditional_mean():
     assert rate_integral(0.0, 1.0, 0.5) == pytest.approx(1.5, rel=1e-9)
@@ -152,12 +151,6 @@ def test_invert_rate_integral_zero_above_conditional_mean():
     # rate_integral(0) = m + alpha, so any target at or above it gives P = 0
     assert invert_rate_integral(1.5, 1.0, 0.5) == 0.0
     assert invert_rate_integral(2.0, 1.0, 0.5) == 0.0
-
-
-def test_invert_rate_integral_raises_when_out_of_steps(monkeypatch):
-    monkeypatch.setattr(power_allocation, "_RATE_INVERSION_STEPS", 3)
-    with pytest.raises(NumericsError):
-        invert_rate_integral(0.3, 1.0, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -389,15 +382,14 @@ def test_mgf_inversion_matches_30_digit_mpmath():
        log_p=st.floats(-3.0, 7.0))
 @example(alpha=0.125, m=0.0, log_p=-3.0)  # a g-weighted tail cut at probability alone
 def test_mgf_rate_matches_the_density_oracles(alpha, m, log_p):
-    # the kernels against the pdf-based quadrature of rate_integral and
-    # the bisection of invert_rate_integral, which share no code with them
+    # the kernels against the oracles' pdf-based quadrature of
+    # rate_integral and its brentq inverse, which share no code with them
     P = 10.0 ** log_p
     r, slope = _rate_at(P, m, alpha)
     assert r == pytest.approx(rate_integral(P, m, alpha), rel=1e-10, abs=0.0)
     assert slope > 0.0
-    ns = NumericSettings(bisect_tol=1e-13, tail_mass=1e-12)
     root = power_allocation._mgf_invert_rate(np.array([m]), alpha, float(r))
-    assert root[0] == pytest.approx(invert_rate_integral(float(r), m, alpha, ns),
+    assert root[0] == pytest.approx(invert_rate_integral(float(r), m, alpha),
                                     rel=1e-9, abs=1e-12)
     assert root[0] == pytest.approx(P, rel=1e-9, abs=1e-12)
 
@@ -482,13 +474,12 @@ def test_row_inversion_matches_plain_bisection(alpha, lam):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("lam", [1e-6, 0.05, 0.3, 1.0])
 def test_row_inversion_matches_scalar_oracle(alpha, lam):
-    # the density-based bisection with a tight stop and a tiny tail; the
-    # old Gauss-Legendre matrix rows could not reach lam <= 0.05 within
-    # the tolerance, being off by up to 5e-6 relative near g ~ 1/P
+    # the oracles' density quadrature inverted by brentq; the old
+    # Gauss-Legendre matrix rows could not reach lam <= 0.05 within the
+    # tolerance, being off by up to 5e-6 relative near g ~ 1/P
     m = _inversion_rows(lam, alpha)
     got = power_allocation._mgf_invert_rate(m, alpha, lam)
-    ns = NumericSettings(bisect_tol=1e-15, tail_mass=1e-12)
-    want = np.array([invert_rate_integral(lam, float(mi), alpha, ns) for mi in m])
+    want = np.array([invert_rate_integral(lam, float(mi), alpha) for mi in m])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, 1.0 / lam)
 
 
@@ -921,13 +912,12 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("p_avg_db", [0.0, -10.0])
 def test_capacity_reads_the_search_final_grid(monkeypatch, fresh_grids, p_avg_db):
-    # every trial inverts the rate through the MGF kernel, with no density
-    # evaluation; the capacity refines at base_panels and 2 * base_panels,
-    # and the second level reads the search's final trial from the grid
-    # memo instead of inverting it again
+    # every trial inverts the rate through the MGF kernel; the capacity
+    # refines at base_panels and 2 * base_panels, and the second level
+    # reads the search's final trial from the grid memo instead of
+    # inverting it again
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(),
                    p_avg=10.0 ** (p_avg_db / 10.0))
-    density = _count_calls(monkeypatch, fading, "conditional_power_pdf")
     inversions = _count_calls(monkeypatch, power_allocation, "_mgf_invert_rate")
     pol = solve_lambda(cfg)
     trials = len(inversions)
@@ -947,7 +937,6 @@ def test_capacity_reads_the_search_final_grid(monkeypatch, fresh_grids, p_avg_db
     power_allocation._sl_grid.cache_clear()
     assert capacity.ergodic_capacity(cfg) == res
     assert len(inversions) == trials + 1
-    assert density == []
 
 
 def test_policy_holds_no_grid(fresh_grids):
@@ -995,14 +984,13 @@ def test_corrupted_lambda_copy_builds_its_own_grid():
 
 
 def test_capless_multiplier_search_reads_no_density(monkeypatch, fresh_grids):
-    # a tight multiplier: at the default tolerance the capped policy may
+    # the capless search inverts the rate through the MGF kernel, as the
+    # capped one does; a tight multiplier: at the default tolerance the capped policy may
     # overspend its budget by lambda_rel_tol and rise above the bound
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(), ns=TIGHT)
-    density = _count_calls(monkeypatch, fading, "conditional_power_pdf")
     inversions = _count_calls(monkeypatch, power_allocation, "_mgf_invert_rate")
     low = capacity.low_budget_asymptote(cfg)
     assert len(inversions) > 5
-    assert density == []
     assert capacity.low_budget_asymptote(cfg) == low
     assert low >= capacity.ergodic_capacity(cfg).capacity
 

