@@ -32,7 +32,6 @@ from .power_allocation import (
     PowerPolicy,
     ScenarioConfig,
     average_power_threshold,
-    interference_power_cap,
     solve_lambda,
 )
 from .capacity import (
@@ -41,7 +40,7 @@ from .capacity import (
     high_budget_asymptote,
     low_budget_asymptote,
 )
-from .onoff import OnOffPolicy, on_level, onoff_rate, optimize_threshold
+from .onoff import onoff_rate, optimize_threshold
 from .monte_carlo import OutageBin, SimReport, simulate_policy, verify_outage
 
 __version__ = "0.1.0"
@@ -64,14 +63,11 @@ __all__ = [
     "PowerPolicy",
     "ScenarioConfig",
     "average_power_threshold",
-    "interference_power_cap",
     "solve_lambda",
     "CapacityResult",
     "ergodic_capacity",
     "high_budget_asymptote",
     "low_budget_asymptote",
-    "OnOffPolicy",
-    "on_level",
     "onoff_rate",
     "optimize_threshold",
     "OutageBin",

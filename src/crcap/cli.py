@@ -94,7 +94,6 @@ _SCHEMA: Dict[str, Dict[str, Callable]] = {
         "seed": int,
     },
     "output": {
-        "format": str,
         "include_capacity": bool,
         "plot_script": bool,
     },
@@ -104,7 +103,7 @@ _REQUIRED = {"scenario": ["sl_csi", "cl_csi", "p_avg_db", "i_peak_db", "epsilon"
 
 _DEFAULTS = {
     "monte_carlo": {"n_samples": 1_000_000, "seed": 42},
-    "output": {"format": "csv", "include_capacity": True, "plot_script": True},
+    "output": {"include_capacity": True, "plot_script": True},
 }
 
 
@@ -232,8 +231,6 @@ def load_config(path: str) -> RunConfig:
 
     mc = {**_DEFAULTS["monte_carlo"], **values.get("monte_carlo", {})}
     out = {**_DEFAULTS["output"], **values.get("output", {})}
-    if str(out["format"]).strip().lower() != "csv":
-        raise ConfigError(f"output.format must be csv, got {out['format']!r}")
     n_samples, seed = int(mc["n_samples"]), int(mc["seed"])
     if n_samples < 1000:
         raise ConfigError("monte_carlo.n_samples must be at least 1000")

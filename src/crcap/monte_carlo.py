@@ -142,8 +142,8 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
                     seed: int, threads: int = 1) -> SimReport:
     """Simulate a power rule and report empirical rate, power, and outage.
 
-    policy exposes power(sl_state, cl_state), as the solved PowerPolicy and
-    OnOffPolicy do. The states passed are only those the scenario's
+    policy exposes power(sl_state, cl_state), as the solved PowerPolicy
+    does. The states passed are only those the scenario's
     knowledge levels permit: the true gain under perfect knowledge, the
     estimate power under estimated knowledge, None when the link is
     unknown. Policies that declare needing more (sl_state_kind /

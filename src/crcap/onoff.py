@@ -26,22 +26,16 @@ until the bracket [a, b] is at most 1e-10 * max(1, b) wide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .fading import CsiLevel, marginal_power_quantile
-from .power_allocation import (
-    ScenarioConfig,
-    _cap_field,
-    _exponential_rate,
-    interference_power_cap,
-)
+from .power_allocation import ScenarioConfig, _cap_field, _exponential_rate
 from .quadrature import _refine
 from .special_functions import NumericsError
 
-__all__ = ["OnOffPolicy", "on_level", "onoff_rate", "optimize_threshold"]
+__all__ = ["onoff_rate", "optimize_threshold"]
 
 _SCAN_POINTS = 64
 # thresholds per array onoff_rate call of the scan: the quadrature's
@@ -59,50 +53,6 @@ def _require_perfect_direct(config: ScenarioConfig):
             "perfect direct-link knowledge; got "
             f"{config.sl_csi.describe()}"
         )
-
-
-@dataclass(frozen=True)
-class OnOffPolicy:
-    """A solved on-off rule: threshold plus the state-dependent on-level."""
-
-    tau: float
-    config: ScenarioConfig
-
-    def __post_init__(self):
-        _require_perfect_direct(self.config)
-        if self.tau < 0.0:
-            raise ValueError("threshold must be nonnegative")
-
-    # state kinds consumed by the simulator's interface guard
-    @property
-    def sl_state_kind(self) -> str:
-        return "gain"
-
-    @property
-    def cl_state_kind(self) -> str:
-        return self.config.cl_csi.state_kind
-
-    def power(self, sl_state=None, cl_state=None):
-        """Transmit power per sample: the on-level above tau, else 0."""
-        if sl_state is None:
-            raise ValueError("the on-off rule needs the true direct gain")
-        g = np.asarray(sl_state, dtype=float)
-        out = np.where(g >= self.tau, on_level(self.tau, cl_state, self.config), 0.0)
-        return out if out.ndim else float(out)
-
-
-def on_level(tau: float, cl_state, config: ScenarioConfig):
-    """Burst power at threshold tau: budget-over-on-time clipped by the cap.
-
-    Vectorized over cl_state; cl_state may be None when the cross link is
-    unknown (the cap is then a constant).
-    """
-    if tau < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    budget = config.p_avg * float(np.exp(tau))
-    cap = interference_power_cap(cl_state, config.cl_csi, config.i_peak,
-                                 config.epsilon)
-    return np.minimum(budget, cap) if np.ndim(cap) else min(budget, float(cap))
 
 
 def onoff_rate(tau, config: ScenarioConfig):
@@ -199,20 +149,17 @@ def _polish(f, a: float, b: float) -> Tuple[float, float]:
                         f"{_POLISH_STEPS} steps")
 
 
-def optimize_threshold(config: ScenarioConfig,
-                       scan_points: int = _SCAN_POINTS) -> Tuple[float, float]:
+def optimize_threshold(config: ScenarioConfig) -> Tuple[float, float]:
     """Best threshold and its rate: batched scan, then Brent's method.
 
     The search interval is [0, the 1 - 1e-8 quantile of the direct gain].
-    A scan of scan_points evenly spaced thresholds, evaluated
+    A scan of _SCAN_POINTS evenly spaced thresholds, evaluated
     _SCAN_BLOCK at a time through array onoff_rate calls, guards against
     non-unimodal shapes; Brent's localmin then polishes inside the
     bracket around the best scan point until the bracket [a, b] is at
     most 1e-10 * max(1, b) wide, and its best point and rate come back.
     If the polish ends below the scan maximum, the scan maximum is kept.
     """
-    if scan_points < 3:
-        raise ValueError("the threshold scan needs at least 3 points")
     _require_perfect_direct(config)
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon,
                       config.numerics)
@@ -221,12 +168,12 @@ def optimize_threshold(config: ScenarioConfig,
         return 0.0, onoff_rate(0.0, config)
 
     t_max = marginal_power_quantile(1.0 - 1e-8)
-    taus = np.linspace(0.0, t_max, scan_points)
+    taus = np.linspace(0.0, t_max, _SCAN_POINTS)
     rates = np.concatenate([onoff_rate(taus[i:i + _SCAN_BLOCK], config)
-                            for i in range(0, scan_points, _SCAN_BLOCK)])
+                            for i in range(0, _SCAN_POINTS, _SCAN_BLOCK)])
     k = int(np.argmax(rates))
     lo = float(taus[max(k - 1, 0)])
-    hi = float(taus[min(k + 1, scan_points - 1)])
+    hi = float(taus[min(k + 1, _SCAN_POINTS - 1)])
     tau_star, rate_star = _polish(lambda t: onoff_rate(t, config), lo, hi)
     # the scan maximum is a lower bound; keep it if polishing lost it
     if rates[k] > rate_star:

@@ -75,7 +75,6 @@ __all__ = [
     "NumericSettings",
     "ScenarioConfig",
     "PowerPolicy",
-    "interference_power_cap",
     "average_power_threshold",
     "solve_lambda",
 ]
@@ -180,41 +179,6 @@ class ScenarioConfig:
         if axis == "alpha_p":
             return self.replace(cl_csi=CsiKnowledge.from_alpha(value))
         raise ValueError(f"unknown sweep axis {axis!r}")
-
-
-# ----------------------------------------------------------------------
-# public per-state operations
-
-def interference_power_cap(cl_state, cl_csi: CsiKnowledge, i_peak: float,
-                           epsilon: float):
-    """Largest power meeting the conditional interference-outage limit.
-
-    cl_state is the true cross gain under perfect knowledge, the estimate
-    power under estimated knowledge, and ignored (may be None) with no
-    knowledge. Vectorized over cl_state.
-    """
-    if i_peak <= 0.0:
-        raise ValueError("i_peak must be positive")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    if cl_csi.level is CsiLevel.NONE:
-        denom = fading.marginal_power_quantile(1.0 - epsilon)
-        if cl_state is None:
-            return i_peak / denom
-        shape = np.asarray(cl_state, dtype=float).shape
-        out = np.full(shape, i_peak / denom)
-        return out if out.ndim else float(out)
-    if cl_state is None:
-        raise ValueError(f"{cl_csi.describe()} cross-link knowledge needs a state")
-    state = np.asarray(cl_state, dtype=float)
-    if np.any(state < 0.0):
-        raise ValueError("cross-link state must be nonnegative")
-    if cl_csi.level is CsiLevel.PERFECT:
-        out = i_peak / np.maximum(state, _GAIN_FLOOR)
-        return out if out.ndim else float(out)
-    q = fading.conditional_power_inv_cdf(1.0 - epsilon, state, cl_csi.alpha)
-    out = i_peak / np.asarray(q, dtype=float)
-    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
@@ -710,7 +674,8 @@ class _CapField:
     f(min(a, cap)) split there (expect) and of f(cap) (saturated_mean).
     For estimated knowledge the conditional quantile is tabulated once on
     a dense grid and evaluated through monotone (PCHIP) interpolation;
-    the exact quantile stays available through interference_power_cap.
+    this table is the library's only interference cap (per sample:
+    PowerPolicy.cap_component).
 
     The cap tail G(s) = integral of cap(t) p(t) over [s, upper] is
     tabulated once as well, at knots where cap is smooth in between: the
@@ -983,9 +948,9 @@ class PowerPolicy:
     interpolants from _budget_interpolant; none is held.
 
     Large-batch evaluation for estimated knowledge goes through that
-    interpolant: against an inversion of the density-based rate
-    quadrature it errs by under 1e-8 of the largest component (EP and EN
-    at -10, 0 and 13 dB).
+    interpolant: against the tests' density-based inversion
+    (oracles.invert_rate_integral) it errs by under 1e-8 of the largest
+    component (EP and EN at -10, 0 and 13 dB).
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,
@@ -1147,9 +1112,10 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     p_star = average_power_threshold(config)
     panels = ns.base_panels * 2
-    p_star_numeric = (p_star if np.isfinite(p_star)
-                      else capf.saturated_mean(lambda c: c, panels))
-    if config.p_avg >= min(p_star, p_star_numeric):
+    # the budget that saturates: p_star, or under perfect cross-link
+    # knowledge (p_star infinite) the truncated states' mean cap
+    if config.p_avg >= (p_star if np.isfinite(p_star)
+                        else capf.saturated_mean(lambda c: c, panels)):
         return PowerPolicy(config, 0.0, "saturated", p_star, capf)
 
     if config.sl_csi.level is CsiLevel.NONE:

@@ -9,13 +9,17 @@ variance alpha, the true power g has the noncentral chi-square law with
 with mean m + alpha and cdf 1 - Q1(sqrt(2m/alpha), sqrt(2g/alpha)).
 The library evaluates this law only through its moment generating
 function and scipy's chndtrix; the tests check those kernels against the
-density, the Marcum-Q cdf and the adaptive quadrature here, which import
-nothing from crcap (test_oracles_share_no_code_with_crcap).
+density, the Marcum-Q cdf and the adaptive quadrature here. The
+per-sample interference cap on the exact quantile and the on-off rule
+built on it serve the Monte Carlo checks of the library's cap table and
+on-off rate. Nothing here imports from crcap
+(test_oracles_share_no_code_with_crcap).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
@@ -23,6 +27,7 @@ from scipy import special as _sp
 
 # the rate integral's integration range leaves out this conditional mass
 _RATE_TAIL_MASS = 1e-16
+_GAIN_FLOOR = 1e-12  # divisor guard for a perfectly known cross gain
 
 
 def _as_array(x):
@@ -235,3 +240,91 @@ def invert_rate_integral(lam: float, m: float, alpha: float) -> float:
         return 0.0
     return optimize.brentq(lambda p: rate_integral(p, m, alpha) - lam,
                            0.0, 1.0 / lam, xtol=1e-300, maxiter=200)
+
+
+# ----------------------------------------------------------------------
+# interference cap and the on-off rule, per sample
+
+def interference_power_cap(cl_state, cl_csi, i_peak: float, epsilon: float):
+    """Largest power meeting the conditional interference-outage limit.
+
+    i_peak over the (1 - epsilon) quantile of the cross gain given what
+    the transmitter reads (cl_csi.state_kind): cl_state is the true cross
+    gain ("gain"), the estimate power ("estimate"; the exact quantile
+    through chndtrix), or ignored and may be None ("none"). Vectorized
+    over cl_state.
+    """
+    if i_peak <= 0.0:
+        raise ValueError("i_peak must be positive")
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    kind = cl_csi.state_kind
+    if kind == "none":
+        denom = float(-np.log1p(-(1.0 - epsilon)))   # Exp(1) quantile
+        if cl_state is None:
+            return i_peak / denom
+        shape = np.asarray(cl_state, dtype=float).shape
+        out = np.full(shape, i_peak / denom)
+        return out if out.ndim else float(out)
+    if cl_state is None:
+        raise ValueError(f"{cl_csi.describe()} cross-link knowledge needs a state")
+    state = np.asarray(cl_state, dtype=float)
+    if np.any(state < 0.0):
+        raise ValueError("cross-link state must be nonnegative")
+    if kind == "gain":
+        out = i_peak / np.maximum(state, _GAIN_FLOOR)
+        return out if out.ndim else float(out)
+    alpha = _check_alpha(cl_csi.alpha)
+    q = 0.5 * alpha * _sp.chndtrix(1.0 - epsilon, 2.0, 2.0 * state / alpha)
+    out = i_peak / np.asarray(q, dtype=float)
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class OnOffPolicy:
+    """An on-off rule for the simulator: threshold plus the state-dependent
+    on-level. config is a crcap ScenarioConfig."""
+
+    tau: float
+    config: object
+
+    def __post_init__(self):
+        if self.config.sl_csi.state_kind != "gain":
+            raise ValueError(
+                "the on-off scheme thresholds the true direct gain and needs "
+                "perfect direct-link knowledge; got "
+                f"{self.config.sl_csi.describe()}"
+            )
+        if self.tau < 0.0:
+            raise ValueError("threshold must be nonnegative")
+
+    # state kinds consumed by the simulator's interface guard
+    @property
+    def sl_state_kind(self) -> str:
+        return "gain"
+
+    @property
+    def cl_state_kind(self) -> str:
+        return self.config.cl_csi.state_kind
+
+    def power(self, sl_state=None, cl_state=None):
+        """Transmit power per sample: the on-level above tau, else 0."""
+        if sl_state is None:
+            raise ValueError("the on-off rule needs the true direct gain")
+        g = np.asarray(sl_state, dtype=float)
+        out = np.where(g >= self.tau, on_level(self.tau, cl_state, self.config), 0.0)
+        return out if out.ndim else float(out)
+
+
+def on_level(tau: float, cl_state, config):
+    """Burst power at threshold tau: budget-over-on-time clipped by the cap.
+
+    Vectorized over cl_state; cl_state may be None when the cross link is
+    unknown (the cap is then a constant).
+    """
+    if tau < 0.0:
+        raise ValueError("threshold must be nonnegative")
+    budget = config.p_avg * float(np.exp(tau))
+    cap = interference_power_cap(cl_state, config.cl_csi, config.i_peak,
+                                 config.epsilon)
+    return np.minimum(budget, cap) if np.ndim(cap) else min(budget, float(cap))

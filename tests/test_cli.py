@@ -457,12 +457,16 @@ def test_missing_config_is_config_error(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
 
-@pytest.mark.parametrize("line", ["foo = 1", "bisect_tol = 1e-10"],
-                         ids=["foo", "bisect_tol"])
-def test_unknown_key_is_config_error(tmp_path, line):
-    cfg = write(tmp_path, BASE + f"\n[numerics]\n{line}\n")
+@pytest.mark.parametrize("section, line", [
+    ("numerics", "foo = 1"),
+    ("numerics", "bisect_tol = 1e-10"),
+    ("output", "format = csv"),
+], ids=["foo", "bisect_tol", "format"])
+def test_unknown_key_is_config_error(tmp_path, capsys, section, line):
+    cfg = write(tmp_path, BASE + f"\n[{section}]\n{line}\n")
     assert main(["capacity", "--config", cfg,
                  "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert "config error: unknown key" in capsys.readouterr().err
 
 
 def test_bad_threads_is_config_error(tmp_path):

@@ -20,8 +20,8 @@ from crcap.monte_carlo import (
     simulate_policy,
     verify_outage,
 )
-from crcap.onoff import OnOffPolicy
 from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
+from oracles import OnOffPolicy
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 PERFECT = CsiKnowledge.perfect()

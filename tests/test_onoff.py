@@ -13,9 +13,10 @@ from scipy import special
 from crcap.capacity import ergodic_capacity
 from crcap import onoff, power_allocation
 from crcap.fading import CsiKnowledge, marginal_power_quantile
-from crcap.onoff import OnOffPolicy, on_level, onoff_rate, optimize_threshold
+from crcap.onoff import onoff_rate, optimize_threshold
 from crcap.power_allocation import NumericSettings, ScenarioConfig
 from crcap.special_functions import NumericsError
+from oracles import OnOffPolicy, on_level
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 PERFECT = CsiKnowledge.perfect()
@@ -304,11 +305,6 @@ def test_array_rate_rejects_a_negative_element():
         onoff_rate(np.array([0.5, -1e-12, 1.0]), scenario(PERFECT))
     with pytest.raises(ValueError):
         onoff_rate(np.zeros((2, 2)), scenario(PERFECT))
-
-
-def test_search_rejects_a_scan_of_fewer_than_three_points():
-    with pytest.raises(ValueError):
-        optimize_threshold(scenario(NONE), scan_points=2)
 
 
 @pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP@0dB", "PE@0dB"])

@@ -26,12 +26,16 @@ from crcap.power_allocation import (
     PowerPolicy,
     ScenarioConfig,
     average_power_threshold,
-    interference_power_cap,
     solve_lambda,
 )
 from crcap.quadrature import panel_rule
 from crcap.special_functions import NumericsError
-from oracles import conditional_power_pdf, invert_rate_integral, rate_integral
+from oracles import (
+    conditional_power_pdf,
+    interference_power_cap,
+    invert_rate_integral,
+    rate_integral,
+)
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -65,25 +69,30 @@ def test_with_axis_rejects_unknown_axis():
 # ----------------------------------------------------------------------
 # interference cap
 
+def library_cap(cl, cl_state=None):
+    """The solved policy's interference cap (PowerPolicy.cap_component)."""
+    pol = solve_lambda(scenario(CsiKnowledge.perfect(), cl))
+    return pol.cap_component(cl_state)
+
+
 def test_cap_no_knowledge_constant():
-    cap = interference_power_cap(None, CsiKnowledge.no_csi(), 10.0, 0.05)
+    cap = library_cap(CsiKnowledge.no_csi())
     assert cap == pytest.approx(3.338082006953341, rel=1e-12)
 
 
 def test_cap_perfect_inverse_gain():
-    caps = interference_power_cap(np.array([2.0, 0.5]), CsiKnowledge.perfect(),
-                                  10.0, 0.05)
+    caps = library_cap(CsiKnowledge.perfect(), np.array([2.0, 0.5]))
     np.testing.assert_allclose(caps, [5.0, 20.0], rtol=1e-13)
 
 
 def test_cap_estimated_at_zero_estimate():
-    cap = interference_power_cap(0.0, CsiKnowledge.estimated(0.5), 10.0, 0.05)
+    cap = library_cap(CsiKnowledge.estimated(0.5), 0.0)
     assert cap == pytest.approx(6.676164013906681, rel=1e-9)
 
 
 def test_cap_estimated_decreasing_in_estimate():
     ms = np.linspace(0.0, 8.0, 30)
-    caps = interference_power_cap(ms, CsiKnowledge.estimated(0.5), 10.0, 0.05)
+    caps = library_cap(CsiKnowledge.estimated(0.5), ms)
     assert np.all(np.diff(caps) < 0)
 
 
@@ -696,6 +705,29 @@ def test_cap_table_interpolants_equal_scipy_pchip(monkeypatch, alpha, eps):
     assert np.array_equal(q, q_knots) and np.array_equal(m, m_values)
     _assert_equals_scipy_pchip(capf._q_of_m, m, q)
     _assert_equals_scipy_pchip(capf._m_of_q, q, m)
+
+
+# worst relative errors of the estimated cap table on 20,001 even estimates
+# in [0, upper], measured and rounded up to two digits: the cap against the
+# exact quantile, and the crossing state's round trip over interior caps
+@pytest.mark.parametrize("alpha, eps, cap_err, crossing_err", [
+    (0.1, 0.05, 1.9e-4, 2.6e-4),
+    (0.1, 1e-6, 4.7e-3, 3.3e-3),
+    (0.5, 0.05, 3.0e-7, 4.1e-7),
+    (0.5, 1e-6, 4.0e-5, 3.5e-5),
+    (0.9, 0.05, 5.9e-10, 5.4e-10),
+    (0.9, 1e-6, 7.8e-8, 7.1e-8),
+])
+def test_cap_table_tracks_the_exact_quantile(alpha, eps, cap_err, crossing_err):
+    est = CsiKnowledge.estimated(alpha)
+    capf = power_allocation._cap_field(est, 10.0, eps, NumericSettings())
+    m = np.linspace(0.0, capf.upper, 20_001)
+    caps = capf.cap(m)
+    assert np.max(np.abs(caps / interference_power_cap(m, est, 10.0, eps) - 1.0)) \
+        <= cap_err
+    a = caps[(caps > capf.cap(capf.upper)) & (caps < capf.cap(0.0))]
+    assert a.size == m.size - 2
+    assert np.max(np.abs(capf.cap(capf.crossing_state(a)) / a - 1.0)) <= crossing_err
 
 
 def test_budget_interpolant_equals_scipy_pchip(monkeypatch, fresh_grids):
