@@ -14,13 +14,11 @@ evaluated through the scaled exponential integral so large 1/P and large
 tau never overflow (power_allocation._exponential_rate, which at tau = 0
 is also the rate without direct-link knowledge).
 
-The cross-link average splits at the crossing state once per call and
-refines only the part above it (_CapField.tail_sum). onoff_rate takes
-one threshold or a 1-D array of them; each element of an array is
-refined on its own and equals its scalar call bit for bit.
-optimize_threshold scans _SCAN_POINTS thresholds, _SCAN_BLOCK per array
-call, then polishes inside the best scan bracket with Brent's localmin
-until the bracket [a, b] is at most 1e-10 * max(1, b) wide.
+The cross-link average splits at the crossing state (_CapField.expect).
+Above it a perfectly known cross link integrates in closed form
+(_CapField.burst_tail), an estimated one by a quadrature refined per
+threshold (_CapField.tail_sum); either way each element of an array
+call equals its scalar call bit for bit.
 """
 
 from __future__ import annotations
@@ -59,37 +57,32 @@ def onoff_rate(tau, config: ScenarioConfig):
     """Ergodic rate of the on-off rule at threshold tau, in nats/use.
 
     tau is a scalar (the rate comes back as a float) or a 1-D array of
-    thresholds (an array of rates, each equal to its own scalar call).
-    The direct-link average is closed form; the cross-link average uses
-    the cap table's quadrature tail, as the capacity does, refined per
-    threshold until two panel resolutions agree.
+    finite nonnegative thresholds (an array of rates, each equal to its
+    own scalar call); a rate whose e^{-tau} underflows is 0 or
+    subnormal. The direct-link average is closed form, and so is the
+    cross-link average under perfect knowledge; an estimated cross link
+    refines its quadrature per threshold until two panel levels agree.
     """
     _require_perfect_direct(config)
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise ValueError("thresholds must be a scalar or a 1-D array")
-    if np.any(taus < 0.0):
-        raise ValueError("threshold must be nonnegative")
-    t = np.atleast_1d(taus)
+    if not np.all((taus >= 0.0) & (taus < np.inf)):
+        raise ValueError("threshold must be finite and nonnegative")
+    t = np.minimum(np.atleast_1d(taus), 746.0)   # e^-tau, and so the rate, is 0 past 745.2
     ns = config.numerics
-    budget = config.p_avg * np.exp(t)
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
-    if capf.is_constant:
-        rates = _exponential_rate(np.minimum(budget, capf.constant), t)
-    else:
-        t_star = capf.crossing_state(budget)
-        head = capf.cdf(t_star) * _exponential_rate(budget, t)
-        live = np.flatnonzero(t_star < capf.upper)
 
-        def burst_rate(P, rows):
-            return _exponential_rate(P, t[rows, None])
+    def burst(P, rows):
+        return _exponential_rate(P, t[rows] if np.ndim(P) == 1 else t[rows, None])
 
-        def evaluate(panels: int) -> np.ndarray:
-            rates = head.copy()
-            rates[live] += capf.tail_sum(t_star[live], live, burst_rate, panels)
-            return rates
+    def tail(t_star, rows):
+        if capf.level is CsiLevel.PERFECT:
+            return capf.burst_tail(t_star, t[rows])
+        return _refine(lambda panels: capf.tail_sum(t_star, rows, burst, panels), ns)[0]
 
-        rates = _refine(evaluate, ns)[0]
+    with np.errstate(over="ignore"):                # the budget may overflow to inf
+        rates = capf.expect(config.p_avg * np.exp(t), burst, tail)
     return rates if taus.ndim else float(rates[0])
 
 

@@ -52,7 +52,8 @@ cumulative table and the average-power equation reads it off
 (capped_mean): a multiplier trial costs one Gauss-Legendre panel per
 direct-link cell. The capacity's rate part is a quadrature on one grid
 shared by the direct-link cells (shared_tail, with _SlGrid.rate_sums),
-the on-off rate's one rule per threshold (tail_sum).
+the on-off rate's one rule per threshold (tail_sum); under perfect
+knowledge both are closed forms in E1 (rate_tail, burst_tail).
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ __all__ = [
 ]
 
 _GAIN_FLOOR = 1e-12   # divisor guard for perfect cross-link knowledge
+_BURST_SERIES_CUT = 0.05    # |i_peak - 1| below which burst_tail sums a Taylor series
+_BURST_SERIES_TERMS = 12    # of this many terms; both forms within 1.1e-13 of mpmath there
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
 _GRID_CACHE_SIZE = 256  # direct-link grids (and budget interpolants) kept per process
@@ -687,8 +690,9 @@ class _CapField:
     more panel from s to the next knot. A multiplier trial then costs one
     panel per direct-link cell, and its value does not depend on the
     trial's panel count. Under perfect knowledge the capacity's rate tail
-    has a closed form in E1 as well (rate_tail); otherwise it runs on one
-    grid shared by the direct-link cells (shared_tail).
+    and the on-off burst tail are closed forms in E1 as well (rate_tail,
+    burst_tail); otherwise they run on one grid shared by the direct-link
+    cells (shared_tail) and on one rule per threshold (tail_sum).
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
@@ -814,6 +818,36 @@ class _CapField:
         return np.where(a < self.upper,
                         primitive(self.upper) - primitive(b) + sliver, 0.0)
 
+    def burst_tail(self, t_star, tau):
+        """rate_tail's on-off twin: the integral of the burst rate
+        _exponential_rate(cap(t), tau) pdf(t) over the same states, per tau.
+        Perfect knowledge only, in closed form: e^{-tau} rate_tail(t*, tau)
+        plus, from e^{t/I} E1(tau + t/I) (I = i_peak), the primitive
+        I e^{-tau-t} (Ê1(y) - Ê1(I y)) / (1 - I) at y = tau + t/I. Near
+        I = 1 the quotient is the Taylor series of Ê1(I y) about y, with
+        Ê1^(k) = Ê1^(k-1) + (-1)^k (k-1)!/y^k; it is exact at I = 1.
+        """
+        i_peak = self.i_peak
+        a = np.maximum(np.asarray(t_star, dtype=float), 1e-13)
+        b = np.maximum(a, _GAIN_FLOOR)
+
+        def primitive(x):
+            y = tau + x / i_peak
+            q = exp_integral_e1(y, scaled=True)
+            if abs(i_peak - 1.0) >= _BURST_SERIES_CUT:
+                q = (q - exp_integral_e1(i_peak * y, scaled=True)) / (1.0 - i_peak)
+            else:
+                term, q, power = q, 0.0, 1.0      # term_k = Ê1^(k)(y) y^k / k!
+                for k in range(1, _BURST_SERIES_TERMS + 1):
+                    term = term * y / k + (-1.0) ** k / k
+                    q, power = q + power * term, power * (i_peak - 1.0)
+            return i_peak * np.exp(-x) * q
+
+        sliver = (exp_integral_e1(tau + _GAIN_FLOOR / i_peak, scaled=True)
+                  * -np.expm1(a - b) * np.exp(-a))
+        return np.exp(-tau) * (self.rate_tail(t_star, tau) + np.where(
+            a < self.upper, primitive(self.upper) - primitive(b) + sliver, 0.0))
+
     def expect(self, A: np.ndarray, f, tail) -> np.ndarray:
         """E over states t of f_j(min(A_j, cap(t))), per row j of the 1-D A.
 
@@ -821,13 +855,15 @@ class _CapField:
         at powers P shaped (J,) or (J, K). Split at each crossing state
         t*_j: f_j(A_j) F(t*_j) below it, and above it tail(t*[rows], rows)
         for the rows whose t* lies below upper (not called when there are
-        none): tail_integral, rate_tail, shared_tail or tail_sum. A
-        constant cap needs no split: f(min(A, cap)).
+        none): tail_integral, rate_tail, burst_tail, shared_tail or tail_sum.
+        F(t*) = 0 means no head; a constant cap needs no split: f(min(A, cap)).
         """
         if self.is_constant:
             return f(np.minimum(A, self.constant), slice(None))
         t_star = self.crossing_state(A)
-        head = f(A, slice(None)) * self.cdf(t_star)
+        F = self.cdf(t_star)
+        with np.errstate(invalid="ignore"):   # f(inf) may be nan; F = 0 there
+            head = np.where(F > 0.0, f(A, slice(None)) * F, 0.0)
         above = np.zeros_like(head)
         rows = np.flatnonzero(t_star < self.upper)
         if rows.size:

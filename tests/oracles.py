@@ -328,3 +328,37 @@ def on_level(tau: float, cl_state, config):
     cap = interference_power_cap(cl_state, config.cl_csi, config.i_peak,
                                  config.epsilon)
     return np.minimum(budget, cap) if np.ndim(cap) else min(budget, float(cap))
+
+
+def onoff_rate_perfect_cross(tau: float, p_avg: float, i_peak: float,
+                             upper: float, drop: float = 1e-13) -> float:
+    """On-off rate at threshold tau under a perfectly known cross gain.
+
+    A burst at power P above the threshold earns
+    R(P) = e^{-tau} (log(1 + P tau) + e^x E1(x)), x = tau + 1/P (valid
+    while x < 700). The cross gain t ~ Exp(1) sets the power
+    min(p_avg e^tau, i_peak / max(t, _GAIN_FLOOR)), and the rate is
+    scipy.integrate.quad of R of that power times e^{-t} over [0, t*],
+    t* = i_peak / (p_avg e^tau), and over [max(t*, drop), upper] in
+    s = log t, with a break at the gain floor. Like the library it leaves
+    out the states above upper (mass e^{-upper}) and, for t* < drop, the
+    states between t* and drop.
+    """
+    budget = p_avg * math.exp(tau)
+
+    def rate(t):
+        p = min(budget, i_peak / max(t, _GAIN_FLOOR))
+        x = tau + 1.0 / p
+        return math.exp(-tau) * (math.log1p(p * tau) + math.exp(x) * _sp.exp1(x))
+
+    t_star = min(i_peak / budget, upper)
+    head, _ = integrate.quad(lambda t: rate(t) * math.exp(-t), 0.0, t_star,
+                             epsabs=0.0, epsrel=1e-13)
+    lo = math.log(max(t_star, drop))
+    if lo >= math.log(upper):
+        return head
+    floor = math.log(_GAIN_FLOOR)
+    tail, _ = integrate.quad(lambda s: rate(math.exp(s)) * math.exp(s - math.exp(s)),
+                             lo, math.log(upper), points=[floor] if lo < floor else None,
+                             epsabs=0.0, epsrel=1e-13, limit=400)
+    return head + tail

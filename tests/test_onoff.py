@@ -5,18 +5,19 @@ closed-form burst rate) run outside this package.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
 from crcap.capacity import ergodic_capacity
-from crcap import onoff, power_allocation
+from crcap import onoff, power_allocation, quadrature
 from crcap.fading import CsiKnowledge, marginal_power_quantile
 from crcap.onoff import onoff_rate, optimize_threshold
 from crcap.power_allocation import NumericSettings, ScenarioConfig
 from crcap.special_functions import NumericsError
-from oracles import OnOffPolicy, on_level
+from oracles import OnOffPolicy, on_level, onoff_rate_perfect_cross
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 PERFECT = CsiKnowledge.perfect()
@@ -263,24 +264,26 @@ def test_scan_covers_thresholds_with_an_empty_tail(cl):
     assert at_top[0] and not at_top[-1]
 
 
-@pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP", "PE"])
-def test_tail_quadrature_skips_thresholds_with_an_empty_tail(cl, monkeypatch):
-    # the cross-state quadrature sees only thresholds whose crossing state
-    # lies below upper, at every panel level, and skipping the others
-    # leaves each rate equal to its scalar call bit for bit
+@pytest.mark.parametrize("cl, method", [(PERFECT, "burst_tail"), (EST, "tail_sum")],
+                         ids=["PP", "PE"])
+def test_tail_quadrature_skips_thresholds_with_an_empty_tail(cl, method, monkeypatch):
+    # the cross-state tail (closed form for a perfect cross link,
+    # quadrature at every panel level for an estimated one) sees only
+    # thresholds whose crossing state lies below upper, and skipping the
+    # others leaves each rate equal to its scalar call bit for bit
     cfg = scenario(cl, p_avg=0.01)
     capf = power_allocation._cap_field(cfg.cl_csi, cfg.i_peak, cfg.epsilon,
                                        cfg.numerics)
     live = capf.crossing_state(cfg.p_avg * np.exp(SCAN)) < capf.upper
     seen = []
-    tail_sum = power_allocation._CapField.tail_sum
+    tail = getattr(power_allocation._CapField, method)
 
-    def spy(self, t_star, rows, f, panels):
-        assert t_star.shape == rows.shape and np.all(t_star < self.upper)
-        seen.append(rows.size)
-        return tail_sum(self, t_star, rows, f, panels)
+    def spy(self, t_star, rows_or_taus, *args):
+        assert t_star.shape == rows_or_taus.shape and np.all(t_star < self.upper)
+        seen.append(rows_or_taus.size)
+        return tail(self, t_star, rows_or_taus, *args)
 
-    monkeypatch.setattr(power_allocation._CapField, "tail_sum", spy)
+    monkeypatch.setattr(power_allocation._CapField, method, spy)
     rates = onoff_rate(SCAN, cfg)
     assert 0 < live.sum() < SCAN.size
     assert seen and set(seen) == {live.sum()}
@@ -305,6 +308,81 @@ def test_array_rate_rejects_a_negative_element():
         onoff_rate(np.array([0.5, -1e-12, 1.0]), scenario(PERFECT))
     with pytest.raises(ValueError):
         onoff_rate(np.zeros((2, 2)), scenario(PERFECT))
+
+
+@pytest.mark.parametrize("cl", [NONE, PERFECT, EST], ids=["PN", "PP", "PE"])
+def test_rate_is_finite_where_the_burst_overflows(cl):
+    # past tau ~ 709.8 the burst budget p_avg e^tau overflows to inf while
+    # the rate underflows with e^-tau: subnormal, then 0, with no warning
+    # and no NaN; a threshold of inf or NaN is no threshold
+    cfg = scenario(cl)
+    taus = np.array([700.0, 720.0, 1e4, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = onoff_rate(taus, cfg)
+        assert [float(r).hex() for r in rates] \
+            == [onoff_rate(float(t), cfg).hex() for t in taus]
+    assert np.all(np.isfinite(rates))
+    assert rates[0] > rates[1] > 0.0 and rates[1] < np.finfo(float).tiny
+    assert np.array_equal(rates[2:], [0.0, 0.0])
+    for bad in (math.inf, math.nan, np.array([1.0, math.inf])):
+        with pytest.raises(ValueError, match="threshold"):
+            onoff_rate(bad, cfg)
+
+
+# onoff_rate under a perfect cross link against the quadrature oracle.
+# i_peak from 0.999 to 1.001 takes the closed form's series. p_avg = 1e12
+# puts t* below the 1e-12 gain floor (for i_peak = 10 from tau = 3 on);
+# there the library runs the burst at the budget below t*, above the
+# floored cap, which the oracle does not: 9.0e-13 relative at i_peak = 0.1,
+# tau = 0, and at most 2.0e-15 at the other budgets
+@pytest.mark.parametrize("i_peak", [0.1, 0.999, 1.0, 1.0 + 1e-6, 1.001, 10.0, 100.0])
+@pytest.mark.parametrize("p_avg", [0.01, 1.0, 1e12])
+def test_perfect_cross_rate_matches_the_quadrature_oracle(i_peak, p_avg):
+    cfg = scenario(PERFECT, p_avg=p_avg, i_peak=i_peak)
+    upper = -math.log(cfg.numerics.tail_mass)
+    taus = np.array([0.0, 0.7, 3.0, 18.0])
+    want = [onoff_rate_perfect_cross(t, p_avg, i_peak, upper) for t in taus]
+    np.testing.assert_allclose(onoff_rate(taus, cfg), want, rtol=1e-12, atol=0.0)
+
+
+# exp_integral_e1 elements of an optimize_threshold at p_avg = 1 (the
+# benchmark's PP@0dB and PE@0dB): a perfect cross link took 38,961 with
+# its tail a refined quadrature and 750 in closed form; an estimated one
+# still refines its quadrature
+E1_ELEMENTS = {"PP": 1_000, "PE": 44_252}
+
+
+@pytest.mark.parametrize("code, cl", [("PP", PERFECT), ("PE", EST)],
+                         ids=["PP@0dB", "PE@0dB"])
+def test_threshold_search_e1_work_stays_bounded(code, cl, monkeypatch):
+    elements, refined = [], []
+    e1 = power_allocation.exp_integral_e1
+    tail_sum = power_allocation._CapField.tail_sum
+    refine = quadrature._refine
+
+    def counted_e1(x, scaled=False):
+        elements.append(np.size(x))
+        return e1(x, scaled)
+
+    def counted_tail_sum(*args):
+        refined.append("tail_sum")
+        return tail_sum(*args)
+
+    def counted_refine(*args):
+        refined.append("_refine")
+        return refine(*args)
+
+    monkeypatch.setattr(power_allocation, "exp_integral_e1", counted_e1)
+    monkeypatch.setattr(power_allocation._CapField, "tail_sum", counted_tail_sum)
+    for module in (quadrature, power_allocation, onoff):
+        monkeypatch.setattr(module, "_refine", counted_refine)
+    optimize_threshold(scenario(cl).replace(numerics=NumericSettings()))
+    assert sum(elements) <= E1_ELEMENTS[code]
+    if code == "PP":
+        assert refined == []
+    else:
+        assert set(refined) == {"tail_sum", "_refine"}
 
 
 @pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP@0dB", "PE@0dB"])
