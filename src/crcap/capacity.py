@@ -3,32 +3,31 @@ high-budget limits.
 
 capacity = E[ log(1 + P(states) * g_direct) ] in nats per channel use,
 averaged over both links' fading, with P the policy from
-power_allocation.solve_lambda. The cap table (_CapField) averages over
-the cross state: expect splits each cell's rate at its crossing state so
-every quadrature piece is smooth, saturated_mean takes the rate at the
-cap alone. Above the crossings the cross state runs on one grid shared
-by every direct-link cell (_CapField.shared_tail), so the cap and the
-rates' shared powers are evaluated once per node, and each cell adds one
-panel of its own from its crossing. The whole evaluation is repeated
-with doubled panel counts until two levels agree, and the last change is
-reported as the error estimate. With perfect knowledge of both links,
-the integral over the cross state above the crossing has a closed form
-in E1 (_CapField.rate_tail), so only the direct-link axis is a
-quadrature.
+power_allocation.solve_lambda. Each panel count reads the rate of the
+policy's level (_SlGrid.rate on the direct-link grid at lam): the cap
+table (_CapField) averages over the cross state, expect splitting each
+cell's rate at its crossing state so every quadrature piece is smooth.
+Above the crossings the cross state runs on one grid shared by every
+direct-link cell (_CapField.shared_tail), or, with perfect knowledge of
+both links, in closed form in E1 (_CapField.rate_tail). saturated_mean
+takes the rate at the cap alone. The whole evaluation is repeated with
+doubled panel counts until two levels agree, and the last change is
+reported as the error estimate. The low-budget limit is the same level
+with the cap dropped, at the multiplier of the same search
+(power_allocation._multiplier).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .fading import CsiLevel
 from .power_allocation import (
     PowerPolicy,
     ScenarioConfig,
-    _bisect,
     _cap_field,
     _exponential_rate,
+    _multiplier,
     _sl_grid,
     solve_lambda,
 )
@@ -59,19 +58,11 @@ class CapacityResult:
 
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
-    """The capacity at one panel count. At saturation E[log(1 + cap g)]
-    for the marginal direct gain g: the policy ignores the direct link."""
-    capf = policy._capf
+    """The capacity at one panel count: the policy's level's rate, or at
+    saturation E[log(1 + cap g)] for the marginal direct gain g."""
     if policy.regime == "saturated":
-        return capf.saturated_mean(_exponential_rate, panels)
-    sl, A = policy._grid(panels)
-    if capf.level is CsiLevel.PERFECT and sl.csi.level is CsiLevel.PERFECT:
-        # the cross state integrates in closed form at each cell's gain
-        def tail(t_star, rows):
-            return capf.rate_tail(t_star, sl.state[rows])
-    else:
-        tail = functools.partial(capf.shared_tail, sums=sl.rate_sums, panels=panels)
-    return float(sl.w @ capf.expect(A, sl.rate_cells, tail))
+        return policy._capf.saturated_mean(_exponential_rate, panels)
+    return policy._grid(panels).rate(policy._capf, panels)
 
 
 def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
@@ -100,15 +91,9 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
     ns = config.numerics
 
     def evaluate(panels: int) -> float:
-        # budget equation without the cap: E[component(lam)] = p_avg;
-        # the grid's edge tracks the kink
-        def spent(lam: float) -> float:
-            sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
-            return float(sl.w @ A)
-
-        lam = _bisect(spent, config.p_avg, 1e-12, 1.0, 1e-9, "capless multiplier")
-        sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
-        return float(sl.w @ sl.rate_cells(A))
+        # the policy's search without the cap; each trial's grid starts at its kink
+        lam = _multiplier(config, None, panels, 1e-9, "capless multiplier")
+        return _sl_grid(config.sl_csi, ns, panels, lam).rate(None, panels)
 
     return _refine(evaluate, ns)[0]
 

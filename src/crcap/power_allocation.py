@@ -17,7 +17,8 @@ lam; the transmitted power is the pointwise minimum of the two.
 If the budget exceeds the mean cap (the average-power threshold), the
 budget constraint is slack: lam = 0 and the policy transmits at the cap
 ("saturated" regime). Otherwise lam > 0 is found by bisection on the
-average-power equation (_bisect; "power_limited" regime).
+average-power equation of one level (_multiplier; "power_limited"
+regime); the low-budget limit is the same search without the cap.
 
 The budget component by direct-link knowledge:
   * none       constant (the raw budget by default; optionally rescaled so
@@ -506,12 +507,13 @@ class _SlGrid:
     knowledge, estimate lam - alpha under estimated knowledge), and
     states below it contribute nothing to either the budget equation or
     the capacity, so the grid starts at the boundary. Panels straddling
-    that kink would otherwise degrade the quadrature order.
+    that kink would otherwise degrade the quadrature order. A level
+    (_sl_grid, PowerPolicy._grid) also holds A, the budget component at lam.
     """
 
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
                  panels: int, lam: Optional[float] = None):
-        self.csi = csi
+        self.csi, self.lam = csi, lam
         pts = settings.quad_points
         tail = settings.tail_mass
         lower = 0.0 if lam is None else float(lam)
@@ -571,22 +573,40 @@ class _SlGrid:
             sums[s:s + step] = np.einsum("jpn,pn->jp", r.reshape(-1, *P.shape), w)
         return sums, np.einsum("jn,jn->j", self.rate_cells(Q, rows), v)
 
+    def spent(self, capf: Optional[_CapField]) -> float:
+        """The level's average power sum w E[min(A, cap)], capless for None."""
+        if capf is None:
+            return float(self.w @ self.A)
+        return float(self.w @ capf.capped_mean(self.A))
+
+    def rate(self, capf: Optional[_CapField], panels: int) -> float:
+        """The level's capacity sum w E[log(1 + min(A, cap) g)], capless for None."""
+        if capf is None:
+            return float(self.w @ self.rate_cells(self.A))
+        if capf.level is CsiLevel.PERFECT and self.csi.level is CsiLevel.PERFECT:
+            # the cross state integrates in closed form at each cell's gain
+            def tail(t_star, rows):
+                return capf.rate_tail(t_star, self.state[rows])
+        else:
+            tail = functools.partial(capf.shared_tail, sums=self.rate_sums, panels=panels)
+        return float(self.w @ capf.expect(self.A, self.rate_cells, tail))
+
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
-             lam: float):
-    """A direct link's grid at panels from lam's boundary and its budget
-    component A at lam, read-only: one entry serves every search, capacity
-    level and thread in the process. Every bisection visits lam = 1,
+             lam: float) -> _SlGrid:
+    """A direct link's level: its grid at panels from lam's boundary and its
+    budget component A at lam, read-only. One entry serves every search,
+    capacity level and thread in the process. Every bisection visits lam = 1,
     1e-12, 0.5, ..., and the capacity at 2 base_panels reads the search's
     final trial. Threads that miss together each build the same bits; no
     lock, so sweep threads never wait. It holds a knowledge_grid round's 132 keys.
     """
     sl = _SlGrid(csi, settings, panels, lam=lam)
-    A = sl.budget_component(lam)
-    for a in (sl.state, sl.w, A):
+    sl.A = sl.budget_component(lam)
+    for a in (sl.state, sl.w, sl.A):
         a.setflags(write=False)
-    return sl, A
+    return sl
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -771,9 +791,7 @@ class _CapField:
 
     def tail_rule(self, t_star: np.ndarray, panels: int):
         """Per-row rule for E over states above t_star; weights include pdf."""
-        spacing = "geometric" if self.level is CsiLevel.PERFECT else "linear"
-        nodes, w = panel_rule_batch(t_star, self.upper, panels,
-                                    self.settings.quad_points, spacing=spacing)
+        nodes, w = panel_rule_batch(t_star, self.upper, panels, self.settings.quad_points)
         return nodes, w * self.pdf(nodes)
 
     def _panel_integral(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -796,7 +814,7 @@ class _CapField:
 
     def rate_tail(self, t_star, g):
         """T(t*): the integral of log(1 + cap(t) g) pdf(t) over the states
-        tail_rule covers, [max(t*, 1e-13), upper], for a direct gain g.
+        [max(t*, 1e-13), upper], for a direct gain g.
 
         Perfect knowledge only, in closed form. With c = i_peak g,
         b = max(t*, 1e-13, _GAIN_FLOOR) and Ê1 the exp-scaled E1,
@@ -891,7 +909,7 @@ class _CapField:
         """expect's tail by quadrature on one grid shared by the rows.
 
         The grid has panels Gauss-Legendre panels of quad_points nodes
-        from the lowest t* to upper: geometric above tail_rule's 1e-13
+        from the lowest t* to upper: geometric above a 1e-13
         floor under perfect knowledge, linear under estimated. Row j adds
         one panel of its own from t*_j up to the next knot, and its tail
         is that panel plus its panel sums from that knot up, a reverse
@@ -980,7 +998,7 @@ class PowerPolicy:
     power(sl_state, cl_state) evaluates the rule per sample; states that a
     knowledge level does not provide are ignored and may be None. In the
     saturated regime the rule is the cap alone and direct-link state is
-    never consulted. Direct-link grids come from _sl_grid and budget
+    never consulted. Its levels (_grid) come from _sl_grid and budget
     interpolants from _budget_interpolant; none is held.
 
     Large-batch evaluation for estimated knowledge goes through that
@@ -1060,16 +1078,16 @@ class PowerPolicy:
         panels = panels or cfg.numerics.base_panels * 2
         if self.regime == "saturated":
             return self._capf.saturated_mean(lambda c: c, panels)
-        sl, A = self._grid(panels)
-        return float(sl.w @ self._capf.capped_mean(A))
+        return self._grid(panels).spent(self._capf)
 
-    def _grid(self, panels: int):
-        """_sl_grid at lam (a copy with a changed lam reads another entry);
-        without direct-link knowledge the one cell and the constant."""
+    def _grid(self, panels: int) -> _SlGrid:
+        """The level _sl_grid at lam (a copy with a changed lam reads another
+        entry); without direct-link knowledge the one cell, A the constant."""
         cfg = self.config
         if cfg.sl_csi.level is CsiLevel.NONE:
-            return (_SlGrid(cfg.sl_csi, cfg.numerics, panels),
-                    np.array([self.budget_component()]))
+            sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels)
+            sl.A = np.array([self.budget_component()])
+            return sl
         return _sl_grid(cfg.sl_csi, cfg.numerics, panels, self.lam)
 
 
@@ -1108,6 +1126,16 @@ def _bisect(f, target: float, lo: float, hi: float, rel_tol: float,
     raise NumericsError(f"{what} bisection did not converge in 300 steps")
 
 
+def _multiplier(config: ScenarioConfig, capf: Optional[_CapField], panels: int,
+                rel_tol: float, what: str) -> float:
+    """_bisect's lam on [_LAMBDA_LO, 1] whose level at panels spends p_avg
+    within rel_tol, capped by capf or, for None, capless."""
+    def spent(lam: float) -> float:
+        return _sl_grid(config.sl_csi, config.numerics, panels, lam).spent(capf)
+
+    return _bisect(spent, config.p_avg, _LAMBDA_LO, 1.0, rel_tol, what)
+
+
 def average_power_threshold(config: ScenarioConfig) -> float:
     """Mean interference cap: the budget level where the policy saturates.
 
@@ -1132,10 +1160,10 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     cross-link knowledge the reported threshold is infinite, but the
     truncated state space can only spend a finite average; budgets beyond
     that numeric limit saturate too (the capacity they forgo is at tail-
-    mass level). Otherwise _bisect solves for the multiplier until the
-    achieved average power is within lambda_rel_tol of the budget,
-    relative, and raises NumericsError if it cannot. Each trial reads its
-    own direct-link grid from _sl_grid, so a panel edge always sits on the
+    mass level). Otherwise _multiplier bisects until the achieved average
+    power is within lambda_rel_tol of the budget, relative, and raises
+    NumericsError if it cannot. Each trial reads its own level from
+    _sl_grid, so a panel edge always sits on the
     zero-power kink; with an estimated direct link a missed entry costs
     one MGF row inversion (_mgf_invert_rate). The cap part of each trial
     comes from the cap table's tail integral (_CapField.capped_mean). The
@@ -1168,10 +1196,5 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 
-    def achieved(lam: float) -> float:
-        sl, A = _sl_grid(config.sl_csi, ns, panels, lam)
-        return float(sl.w @ capf.capped_mean(A))
-
-    lam = _bisect(achieved, config.p_avg, _LAMBDA_LO, 1.0, ns.lambda_rel_tol,
-                  "power multiplier")
+    lam = _multiplier(config, capf, panels, ns.lambda_rel_tol, "power multiplier")
     return PowerPolicy(config, lam, "power_limited", p_star, capf)

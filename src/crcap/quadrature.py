@@ -32,29 +32,17 @@ def panel_rule(edges, points: int):
     return nodes, weights
 
 
-def panel_rule_batch(lo, hi, n_panels: int, points: int,
-                     spacing: str = "linear"):
-    """Per-row composite rule on [lo_j, hi_j].
+def panel_rule_batch(lo, hi, n_panels: int, points: int):
+    """Per-row composite rule on [lo_j, hi_j] of n_panels equal panels.
 
     Returns nodes and weights shaped (J, n_panels * points). Rows with
-    lo >= hi produce zero weights. spacing="geometric" places panel edges
-    in geometric progression (rows are shifted to a positive floor first),
-    which keeps the per-panel variation of 1/t-like integrands bounded.
+    lo >= hi produce zero weights.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     hi = np.broadcast_to(hi[:, None] if hi.ndim == 1 else hi, lo.shape)
     width = np.maximum(hi - lo, 0.0)
-    t = np.linspace(0.0, 1.0, n_panels + 1)
-    if spacing == "geometric":
-        lo_pos = np.maximum(lo, 1e-13)
-        hi_pos = np.maximum(hi, lo_pos)
-        ratio = hi_pos / lo_pos
-        edges = np.where(width[:, :1] > 0.0, lo_pos * ratio ** t[None, :], lo)
-    elif spacing == "linear":
-        edges = lo + width * t[None, :]                   # (J, P+1)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    edges = lo + width * np.linspace(0.0, 1.0, n_panels + 1)[None, :]   # (J, P+1)
     x, w = _gl_rule(points)
     a = edges[:, :-1, None]
     half = 0.5 * (edges[:, 1:, None] - a)

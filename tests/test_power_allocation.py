@@ -990,11 +990,12 @@ def test_policy_holds_no_grid(fresh_grids):
 def test_memoised_grid_is_read_only(fresh_grids):
     # one entry serves every caller and thread, so none may write into it
     key = (CsiKnowledge.estimated(0.5), NumericSettings(), 16, 0.1)
-    sl, A = power_allocation._sl_grid(*key)
+    sl = power_allocation._sl_grid(*key)
+    A = sl.A
     for a in (sl.state, sl.w, A):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-    assert power_allocation._sl_grid(*key)[1] is A
+    assert power_allocation._sl_grid(*key).A is A
 
 
 def test_corrupted_lambda_copy_builds_its_own_grid():
@@ -1075,6 +1076,23 @@ _FROZEN_LAMBDAS = {
     ("PN", -10.0): 1.1661376953125,
     ("PN", 0.0): 0.3937683105474813,
 }
+# at the same points, as float.hex: the capacity, its quadrature error
+# estimate and the low-budget asymptote, from the solver that read the
+# policy, the capless limit and the capacity each in a way of its own
+_FROZEN_CAPACITIES = {
+    ("PP", -10.0): ("0x1.5661907e7ca42p-3", "0x1.7000000000000p-50", "0x1.5660de06d0686p-3"),
+    ("PP", 0.0): ("0x1.6cfcc6378ffc4p-1", "0x1.67ec000000000p-39", "0x1.6d0502d1b887ap-1"),
+    ("PP", 13.0): ("0x1.2d70617ff5b6ep+1", "0x1.f7ff8ae400000p-20", "0x1.4fe4a2666360ep+1"),
+    ("PE", -10.0): ("0x1.5661908811c9ap-3", "0x1.0000000000000p-54", "0x1.5660de06d0686p-3"),
+    ("PE", 0.0): ("0x1.6cf895426040ep-1", "0x1.5187000000000p-37", "0x1.6d0502d1b887ap-1"),
+    ("EP", -10.0): ("0x1.f6c1bd0be0490p-4", "0x1.4000000000000p-54", "0x1.f6c1074c00df4p-4"),
+    ("EP", 0.0): ("0x1.3c2b542d0be11p-1", "0x1.f800000000000p-48", "0x1.3c2a69366fca7p-1"),
+    ("EP", 13.0): ("0x1.2ca2506236098p+1", "0x1.8000000000000p-49", "0x1.4bfff60234a52p+1"),
+    ("EE", -10.0): ("0x1.f6c1bd2ecfe76p-4", "0x1.c000000000000p-54", "0x1.f6c1074c00df4p-4"),
+    ("EE", 0.0): ("0x1.3c29be54cdaf7p-1", "0x1.1200000000000p-46", "0x1.3c2a69366fca7p-1"),
+    ("PN", -10.0): ("0x1.56619088f8712p-3", "0x1.0000000000000p-53", "0x1.5660de06d0686p-3"),
+    ("PN", 0.0): ("0x1.6d0640eb28013p-1", "0x1.5200000000000p-46", "0x1.6d0502d1b887ap-1"),
+}
 _KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
               "N": CsiKnowledge.no_csi()}
 
@@ -1087,6 +1105,10 @@ def test_lambda_frozen_bit_for_bit(code, p_avg_db):
     pol = solve_lambda(cfg)
     assert pol.regime == "power_limited"
     assert pol.lam == _FROZEN_LAMBDAS[code, p_avg_db]
+    res = capacity._capacity_of(pol)
+    got = (res.capacity.hex(), res.quadrature_error_estimate.hex(),
+           capacity.low_budget_asymptote(cfg).hex())
+    assert got == _FROZEN_CAPACITIES[code, p_avg_db]
 
 
 def test_lambda_frozen_near_the_perfect_cross_threshold():
@@ -1140,7 +1162,7 @@ def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch, fresh_grids):
     # some looser slack may come back as the multiplier
     tol = NumericSettings().lambda_rel_tol
 
-    class OneCell:
+    class OneCell(power_allocation._SlGrid):
         def __init__(self, csi, settings, panels, lam=None):
             self.state = np.array([1.0])
             self.w = np.array([1.0])

@@ -51,19 +51,6 @@ def test_panel_rule_batch_empty_rows_get_zero_weight():
     assert weights[0] @ f[0] == pytest.approx((8.0 - 1.0) / 3.0, rel=1e-13)
 
 
-def test_panel_rule_batch_geometric_integrates_stiff_tail():
-    # 1/t on [1e-6, 1]: geometric panels handle the scale span, linear cannot
-    nodes, weights = panel_rule_batch(np.array([1e-6]), np.array([1.0]),
-                                      n_panels=24, points=12, spacing="geometric")
-    val = (weights[0] / nodes[0]).sum()
-    assert val == pytest.approx(math.log(1e6), rel=1e-12)
-
-
-def test_panel_rule_batch_rejects_unknown_spacing():
-    with pytest.raises(ValueError):
-        panel_rule_batch(np.array([0.0]), np.array([1.0]), 2, 4, spacing="cubic")
-
-
 # ----------------------------------------------------------------------
 # the panel-doubling driver
 
