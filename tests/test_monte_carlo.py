@@ -13,7 +13,7 @@ import pytest
 from scipy import special
 
 from crcap.capacity import ergodic_capacity
-from crcap.fading import CsiKnowledge
+from crcap.fading import CsiKnowledge, sample_channel_pair
 from crcap.monte_carlo import (
     SHARD_SIZE,
     SimReport,
@@ -113,6 +113,28 @@ def test_estimated_both_links_matches_quadrature():
     r = simulate_policy(pol, cfg, 1_000_000, seed=8)
     assert abs(r.empirical_rate - res.capacity) <= 3.0 * r.rate_ci
     assert abs(r.empirical_avg_power - cfg.p_avg) <= 3.0 * r.power_ci
+
+
+def test_paired_draws_resolve_the_knowledge_gap():
+    # common random numbers: PP and EP (alpha_s 1e-4) at 10 dB read one
+    # draw, the true gain and its estimate, so the per-sample rate
+    # difference has a CI about 100 times narrower than either rate and
+    # resolves their 3.8e-5 capacity gap; the PCHIP budget table that
+    # EP's per-sample rule once read lost 6.4e-5 more, 7.6 sigma here
+    ns = NumericSettings(lambda_rel_tol=1e-12, base_panels=32)
+    est = CsiKnowledge.estimated(1e-4)
+    cfgs = [ScenarioConfig(sl_csi=sl, cl_csi=PERFECT, p_avg=10.0, i_peak=10.0,
+                           epsilon=0.05, numerics=ns) for sl in (PERFECT, est)]
+    pp, ep = (solve_lambda(c) for c in cfgs)
+    c_pp, c_ep = (ergodic_capacity(c) for c in cfgs)
+    rng = np.random.Generator(np.random.Philox(1))
+    sl = sample_channel_pair(est, rng, 1_000_000)
+    cl = sample_channel_pair(PERFECT, rng, 1_000_000)
+    diff = (np.log1p(pp.power(sl.gain, cl.gain) * sl.gain)
+            - np.log1p(ep.power(sl.estimate, cl.gain) * sl.gain))
+    sigma = diff.std() / math.sqrt(diff.size)
+    assert abs(diff.mean() - (c_pp.capacity - c_ep.capacity)) <= 4.0 * sigma \
+        + c_pp.quadrature_error_estimate + c_ep.quadrature_error_estimate
 
 
 def test_saturated_policy_spends_mean_cap():
@@ -225,13 +247,15 @@ def test_report_carries_samples_seed_and_ten_bins():
 
 # float.hex of (empirical_rate, rate_ci, empirical_avg_power, power_ci,
 # outage_fraction, outage_ci), then the bins' counts and outages, of
-# 300,001 samples at seed 19 (five shards, the last one short); EE's
-# power moments moved by 2-3 ulp when the row inversion began to sum its
-# small-s tail in closed form, its counts and outages did not
+# 300,001 samples at seed 19 (five shards, the last one short). EE's
+# rate and power rose by 1.4e-8 and 2.3e-8 relative when its budget rule
+# became the Chebyshev series of the row inversion: inverting every
+# sample with _mgf_invert_rate gives this rate within 1 ulp, this power
+# and these counts and outages exactly
 FROZEN_REPORTS = {
     "EE": (
-        ("0x1.3d648299ad564p-1", "0x1.fbbef8660a545p-10", "0x1.0055c32bffc9dp+0",
-         "0x1.abf9f590d925fp-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
+        ("0x1.3d6482e5c2083p-1", "0x1.fbbef7ffdeca9p-10", "0x1.0055c38cf0174p+0",
+         "0x1.abf9f369194a8p-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
         [29994, 29563, 30266, 29972, 30110, 29943, 30059, 30221, 29744, 30129],
         [0, 1, 1, 0, 1, 3, 7, 11, 22, 140]),
     "PN": (

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from crcap import capacity, power_allocation
-from crcap.fading import CsiKnowledge
+from crcap.fading import CsiKnowledge, estimate_power_quantile
 from crcap.power_allocation import (
     NumericSettings,
     PowerPolicy,
@@ -660,7 +660,7 @@ def test_component_none_is_constant_budget():
 
 
 # ----------------------------------------------------------------------
-# the monotone cubic interpolant behind the cap table and the budget table
+# the monotone cubic interpolant behind the cap table
 
 def _recording_pchip(monkeypatch):
     """Patch _Pchip to record the (x, y) of every interpolant it builds."""
@@ -728,19 +728,6 @@ def test_cap_table_tracks_the_exact_quantile(alpha, eps, cap_err, crossing_err):
     a = caps[(caps > capf.cap(capf.upper)) & (caps < capf.cap(0.0))]
     assert a.size == m.size - 2
     assert np.max(np.abs(capf.cap(capf.crossing_state(a)) / a - 1.0)) <= crossing_err
-
-
-def test_budget_interpolant_equals_scipy_pchip(monkeypatch, fresh_grids):
-    est = CsiKnowledge.estimated(0.5)
-    pol = solve_lambda(scenario(est, est))
-    assert pol.regime == "power_limited"
-    made = _recording_pchip(monkeypatch)
-    pol.budget_component(np.array([0.5]))
-    (m, vals), = made
-    memo = power_allocation._budget_interpolant(est, pol.config.numerics, pol.lam)
-    _assert_equals_scipy_pchip(memo[2], m, vals)
-    pol.budget_component(np.array([0.7]))
-    assert len(made) == 1  # the second call reads the memo
 
 
 def test_pchip_rejects_bad_knots():
@@ -1000,7 +987,7 @@ def test_memoised_grid_is_read_only(fresh_grids):
 
 def test_corrupted_lambda_copy_builds_its_own_grid():
     # cli verify --corrupt-lambda rescales lam on a shallow copy of the
-    # policy: the grid and the budget interpolant solved at the old lam
+    # policy: the grid and the budget series solved at the old lam
     # must not reach it
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect())
     pol = solve_lambda(cfg)
@@ -1320,12 +1307,39 @@ def test_policy_power_is_min_of_components():
 
 
 def test_policy_budget_interp_matches_exact_inversion():
-    cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.no_csi(), ns=TIGHT)
+    # 41 estimates spaced geometrically from the kink m_c = lam - alpha to
+    # the top of the series; against the density-based inversion the
+    # series erred by at most 4.6e-13 (at the top), the PCHIP table it
+    # replaced by 1.1e-4 (alpha 1e-4) and 2.0e-6 (alpha 0.5) near the kink
+    for alpha in (1e-4, 0.5):
+        cfg = scenario(CsiKnowledge.estimated(alpha), CsiKnowledge.no_csi(), ns=TIGHT)
+        pol = solve_lambda(cfg)
+        m_c = max(pol.lam - alpha, 0.0)
+        upper = estimate_power_quantile(1.0 - TIGHT.tail_mass, alpha)
+        ms = m_c + np.geomspace(1e-9, upper - m_c, 41)
+        exact = np.array([invert_rate_integral(pol.lam, float(m), alpha) for m in ms])
+        np.testing.assert_allclose(pol.budget_component(ms), exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 0.1, 0.5])
+@pytest.mark.parametrize("p_avg_db", [-10.0, 10.0, 20.0])
+def test_policy_budget_series_tracks_the_row_inversion(alpha, p_avg_db):
+    # the per-sample rule Monte Carlo replays and the grid cells the
+    # capacity integrates read one function: on 4,000 estimates spaced
+    # geometrically from the kink to the series' top the two agree to
+    # 1.9e-13 of the largest component (measured); the PCHIP table they
+    # replaced erred by up to 1.6e-1 of it (alpha 1e-4, 20 dB)
+    cfg = scenario(CsiKnowledge.estimated(alpha), CsiKnowledge.perfect(),
+                   p_avg=10.0 ** (p_avg_db / 10.0),
+                   ns=NumericSettings(lambda_rel_tol=1e-12))
     pol = solve_lambda(cfg)
-    ms = np.linspace(0.0, 6.0, 41)
-    fast = pol.budget_component(ms)
-    exact = np.array([invert_rate_integral(pol.lam, float(m), 0.5) for m in ms])
-    np.testing.assert_allclose(fast, exact, atol=5e-8)
+    assert pol.regime == "power_limited"
+    m_c = max(pol.lam - alpha, 0.0)
+    upper = estimate_power_quantile(1.0 - cfg.numerics.tail_mass, alpha)
+    ms = m_c + np.geomspace(1e-12, max(upper, m_c + 1.0) - m_c, 4000)
+    exact = power_allocation._mgf_invert_rate(ms, alpha, pol.lam)
+    err = np.max(np.abs(pol.budget_component(ms) - exact))
+    assert err <= 1e-11 * exact.max()
 
 
 def test_saturated_policy_rejects_budget_component():
