@@ -61,7 +61,7 @@ def _capacity_at(policy: PowerPolicy, panels: int) -> float:
     """The capacity at one panel count: the policy's level's rate, or at
     saturation E[log(1 + cap g)] for the marginal direct gain g."""
     if policy.regime == "saturated":
-        return policy._capf.saturated_mean(_exponential_rate, panels)
+        return policy._capf.saturated_mean(panels)
     return policy._grid(panels).rate(policy._capf, panels)
 
 
@@ -107,5 +107,5 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     """
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
-    return _refine(lambda p: capf.saturated_mean(_exponential_rate, p), ns)[0]
+    return _refine(capf.saturated_mean, ns)[0]
 

@@ -14,11 +14,12 @@ interference-outage probability stays within epsilon. The average-power
 budget contributes a direct-link component through a Lagrange multiplier
 lam; the transmitted power is the pointwise minimum of the two.
 
-If the budget exceeds the mean cap (the average-power threshold), the
-budget constraint is slack: lam = 0 and the policy transmits at the cap
-("saturated" regime). Otherwise lam > 0 is found by bisection on the
-average-power equation of one level (_multiplier; "power_limited"
-regime); the low-budget limit is the same search without the cap.
+If the budget is at least the mean cap (the average-power threshold,
+read off the cap table), the budget constraint is slack: lam = 0 and the
+policy transmits at the cap ("saturated" regime). Otherwise lam > 0 is
+found by bisection on the average-power equation of one level
+(_multiplier; "power_limited" regime); the low-budget limit is the same
+search without the cap.
 
 The budget component by direct-link knowledge:
   * none       constant (the raw budget by default; optionally rescaled so
@@ -42,14 +43,15 @@ given its estimate enters through its moment generating function: the
 conditional rate and log-rate are trapezoid sums in log s of closed-form
 MGF terms (_mgf_log_rate, _mgf_rate), so no density is evaluated on the
 solve or capacity paths; the capacity samples every cell's log-rate at
-the same powers on one lattice in u = s P (_mgf_lattice) and
-interpolates in log P. Every expectation over the cross-link state
+the same powers on one lattice in u = s P (_mgf_lattice) and sums it as
+a Chebyshev series in log P. Every expectation over the cross-link state
 belongs to the cap table _CapField: E[f(min(a, cap(t)))] is split at the
 crossing state where the cap equals a (expect), so each quadrature piece
-is smooth and converges spectrally, and E[f(cap(t))] runs over all states
-(saturated_mean). The power's part above the crossing depends on the
-crossing state alone, so each cap table integrates it once into a
-cumulative table and the average-power equation reads it off
+is smooth and converges spectrally, and the saturated rate runs over all
+states (saturated_mean). The power's part above the crossing depends on
+the crossing state alone, so each cap table integrates it once into a
+cumulative table, whose total is the mean cap and the one saturation
+threshold (mean_cap), and the average-power equation reads it off
 (capped_mean): a multiplier trial costs one Gauss-Legendre panel per
 direct-link cell. The capacity's rate part is a quadrature on one grid
 shared by the direct-link cells (shared_tail, with _SlGrid.rate_sums),
@@ -70,7 +72,7 @@ import numpy as np
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import _gl_rule, _refine, panel_rule, panel_rule_batch
+from .quadrature import _gl_rule, panel_rule, panel_rule_batch
 from .special_functions import NumericsError, exp_integral_e1
 
 __all__ = [
@@ -189,6 +191,11 @@ class ScenarioConfig:
 # ----------------------------------------------------------------------
 # quadrature grids over the conditioning states
 
+def _state_upper(scale: float, tail_mass: float) -> float:
+    """Top of every truncated Exp(scale) state range: tail_mass lies above."""
+    return -scale * np.log(tail_mass)
+
+
 def _exp_rule(scale: float, panels: int, points: int, tail_mass: float,
               lower: float = 0.0):
     """Nodes/weights for E over Exp(scale), truncated, weights include pdf.
@@ -197,7 +204,7 @@ def _exp_rule(scale: float, panels: int, points: int, tail_mass: float,
     known to contribute zero); a lower at or past the truncation point
     yields an all-zero rule.
     """
-    hi = -scale * np.log(tail_mass)
+    hi = _state_upper(scale, tail_mass)
     lo = min(max(lower, 0.0), hi)
     x, w = panel_rule(np.linspace(lo, hi, panels + 1), points)
     return x, w * np.exp(-x / scale) / scale
@@ -371,6 +378,13 @@ def _exponential_rate(power, tau=0.0) -> np.ndarray:
     return out
 
 
+def _log1p_ratio(c, x) -> np.ndarray:
+    """log(1 + c/x) for c >= 0, x > 0; log c - log x where c/x overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.divide(c, x)
+        return np.where(np.isfinite(r), np.log1p(r), np.log(c) - np.log(x))
+
+
 def _water_fill(lam: float, g) -> np.ndarray:
     """Perfect-knowledge budget component max(0, 1/lam - 1/g) at gains g;
     exactly 0 for g <= lam, which the _GAIN_FLOOR divisor misses when
@@ -427,72 +441,38 @@ def _mgf_log_rate_shared(m: np.ndarray, alpha: float, P: np.ndarray) -> np.ndarr
 
 def _log_rate_sums(m: np.ndarray, alpha: float, shared, own):
     """_SlGrid.rate_sums for estimated knowledge: the rates
-    _mgf_log_rate(m, alpha, .) through a Chebyshev interpolant in u = log P.
+    _mgf_log_rate(m, alpha, .) through a Chebyshev series in u = log P.
 
-    Every row is sampled at the same L Chebyshev powers spanning log P
+    Every row is sampled at the same L Chebyshev points spanning log P
     over all powers given, half-width at least 1e-3, on one lattice
     (_mgf_log_rate_shared); L comes from that span
-    (_chebyshev_points_needed). The panel sums are one einsum of the
-    samples with the barycentric matrix of the shared powers, weighted
-    and summed over each panel in advance; einsum sums each row in an
-    order that does not depend on the block, BLAS matmul does not. Each
-    row's own powers go through _barycentric_rows. Both barycentric
-    passes run in blocks of _CHUNK_ELEMS terms.
+    (_chebyshev_points_needed); chebinterpolate makes each row's series.
+    The panel sums are one einsum of the series with the chebvander matrix
+    of the shared powers, weighted and summed over each panel in advance;
+    each row's own powers get a chebvander matrix of their own. Every
+    reduction is a two-operand einsum in blocks of _CHUNK_ELEMS terms:
+    einsum sums each row in an order that does not depend on the block,
+    BLAS matmul does not.
     """
     (P, w), (Q, v) = shared, own
     u_lo, u_hi = np.log(min(P.min(), Q.min())), np.log(max(P.max(), Q.max()))
     centre, half = 0.5 * (u_lo + u_hi), max(0.5 * (u_hi - u_lo), 1e-3)
-    k = np.arange(_chebyshev_points_needed(half))
-    x_nodes = np.cos(np.pi * k / (k.size - 1))
-    bary = np.where(k % 2, -1.0, 1.0)
-    bary[[0, -1]] *= 0.5
-    f = _mgf_log_rate_shared(m, alpha, np.exp(centre + half * x_nodes))
-    C = np.empty((k.size, P.shape[0]))
-    step = max(1, _CHUNK_ELEMS // (P.shape[1] * k.size))
+    L = _chebyshev_points_needed(half)
+    cheb = np.polynomial.chebyshev
+    c = cheb.chebinterpolate(
+        lambda x: _mgf_log_rate_shared(m, alpha, np.exp(centre + half * x)).T, L - 1).T
+    C = np.empty((L, P.shape[0]))
+    step = max(1, _CHUNK_ELEMS // (P.shape[1] * L))
     for s in range(0, P.shape[0], step):
-        B = _barycentric_matrix((np.log(P[s:s + step]) - centre) / half, x_nodes, bary)
-        C[:, s:s + step] = np.einsum("pnl,pn->lp", B, w[s:s + step])
+        V = cheb.chebvander((np.log(P[s:s + step]) - centre) / half, L - 1)
+        C[:, s:s + step] = np.einsum("pnl,pn->lp", V, w[s:s + step])
     own_sums = np.empty(m.size)
-    step = max(1, _CHUNK_ELEMS // (Q.shape[1] * k.size))
+    step = max(1, _CHUNK_ELEMS // (Q.shape[1] * L))
     for s in range(0, m.size, step):
-        x = (np.log(Q[s:s + step]) - centre) / half
-        r = _barycentric_rows(x, f[s:s + step], x_nodes, bary)
+        V = cheb.chebvander((np.log(Q[s:s + step]) - centre) / half, L - 1)
+        r = np.einsum("jnl,jl->jn", V, c[s:s + step])
         own_sums[s:s + step] = np.einsum("jn,jn->j", r, v[s:s + step])
-    return np.einsum("jl,lp->jp", f, C), own_sums
-
-
-def _barycentric_rows(x: np.ndarray, f: np.ndarray, nodes: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """Row j's interpolant through (nodes, f[j]) evaluated at x[j].
-
-    The barycentric formula of the second kind with the given weights, for
-    decreasing nodes; a point on a node (a non-finite quotient) takes that
-    node's value.
-    """
-    d = x[:, :, None] - nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(weights, d, out=d)
-        num_den = d @ np.stack([f, np.ones_like(f)], axis=2)
-        vals = num_den[:, :, 0] / num_den[:, :, 1]
-    j, k = np.nonzero(~np.isfinite(vals))
-    vals[j, k] = f[j, np.searchsorted(-nodes, -x[j, k])]
-    return vals
-
-
-def _barycentric_matrix(x: np.ndarray, nodes: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
-    """B, shaped x.shape + (L,), with B @ f _barycentric_rows' interpolant
-    through (nodes, f) at the points x; a point on a node has 1 there and
-    0 elsewhere in its row."""
-    B = x[..., None] - nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(weights, B, out=B)
-        den = B.sum(axis=-1, keepdims=True)
-        B /= den
-    on = ~np.isfinite(den[..., 0])
-    B[on] = 0.0
-    B[on, np.searchsorted(-nodes, -x[on])] = 1.0
-    return B
+    return np.einsum("jl,lp->jp", c, C), own_sums
 
 
 class _SlGrid:
@@ -615,11 +595,12 @@ def _budget_series(csi: CsiKnowledge, settings: NumericSettings, lam: float):
     """An estimated direct link's budget component at lam as (m_c, m_hi,
     series): 0 below m_c = max(lam - alpha, 0), on [m_c, m_hi] a Chebyshev
     series in x = log(m + alpha), near the entire 1/lam - e^-x, through
-    _mgf_invert_rate at _BUDGET_SERIES_POINTS points. Memoised like
+    _mgf_invert_rate at _BUDGET_SERIES_POINTS points; m_hi is the top of
+    the grid's state range (_state_upper), at least m_c + 1. Memoised like
     _sl_grid: another lam reads another entry; no policy field is written."""
     alpha = csi.alpha
     m_c = max(lam - alpha, 0.0)
-    m_hi = max(fading.estimate_power_quantile(1.0 - settings.tail_mass, alpha), m_c + 1.0)
+    m_hi = max(_state_upper(1.0 - alpha, settings.tail_mass), m_c + 1.0)
     return m_c, m_hi, np.polynomial.Chebyshev.interpolate(
         lambda x: _mgf_invert_rate(np.exp(x) - alpha, alpha, lam),
         _BUDGET_SERIES_POINTS - 1, domain=np.log([m_c + alpha, m_hi + alpha]))
@@ -695,7 +676,8 @@ class _CapField:
 
     Exposes the cap, the state distribution, the crossing state where the
     cap equals a given level, and every expectation over the state: of
-    f(min(a, cap)) split there (expect) and of f(cap) (saturated_mean).
+    f(min(a, cap)) split there (expect), of the cap (mean_cap) and of the
+    rate at the cap (saturated_mean).
     For estimated knowledge the conditional quantile is tabulated once on
     a dense grid and evaluated through monotone (PCHIP) interpolation;
     this table is the library's only interference cap (per sample:
@@ -708,7 +690,8 @@ class _CapField:
     states are dropped, then _GAIN_FLOOR, where the cap stops being
     constant, and 256 geometric intervals up to upper. Each interval is
     one Gauss-Legendre panel of quad_points nodes; tail_integral adds one
-    more panel from s to the next knot. A multiplier trial then costs one
+    more panel from s to the next knot; G at the first knot is mean_cap,
+    the saturation threshold. A multiplier trial then costs one
     panel per direct-link cell, and its value does not depend on the
     trial's panel count. Under perfect knowledge the capacity's rate tail
     and the on-off burst tail are closed forms in E1 as well (rate_tail,
@@ -730,13 +713,14 @@ class _CapField:
         if self.level is CsiLevel.NONE:
             self.constant = i_peak / fading.marginal_power_quantile(1.0 - epsilon)
             self.upper = 0.0
+            self.mean_cap = float(self.constant)
             return
         self.constant = None
         if self.level is CsiLevel.PERFECT:
-            self.upper = -np.log(settings.tail_mass)
+            self.upper = _state_upper(1.0, settings.tail_mass)
             knots = np.concatenate(([1e-13], np.geomspace(_GAIN_FLOOR, self.upper, 257)))
         else:
-            self.upper = -(1.0 - csi.alpha) * np.log(settings.tail_mass)
+            self.upper = _state_upper(1.0 - csi.alpha, settings.tail_mass)
             knots = np.linspace(0.0, self.upper, 1025)
             q = fading.conditional_power_inv_cdf(1.0 - epsilon, knots, csi.alpha)
             self._q_of_m = _Pchip(knots, q)
@@ -746,6 +730,7 @@ class _CapField:
         self._knots = knots
         panel = self._panel_integral(knots[:-1], knots[1:])
         self._tail = np.append(np.cumsum(panel[::-1])[::-1], 0.0)
+        self.mean_cap = float(self._tail[0])   # G at the first knot: the saturation threshold
         self._cap0 = float(self.cap(0.0))   # the largest cap: expect's head stays below it
 
     @property
@@ -822,8 +807,9 @@ class _CapField:
         b = max(t*, 1e-13, _GAIN_FLOOR) and Ê1 the exp-scaled E1,
         integration by parts gives
         ∫_b^x log(1 + c/t) e^{-t} dt = [e^{-t} (Ê1(t) - Ê1(t + c)
-        - log(1 + c/t))] from t = b to x. Below _GAIN_FLOOR the cap is
-        the constant i_peak / _GAIN_FLOOR. 0 when t* >= upper.
+        - log(1 + c/t))] from t = b to x, finite for any finite c. Below
+        _GAIN_FLOOR the cap is the constant i_peak / _GAIN_FLOOR. 0 when
+        t* >= upper.
         """
         c = self.i_peak * np.asarray(g, dtype=float)
         a = np.maximum(np.asarray(t_star, dtype=float), 1e-13)
@@ -832,9 +818,9 @@ class _CapField:
         def primitive(x):
             return np.exp(-x) * (exp_integral_e1(x, scaled=True)
                                  - exp_integral_e1(x + c, scaled=True)
-                                 - np.log1p(c / x))
+                                 - _log1p_ratio(c, x))
 
-        sliver = np.log1p(c / _GAIN_FLOOR) * -np.expm1(a - b) * np.exp(-a)
+        sliver = _log1p_ratio(c, _GAIN_FLOOR) * -np.expm1(a - b) * np.exp(-a)
         return np.where(a < self.upper,
                         primitive(self.upper) - primitive(b) + sliver, 0.0)
 
@@ -947,28 +933,21 @@ class _CapField:
                            lambda t_star, rows: self.tail_integral(t_star))
         return mean.reshape(a.shape)
 
-    def saturated_mean(self, f, panels: int) -> float:
-        """E[f(cap(t))] over the truncated states; with f = identity the
-        mean cap, the saturation threshold.
-
-        With perfect knowledge the cap blows up like 1/t at t -> 0, so the
-        state is integrated on a log-spaced grid from a tiny floor; the
-        neglected head [0, floor] carries O(floor * log) mass, and the mean
-        cap is the finite amount the policy can spend on the rest.
-        """
+    def saturated_mean(self, panels: int) -> float:
+        """E[log(1 + cap(t) g)] over the truncated states t and the marginal
+        direct gain g: the saturated policy's rate. A perfectly known cap
+        blows up like 1/t, so its states run on a log grid from 1e-13."""
         if self.is_constant:
-            return float(f(self.constant))
+            return float(_exponential_rate(self.constant))
         pts = self.settings.quad_points
         if self.level is CsiLevel.PERFECT:
-            y_edges = np.linspace(np.log(1e-13), np.log(self.upper),
-                                  max(panels, 6) + 1)
-            y, wy = panel_rule(y_edges, pts)
+            y, w = panel_rule(np.linspace(np.log(1e-13), np.log(self.upper),
+                                          max(panels, 6) + 1), pts)
             t = np.exp(y)
-            w = wy * t * fading.marginal_power_pdf(t)
+            w = w * t * self.pdf(t)
         else:
-            t, w = _exp_rule(1.0 - self.csi.alpha, panels, pts,
-                             self.settings.tail_mass)
-        return float(w @ f(self.cap(t)))
+            t, w = _exp_rule(1.0 - self.csi.alpha, panels, pts, self.settings.tail_mass)
+        return float(w @ _exponential_rate(self.cap(t)))
 
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
@@ -1072,12 +1051,11 @@ class PowerPolicy:
         return np.minimum(self.budget_component(sl_state), cap)
 
     def expected_power(self, panels: Optional[int] = None) -> float:
-        """Average transmitted power under this policy (diagnostic)."""
-        cfg = self.config
-        panels = panels or cfg.numerics.base_panels * 2
+        """Average transmitted power under this policy (diagnostic): the
+        mean cap when saturated."""
         if self.regime == "saturated":
-            return self._capf.saturated_mean(lambda c: c, panels)
-        return self._grid(panels).spent(self._capf)
+            return self._capf.mean_cap
+        return self._grid(panels or self.config.numerics.base_panels * 2).spent(self._capf)
 
     def _grid(self, panels: int) -> _SlGrid:
         """The level _sl_grid at lam (a copy with a changed lam reads another
@@ -1136,33 +1114,28 @@ def _multiplier(config: ScenarioConfig, capf: Optional[_CapField], panels: int,
 
 
 def average_power_threshold(config: ScenarioConfig) -> float:
-    """Mean interference cap: the budget level where the policy saturates.
+    """Mean interference cap (_CapField.mean_cap): the budget level where
+    the policy saturates.
 
     A budget at or above this value leaves the average-power constraint
     slack, so capacity stops growing with p_avg. Infinite under perfect
-    cross-link knowledge (the cap has no finite mean there); the solver
-    then saturates only once the budget exceeds what the tail-truncated
-    state space can spend, beyond which capacity changes at tail-mass
-    level.
+    cross-link knowledge (the cap has no finite mean there), although the
+    solver saturates there too at the truncated states' mean cap.
     """
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
-    if capf.level is CsiLevel.PERFECT:
-        return np.inf
-    return _refine(lambda p: capf.saturated_mean(lambda c: c, p), config.numerics)[0]
+    return np.inf if capf.level is CsiLevel.PERFECT else capf.mean_cap
 
 
 def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     """Solve the average-power equation and return the resulting policy.
 
-    Saturation is decided first: when p_avg is at least the mean cap the
-    multiplier is 0 and the policy transmits at the cap. Under perfect
-    cross-link knowledge the reported threshold is infinite, but the
-    truncated state space can only spend a finite average; budgets beyond
-    that numeric limit saturate too (the capacity they forgo is at tail-
-    mass level). Otherwise _multiplier bisects until the achieved average
-    power is within lambda_rel_tol of the budget, relative, and raises
-    NumericsError if it cannot. Each trial reads its own level from
-    _sl_grid, so a panel edge always sits on the
+    Saturation is decided first: when p_avg is at least the cap table's
+    mean cap (_CapField.mean_cap, finite under perfect cross-link knowledge
+    too, where the reported threshold is infinite) the multiplier is 0 and
+    the policy transmits at the cap. Otherwise _multiplier bisects until
+    the achieved average power is within lambda_rel_tol of the budget,
+    relative, and raises NumericsError if it cannot. Each trial reads its
+    own level from _sl_grid, so a panel edge always sits on the
     zero-power kink; with an estimated direct link a missed entry costs
     one MGF row inversion (_mgf_invert_rate). The cap part of each trial
     comes from the cap table's tail integral (_CapField.capped_mean). The
@@ -1174,11 +1147,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     ns = config.numerics
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     p_star = average_power_threshold(config)
-    panels = ns.base_panels * 2
-    # the budget that saturates: p_star, or under perfect cross-link
-    # knowledge (p_star infinite) the truncated states' mean cap
-    if config.p_avg >= (p_star if np.isfinite(p_star)
-                        else capf.saturated_mean(lambda c: c, panels)):
+    if config.p_avg >= capf.mean_cap:
         return PowerPolicy(config, 0.0, "saturated", p_star, capf)
 
     if config.sl_csi.level is CsiLevel.NONE:
@@ -1195,5 +1164,5 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
         return PowerPolicy(config, 0.0, "power_limited", p_star, capf,
                            no_csi_const=const)
 
-    lam = _multiplier(config, capf, panels, ns.lambda_rel_tol, "power multiplier")
+    lam = _multiplier(config, capf, ns.base_panels * 2, ns.lambda_rel_tol, "power multiplier")
     return PowerPolicy(config, lam, "power_limited", p_star, capf)

@@ -362,3 +362,30 @@ def onoff_rate_perfect_cross(tau: float, p_avg: float, i_peak: float,
                              lo, math.log(upper), points=[floor] if lo < floor else None,
                              epsabs=0.0, epsrel=1e-13, limit=400)
     return head + tail
+
+
+def perfect_cross_rate_tail(t_star: float, c: float, upper: float,
+                            drop: float = 1e-13) -> float:
+    """Integral of log(1 + c / max(t, _GAIN_FLOOR)) e^{-t} over the cross
+    gains t in [max(t_star, drop), upper]: the rate tail of a direct gain g
+    under the cap i_peak / t, with c = i_peak g.
+
+    scipy.integrate.quad in s = log t, with a break at the gain floor. The
+    log is log1p(c / t), or log c - log t + log1p(t / c) where c / t
+    overflows, so the integrand stays finite for every finite c.
+    """
+    def log_ratio(t):
+        r = c / t
+        if math.isinf(r):
+            return math.log(c) - math.log(t) + math.log1p(t / c)
+        return math.log1p(r)
+
+    lo = math.log(max(t_star, drop))
+    if lo >= math.log(upper):
+        return 0.0
+    floor = math.log(_GAIN_FLOOR)
+    val, _ = integrate.quad(
+        lambda s: log_ratio(max(math.exp(s), _GAIN_FLOOR)) * math.exp(s - math.exp(s)),
+        lo, math.log(upper), points=[floor] if lo < floor else None,
+        epsabs=0.0, epsrel=1e-13, limit=400)
+    return val

@@ -26,6 +26,7 @@ from crcap.capacity import (
 from crcap.fading import CsiKnowledge, CsiLevel
 from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from crcap.special_functions import NumericsError
+from oracles import perfect_cross_rate_tail
 
 TIGHT = NumericSettings(lambda_rel_tol=1e-7)
 
@@ -456,6 +457,18 @@ def test_rate_tail_matches_40_digit_mpmath():
     # nothing is left above the truncation point
     beyond = capf.rate_tail(np.array([capf.upper, 30.0]), np.array([1.0, 1e7]))
     assert np.array_equal(beyond, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("t_star, g", [(0.0, 1e300), (5e-13, 1e299), (0.3, 1e300)])
+def test_rate_tail_stays_finite_when_the_cap_ratio_overflows(t_star, g):
+    # c / t = i_peak g / t overflows for these gains at t near the 1e-13
+    # floor (and c / _GAIN_FLOOR at every t*), where the integral is about
+    # ln c; the value must stay finite, without a warning, and match the
+    # quadrature oracle
+    capf = power_allocation._cap_field(PERFECT, 10.0, 0.05, NumericSettings())
+    got = capf.rate_tail(np.array([t_star]), np.array([g]))
+    want = perfect_cross_rate_tail(t_star, 10.0 * g, capf.upper)
+    np.testing.assert_allclose(got, [want], rtol=1e-14, atol=0.0)
 
 
 def _geometric_tail(capf, sl, t_star, rows, panels):

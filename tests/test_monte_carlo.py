@@ -251,11 +251,15 @@ def test_report_carries_samples_seed_and_ten_bins():
 # rate and power rose by 1.4e-8 and 2.3e-8 relative when its budget rule
 # became the Chebyshev series of the row inversion: inverting every
 # sample with _mgf_invert_rate gives this rate within 1 ulp, this power
-# and these counts and outages exactly
+# and these counts and outages exactly. Its power_ci moved by 8 ulps
+# (0x1.abf9f369194a8p-10 before) when the series' top estimate became the
+# grid's -(1 - alpha) ln(tail_mass); the per-sample inversion gives
+# 0x1.abf9f369194a0p-10, the half-width's cancellation magnifying the
+# rounding of the squared powers
 FROZEN_REPORTS = {
     "EE": (
         ("0x1.3d6482e5c2083p-1", "0x1.fbbef7ffdeca9p-10", "0x1.0055c38cf0174p+0",
-         "0x1.abf9f369194a8p-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
+         "0x1.abf9f369194b0p-10", "0x1.450eb6c73cc05p-11", "0x1.7599a64c179e8p-14"),
         [29994, 29563, 30266, 29972, 30110, 29943, 30059, 30221, 29744, 30129],
         [0, 1, 1, 0, 1, 3, 7, 11, 22, 140]),
     "PN": (

@@ -374,7 +374,7 @@ def test_threshold_search_e1_work_stays_bounded(code, cl, monkeypatch):
 
     monkeypatch.setattr(power_allocation, "exp_integral_e1", counted_e1)
     monkeypatch.setattr(power_allocation._CapField, "tail_sum", counted_tail_sum)
-    for module in (quadrature, power_allocation, onoff):
+    for module in (quadrature, onoff):
         monkeypatch.setattr(module, "_refine", counted_refine)
     optimize_threshold(scenario(cl).replace(numerics=NumericSettings()))
     assert sum(elements) <= E1_ELEMENTS[code]

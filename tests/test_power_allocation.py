@@ -10,7 +10,6 @@ import math
 import sys
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -576,34 +575,6 @@ def test_log_power_rate_kernel_matches_direct_sum(cross, i_peak, panels, monkeyp
     np.testing.assert_allclose(got_own, want_own, rtol=1e-13, atol=0.0)
 
 
-def test_barycentric_rows_take_the_node_value_on_a_node():
-    # a point on a node divides by zero: the quotient is inf / inf, or
-    # NaN where f is 0 there, and must come back as f at that node, with
-    # no warning; points off the nodes reproduce a polynomial of degree
-    # below L
-    L = 9
-    k = np.arange(L)
-    nodes = np.cos(np.pi * k / (L - 1))
-    bary = np.where(k % 2, -1.0, 1.0)
-    bary[[0, -1]] *= 0.5
-    f = np.stack([nodes ** 3 - 2.0 * nodes + 0.5,
-                  (nodes - nodes[5]) * (nodes + 2.0)])
-    assert f[1, 5] == 0.0
-    x = np.array([[nodes[2], 0.3, nodes[8]],
-                  [nodes[5], -0.7, nodes[0]]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = power_allocation._barycentric_rows(x, f, nodes, bary)
-        B = power_allocation._barycentric_matrix(x, nodes, bary)
-    assert got[0, 0] == f[0, 2] and got[0, 2] == f[0, 8]
-    assert got[1, 0] == 0.0 and got[1, 2] == f[1, 0]
-    np.testing.assert_allclose(got[:, 1], [0.3 ** 3 - 0.6 + 0.5, (-0.7 - nodes[5]) * 1.3],
-                               rtol=1e-14)
-    # the same interpolant as a matrix: a point on a node has a one-hot row
-    assert B[0, 0].tolist() == np.eye(L)[2].tolist() and B[1, 2].tolist() == np.eye(L)[0].tolist()
-    np.testing.assert_allclose(np.einsum("jkl,jl->jk", B, f), got, rtol=1e-14, atol=0.0)
-
-
 # ----------------------------------------------------------------------
 # per-state budget component
 
@@ -1065,7 +1036,10 @@ _FROZEN_LAMBDAS = {
 }
 # at the same points, as float.hex: the capacity, its quadrature error
 # estimate and the low-budget asymptote, from the solver that read the
-# policy, the capless limit and the capacity each in a way of its own
+# policy, the capless limit and the capacity each in a way of its own.
+# EP at 13 dB moved by 1 ulp when the log-rate interpolant became numpy's
+# Chebyshev series: with each cell's trapezoid sum at every power instead
+# it is 0x1.2ca2506236098p+1 with the same error estimate, 0x1.0p-49
 _FROZEN_CAPACITIES = {
     ("PP", -10.0): ("0x1.5661907e7ca42p-3", "0x1.7000000000000p-50", "0x1.5660de06d0686p-3"),
     ("PP", 0.0): ("0x1.6cfcc6378ffc4p-1", "0x1.67ec000000000p-39", "0x1.6d0502d1b887ap-1"),
@@ -1074,7 +1048,7 @@ _FROZEN_CAPACITIES = {
     ("PE", 0.0): ("0x1.6cf895426040ep-1", "0x1.5187000000000p-37", "0x1.6d0502d1b887ap-1"),
     ("EP", -10.0): ("0x1.f6c1bd0be0490p-4", "0x1.4000000000000p-54", "0x1.f6c1074c00df4p-4"),
     ("EP", 0.0): ("0x1.3c2b542d0be11p-1", "0x1.f800000000000p-48", "0x1.3c2a69366fca7p-1"),
-    ("EP", 13.0): ("0x1.2ca2506236098p+1", "0x1.8000000000000p-49", "0x1.4bfff60234a52p+1"),
+    ("EP", 13.0): ("0x1.2ca2506236097p+1", "0x1.0000000000000p-49", "0x1.4bfff60234a52p+1"),
     ("EE", -10.0): ("0x1.f6c1bd2ecfe76p-4", "0x1.c000000000000p-54", "0x1.f6c1074c00df4p-4"),
     ("EE", 0.0): ("0x1.3c29be54cdaf7p-1", "0x1.1200000000000p-46", "0x1.3c2a69366fca7p-1"),
     ("PN", -10.0): ("0x1.56619088f8712p-3", "0x1.0000000000000p-53", "0x1.5660de06d0686p-3"),
@@ -1183,6 +1157,40 @@ def test_power_limited_just_below_threshold():
     pol = solve_lambda(cfg)
     assert pol.regime == "power_limited"
     assert pol.expected_power() == pytest.approx(3.3, rel=1e-6)
+
+
+@pytest.mark.parametrize("cross", [CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5),
+                                   CsiKnowledge.no_csi()], ids=["P", "E", "N"])
+def test_saturation_starts_exactly_at_the_mean_cap(cross):
+    # one threshold for every cross link: the cap table's mean cap, which
+    # a saturated policy spends
+    cfg = scenario(CsiKnowledge.perfect(), cross)
+    capf = power_allocation._cap_field(cross, cfg.i_peak, cfg.epsilon, cfg.numerics)
+    sat = solve_lambda(cfg.replace(p_avg=capf.mean_cap))
+    assert sat.regime == "saturated"
+    assert sat.expected_power() == capf.mean_cap
+    below = solve_lambda(cfg.replace(p_avg=np.nextafter(capf.mean_cap, 0.0)))
+    assert below.regime == "power_limited"
+    assert below.lam > 0.0
+
+
+def test_saturated_policy_spends_its_threshold_bit_for_bit():
+    # the threshold's own refined rule and the saturated policy's 16-panel
+    # mean were 1.4e-6 apart here; both are the table's mean cap now
+    cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.1), p_avg=1e3)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "saturated"
+    assert pol.expected_power() == pol.p_avg_star == average_power_threshold(cfg)
+
+
+@pytest.mark.parametrize("p_avg", [279.5375, 279.538])
+def test_budgets_just_below_the_perfect_cross_mean_cap_are_power_limited(p_avg):
+    # between the 16-panel rule's threshold, 279.53735, and the table's,
+    # 279.53805: the policy spends the budget instead of saturating
+    cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect(), p_avg=p_avg)
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    assert pol.expected_power() == pytest.approx(p_avg, rel=cfg.numerics.lambda_rel_tol)
 
 
 def test_saturated_no_knowledge_cross():

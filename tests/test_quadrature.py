@@ -121,20 +121,22 @@ def test_refine_array_stops_when_every_element_agrees():
     np.testing.assert_array_equal(err, [0.0, 0.0])
 
 
-# values of the refinement loops that _refine replaced, keyed by
-# (epsilon, i_peak): the average-power threshold (no absolute floor), the
+# values keyed by (epsilon, i_peak): the average-power threshold (the cap
+# table's mean cap, within 3.7e-16 of an 8192-panel Gauss-Legendre rule of
+# the same cap; the refined rule it replaced stopped 1.2e-8 to 5.4e-8
+# high), and, from the refinement loops that _refine replaced, the
 # high-budget asymptote (_refine itself) and onoff_rate at tau = 0.7 under
 # a perfect direct link (a 1e-13 floor). The tiny i_peak puts values near
 # 1e-5, where the driver's 1e-12 floor could stop earlier; it must not
 # move a bit.
 _FROZEN_REFINED = {
-    (1e-6, 1e-4): (1.0720978984298234e-05, 1.0720860273722073e-05,
+    (1e-6, 1e-4): (1.0720978406153099e-05, 1.0720860273722073e-05,
                    9.050482372428152e-06),
-    (1e-6, 10.0): (1.0720978984298233, 0.6211587093423998,
+    (1e-6, 10.0): (1.0720978406153099, 0.6211587093423998,
                    0.48396059027378496),
-    (0.3, 1e-4): (9.72055145750356e-05, 9.719469923007448e-05,
+    (0.3, 1e-4): (9.720551337147696e-05, 9.719469923007448e-05,
                   8.204996495830189e-05),
-    (0.3, 10.0): (9.720551457503559, 1.9377943066671555,
+    (0.3, 10.0): (9.720551337147699, 1.9377943066671555,
                   0.6984006456967599),
 }
 _KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
