@@ -578,10 +578,13 @@ def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
              lam: float) -> _SlGrid:
     """A direct link's level: its grid at panels from lam's boundary and its
     budget component A at lam, read-only. One entry serves every search,
-    capacity level and thread in the process. Every bisection visits lam = 1,
-    1e-12, 0.5, ..., and the capacity at 2 base_panels reads the search's
-    final trial. Threads that miss together each build the same bits; no
-    lock, so sweep threads never wait. It holds a knowledge_grid round's 132 keys.
+    capacity level and thread in the process. Every search evaluates lam = 1,
+    1e-12, 0.5, ... until its lower end moves, then only the midpoints that
+    decide its answer (_bisect), and the capacity at 2 base_panels reads the
+    search's final midpoint. Threads that miss together each build the same
+    bits; no lock, so sweep threads never wait. It holds a knowledge_grid
+    round's 91 keys, or the 161 of low_budget_asymptote's P and E direct,
+    perfect cross set at -10, 0, 10 and 13 dB.
     """
     sl = _SlGrid(csi, settings, panels, lam=lam)
     sl.A = sl.budget_component(lam)
@@ -1071,32 +1074,139 @@ class PowerPolicy:
 # ----------------------------------------------------------------------
 # multiplier search
 
+class _Replay:
+    """The points one bisection has evaluated, and the midpoints they decide.
+
+    A side is +1 above the band |f - target| <= tol, 0 in it, -1 below it.
+    For a non-increasing f: x <= y with y above the band is above it,
+    x >= y with y below it is below it, x between two points in it is in it.
+    """
+
+    def __init__(self, f, target: float, tol: float):
+        self.f, self.target, self.tol = f, target, tol
+        self.seen = {}
+        self.above = -math.inf           # largest point above the band
+        self.below = math.inf            # smallest point below it
+        self.band = (math.inf, -math.inf)  # smallest and largest point in it
+
+    def side(self, e: float) -> int:
+        if abs(e - self.target) <= self.tol:
+            return 0
+        return 1 if e > self.target else -1
+
+    def value(self, x: float) -> float:
+        if x not in self.seen:
+            e = self.seen[x] = self.f(x)
+            s = self.side(e)
+            if s > 0:
+                self.above = max(self.above, x)
+            elif s < 0:
+                self.below = min(self.below, x)
+            else:
+                self.band = (min(self.band[0], x), max(self.band[1], x))
+        return self.seen[x]
+
+    def known(self, x: float) -> Optional[int]:
+        """x's side if the points evaluated decide it, else None."""
+        if x in self.seen:
+            return self.side(self.seen[x])
+        if x <= self.above:
+            return 1
+        if x >= self.below:
+            return -1
+        if self.band[0] <= x <= self.band[1]:
+            return 0
+        return None
+
+    def model(self, lo: float):
+        """f's secant through the two points evaluated nearest the target:
+        log f against log x, linear where a sign or a tie forbids that."""
+        (x1, e1), (x2, e2) = sorted(self.seen.items(),
+                                    key=lambda p: abs(p[1] - self.target))[:2]
+        if self.target > 0 and min(lo, x1, x2, e1, e2) > 0:
+            u1, u2 = math.log(x1), math.log(x2)
+            if u1 != u2:
+                v1 = math.log(e1)
+                slope = (math.log(e2) - v1) / (u2 - u1)
+                return lambda x: math.exp(min(v1 + slope * (math.log(x) - u1), 709.0))
+        slope = (e2 - e1) / (x2 - x1)
+        return lambda x: e1 + slope * (x - x1)
+
+    def predict(self, lo: float, hi: float, steps: int):
+        """The rest of the path from (lo, hi) as the model sees it: the
+        midpoints the points do not decide, with their predicted sides, and
+        the predicted stop (None if the path runs out first)."""
+        model = self.model(lo)
+        path = []
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            s = self.known(mid)
+            if s is None:
+                s = self.side(model(mid))
+                path.append((mid, s))
+            if s == 0:
+                return path, mid
+            lo, hi = (mid, hi) if s > 0 else (lo, mid)
+        return path, None
+
+    def settle(self, lo: float, hi: float, steps: int) -> None:
+        """Evaluate what should decide the undecided midpoint of (lo, hi):
+        the predicted stop, then, if that does not, the last lo (or hi) on
+        the midpoint's side of the path predicted anew from what it showed."""
+        stop = self.predict(lo, hi, steps)[1]
+        if stop is not None:
+            self.value(stop)
+        if self.known(0.5 * (lo + hi)) is None:
+            path = self.predict(lo, hi, steps)[0]
+            side = path[0][1]  # the midpoint's
+            ends = [x for x, s in path if s == side]
+            self.value(min(ends) if side < 0 else max(ends))
+
+
 def _bisect(f, target: float, lo: float, hi: float, rel_tol: float,
             what: str) -> float:
     """The first bisection midpoint x with |f(x) - target| <= rel_tol
-    |target|, for a decreasing f; f was last evaluated at x.
+    |target|, for a non-increasing f; f has been evaluated at x.
 
     hi doubles until f(hi) <= target, then lo shrinks a hundredfold until
     f(lo) > target or lo < 1e-250 (near-threshold budgets under perfect
     cross knowledge need a multiplier far below the usual floor). Raises
     NumericsError, naming what, when 200 doublings or 300 midpoints run out.
+
+    The midpoints are replayed, not all evaluated: a midpoint is evaluated
+    only when the points evaluated so far cannot decide its side of the
+    band (_Replay). Once lo has left the bracket's end, an undecided
+    midpoint is first settled by a secant model of f that predicts the
+    rest of the path (_Replay.settle); every probe is a midpoint some path
+    visits, and the returned midpoint is always evaluated. The model only
+    picks which points to evaluate: the returned x and every error are
+    those of the bisection that evaluates every midpoint (tests/oracles.py,
+    plain_bisect). That exactness rests on the computed f being
+    non-increasing; a computed f that rises somewhere may give another x.
     """
+    replay = _Replay(f, target, rel_tol * abs(target))
     for _ in range(200):
-        if f(hi) <= target:
+        if replay.value(hi) <= target:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise NumericsError(f"failed to bracket the {what}")
     # ends: 280 shrinks take any float lo below 1e-250
-    while not (f(lo) > target or lo < 1e-250):
+    while not (replay.value(lo) > target or lo < 1e-250):
         hi = min(hi, lo)
         lo *= 1e-2
-    for _ in range(300):
+    end = lo
+    for step in range(300):
         mid = 0.5 * (lo + hi)
-        e = f(mid)
-        if abs(e - target) <= rel_tol * abs(target):
+        s = replay.known(mid)
+        if s is None and lo != end:
+            replay.settle(lo, hi, 300 - step)
+            s = replay.known(mid)
+        if s is None or s == 0:
+            s = replay.side(replay.value(mid))
+        if s == 0:
             return mid
-        if e > target:
+        if s > 0:
             lo = mid
         else:
             hi = mid
@@ -1106,7 +1216,8 @@ def _bisect(f, target: float, lo: float, hi: float, rel_tol: float,
 def _multiplier(config: ScenarioConfig, capf: Optional[_CapField], panels: int,
                 rel_tol: float, what: str) -> float:
     """_bisect's lam on [_LAMBDA_LO, 1] whose level at panels spends p_avg
-    within rel_tol, capped by capf or, for None, capless."""
+    within rel_tol, capped by capf or, for None, capless. The search reads
+    a level from _sl_grid only at the midpoints that decide its answer."""
     def spent(lam: float) -> float:
         return _sl_grid(config.sl_csi, config.numerics, panels, lam).spent(capf)
 
@@ -1134,10 +1245,12 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     too, where the reported threshold is infinite) the multiplier is 0 and
     the policy transmits at the cap. Otherwise _multiplier bisects until
     the achieved average power is within lambda_rel_tol of the budget,
-    relative, and raises NumericsError if it cannot. Each trial reads its
-    own level from _sl_grid, so a panel edge always sits on the
-    zero-power kink; with an estimated direct link a missed entry costs
-    one MGF row inversion (_mgf_invert_rate). The cap part of each trial
+    relative, and raises NumericsError if it cannot. The bisection is
+    replayed (_bisect): it evaluates only the midpoints that decide its
+    answer, and returns the midpoint that evaluating every one would. Each
+    evaluated trial reads its own level from _sl_grid, so a panel edge
+    always sits on the zero-power kink; with an estimated direct link a
+    missed entry costs one MGF row inversion (_mgf_invert_rate). The cap part of each trial
     comes from the cap table's tail integral (_CapField.capped_mean). The
     policy holds no grid: its capacity and expected power at the same
     panel count read the final trial's entry. A direct link without

@@ -12,7 +12,8 @@ function and scipy's chndtrix; the tests check those kernels against the
 density, the Marcum-Q cdf and the adaptive quadrature here. The
 per-sample interference cap on the exact quantile and the on-off rule
 built on it serve the Monte Carlo checks of the library's cap table and
-on-off rate. Nothing here imports from crcap
+on-off rate. plain_bisect is the bisection the multiplier search replays.
+Nothing here imports from crcap
 (test_oracles_share_no_code_with_crcap).
 """
 
@@ -389,3 +390,34 @@ def perfect_cross_rate_tail(t_star: float, c: float, upper: float,
         lo, math.log(upper), points=[floor] if lo < floor else None,
         epsabs=0.0, epsrel=1e-13, limit=400)
     return val
+
+
+def plain_bisect(f, target: float, lo: float, hi: float, rel_tol: float,
+                 what: str) -> float:
+    """The first bisection midpoint x with |f(x) - target| <= rel_tol
+    |target|, for a decreasing f, evaluating f at every step: the multiplier
+    search as the library ran it before it replayed its midpoints.
+
+    hi doubles until f(hi) <= target, then lo shrinks a hundredfold until
+    f(lo) > target or lo < 1e-250. Raises RuntimeError, naming what, when
+    200 doublings or 300 midpoints run out, with the library's messages.
+    """
+    for _ in range(200):
+        if f(hi) <= target:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise RuntimeError(f"failed to bracket the {what}")
+    while not (f(lo) > target or lo < 1e-250):
+        hi = min(hi, lo)
+        lo *= 1e-2
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        e = f(mid)
+        if abs(e - target) <= rel_tol * abs(target):
+            return mid
+        if e > target:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError(f"{what} bisection did not converge in 300 steps")

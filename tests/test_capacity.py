@@ -327,9 +327,10 @@ ESTIMATED_GRID = [(code, p) for code in ("EP", "EE", "EN") for p in (-10.0, 0.0,
 def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grids,
                                                          order):
     # the estimated-direct points of the benchmark's knowledge grid in one
-    # process: every bisection visits lam = 1, 1e-12, 0.5, ... and each
-    # capacity reads its search's final trial, so of the 136 row
-    # inversions that one grid per trial would run, 61 are distinct, and
+    # process: every search evaluates only the midpoints that decide its
+    # answer, from lam = 1, 1e-12, 0.5, ..., and each capacity reads its
+    # search's final midpoint, so the round's 93 level lookups need 38
+    # distinct row inversions (61 when every midpoint was evaluated), and
     # the grid memo runs each of those once, in any visit order
     keys = []
     invert = power_allocation._mgf_invert_rate
@@ -341,7 +342,7 @@ def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grid
     monkeypatch.setattr(power_allocation, "_mgf_invert_rate", counted)
     for code, p_avg_db in order:
         ergodic_capacity(_grid_point(code, p_avg_db))
-    assert len(keys) == len(set(keys)) <= 61
+    assert len(keys) == len(set(keys)) <= 38
 
 
 KNOWLEDGE_GRID = [(a + b, p) for a in "PEN" for b in "PEN" for p in (-10.0, 0.0, 10.0, 13.0)]
@@ -353,12 +354,43 @@ def test_grid_memo_holds_a_whole_knowledge_grid(fresh_grids, order):
     # the benchmark's 36 knowledge-grid points in one process: every
     # direct-link grid key is built once, so none is evicted and built
     # again while the round runs, in any visit order; the hit count pins
-    # the lookups, so a change that adds or drops one fails here
+    # the lookups, so a change that adds or drops one fails here (165 and
+    # 132 when every bisection midpoint was evaluated)
     for code, p_avg_db in order:
         ergodic_capacity(_grid_point(code, p_avg_db))
     info = power_allocation._sl_grid.cache_info()
     assert info.misses == info.currsize
-    assert (info.hits, info.misses) == (165, 132)
+    assert (info.hits, info.misses) == (105, 91)
+
+
+def test_knowledge_grid_searches_evaluate_few_levels(monkeypatch, fresh_grids):
+    # the round's 16 multiplier searches replay their bisections: they
+    # evaluate spent() at the midpoints that decide the answer, 158 times,
+    # where evaluating every midpoint took 259
+    calls = []
+    spent = power_allocation._SlGrid.spent
+
+    def counted(self, capf):
+        calls.append(self.lam)
+        return spent(self, capf)
+
+    monkeypatch.setattr(power_allocation._SlGrid, "spent", counted)
+    for code, p_avg_db in KNOWLEDGE_GRID:
+        ergodic_capacity(_grid_point(code, p_avg_db))
+    assert len(calls) <= 158
+
+
+def test_capless_limit_set_builds_few_levels(fresh_grids):
+    # the low-budget limit re-solves its capless multiplier to 1e-9 at
+    # every refinement level; with its bisection replayed the 8-point set
+    # (P and E direct, perfect cross) builds 161 levels and reads 72 again,
+    # so the 256-entry memo holds them all (548 and 74, and a flushed memo,
+    # when every midpoint was evaluated)
+    for code in ("PP", "EP"):
+        for p_avg_db in (-10.0, 0.0, 10.0, 13.0):
+            low_budget_asymptote(_grid_point(code, p_avg_db))
+    info = power_allocation._sl_grid.cache_info()
+    assert info.misses == info.currsize <= 161
 
 
 def _traced_peak_mb(fn):

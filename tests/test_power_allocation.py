@@ -33,6 +33,7 @@ from oracles import (
     conditional_power_pdf,
     interference_power_cap,
     invert_rate_integral,
+    plain_bisect,
     rate_integral,
 )
 
@@ -1139,6 +1140,137 @@ def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch, fresh_grids):
     with pytest.raises(NumericsError,
                        match="power multiplier bisection did not converge in 300 steps"):
         solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.perfect()))
+
+
+# ----------------------------------------------------------------------
+# the replayed bisection against the plain one (oracles.plain_bisect)
+
+def _grid_scenario(code, p_avg, **kw):
+    return scenario(_KNOWLEDGE[code[0]], _KNOWLEDGE[code[1]], p_avg=p_avg, **kw)
+
+
+def _db(p_avg_db):
+    return 10.0 ** (p_avg_db / 10.0)
+
+
+_GRID_BUDGETS_DB = (-10.0, 0.0, 10.0, 13.0)
+# (capacity or low-budget limit, scenario): the benchmark's knowledge grid,
+# the capless limit's set, the rescaled no-knowledge constant, a budget
+# near the perfect-cross threshold (the bracket grows downward) and the
+# corners of benchmarks/corners.py
+_DIFFERENTIAL = {
+    "knowledge_grid": [("capacity", _grid_scenario(a + b, _db(p)))
+                       for a in "PEN" for b in "PEN" for p in _GRID_BUDGETS_DB],
+    "capless": [("low", _grid_scenario(a + "P", _db(p)))
+                for a in "PE" for p in _GRID_BUDGETS_DB],
+    "rescaled": [("capacity", _grid_scenario(code, _db(p), rescale_no_csi_budget=True))
+                 for code in ("NP", "NE") for p in _GRID_BUDGETS_DB],
+    "near_threshold": [("capacity", _grid_scenario("PP", 279.0))],
+    "corners": [
+        ("capacity", _grid_scenario("EP", _db(20.0))),
+        ("capacity", scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(1e-4))),
+        ("capacity", _grid_scenario("PE", 1.0, eps=1e-6)),
+    ],
+}
+
+
+@pytest.mark.parametrize("group", list(_DIFFERENTIAL))
+def test_replayed_bisection_returns_the_plain_bisection_midpoint(monkeypatch,
+                                                                 fresh_grids, group):
+    # every search of the group runs both drivers on the same f
+    replayed = power_allocation._bisect
+    pairs = []
+
+    def both(f, target, lo, hi, rel_tol, what):
+        got = replayed(f, target, lo, hi, rel_tol, what)
+        pairs.append((got.hex(), plain_bisect(f, target, lo, hi, rel_tol, what).hex()))
+        return got
+
+    monkeypatch.setattr(power_allocation, "_bisect", both)
+    for kind, cfg in _DIFFERENTIAL[group]:
+        if kind == "low":
+            capacity.low_budget_asymptote(cfg)
+        else:
+            capacity.ergodic_capacity(cfg)
+    assert pairs
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+@st.composite
+def _monotone_searches(draw):
+    """A search on a non-increasing f: a base curve of correctly rounded
+    operations (so the computed f is non-increasing too), clamped to a
+    span (plateaus at both ends), optionally floored to a quantum (steps)
+    and raised by a jump below a point."""
+    c = draw(st.floats(1e-3, 1e3))
+    d = draw(st.floats(0.0, 10.0))
+    base = draw(st.sampled_from(["inverse", "inverse_square", "linear"]))
+    x_lo = draw(st.floats(1e-6, 1.0))
+    x_hi = x_lo * draw(st.floats(1.0, 1e6))
+    quantum = draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.1]))
+    jump_at = draw(st.floats(1e-6, 1e3))
+    jump = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0]))
+
+    def f(x):
+        x = min(max(x, x_lo), x_hi)
+        if base == "inverse":
+            v = c / (x + d)
+        elif base == "inverse_square":
+            v = c / ((x + d) * (x + d))
+        else:
+            v = c - d * x
+        if quantum:
+            v = math.floor(v / quantum) * quantum
+        return v + (jump if x < jump_at else 0.0)
+
+    # mostly near f's value somewhere, else anywhere (the bracket can fail)
+    near = st.builds(lambda x, shift: f(x) + shift, st.floats(1e-7, 1e4),
+                     st.sampled_from([0.0, 1e-9, -1e-6]))
+    target = draw(st.one_of(near, near, near, st.floats(-10.0, 1e3)))
+    lo = draw(st.floats(1e-6, 10.0))
+    hi = lo * draw(st.floats(1.0 + 1e-6, 1e3))
+    rel_tol = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-4, 1e-2]))
+    return f, target, lo, hi, rel_tol
+
+
+def _outcome(search, f, target, lo, hi, rel_tol):
+    try:
+        return search(f, target, lo, hi, rel_tol, "test").hex()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monotone_searches())
+def test_replayed_bisection_matches_plain_bisection_on_monotone_functions(search):
+    # the same midpoint, or the same error, on every non-increasing f
+    want = _outcome(plain_bisect, *search)
+    assert _outcome(power_allocation._bisect, *search) == want
+    if not want.startswith("0x"):
+        with pytest.raises(NumericsError):
+            power_allocation._bisect(*search, "test")
+
+
+# the knowledge-grid points whose search runs: a direct link with knowledge
+# and a budget below the mean cap
+_POWER_LIMITED = ([(a + b, p) for a in "PE" for b in "PEN" for p in (-10.0, 0.0)]
+                  + [(a + "P", p) for a in "PE" for p in (10.0, 13.0)])
+
+
+@pytest.mark.parametrize("code, p_avg_db", _POWER_LIMITED,
+                         ids=[f"{c}@{p:g}dB" for c, p in _POWER_LIMITED])
+def test_spent_power_does_not_rise_with_the_multiplier(fresh_grids, code, p_avg_db):
+    # the replayed bisection returns the plain one's midpoint because the
+    # computed f is non-increasing: check it on 201 multipliers within 1%
+    # of each knowledge-grid root
+    cfg = _grid_scenario(code, _db(p_avg_db))
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    panels = 2 * cfg.numerics.base_panels
+    spent = [power_allocation._sl_grid(cfg.sl_csi, cfg.numerics, panels, float(lam))
+             .spent(pol._capf)
+             for lam in pol.lam * (1.0 + np.linspace(-0.01, 0.01, 201))]
+    assert np.all(np.diff(spent) <= 0.0)
 
 
 def test_saturated_regime_above_threshold():
