@@ -43,7 +43,7 @@ from .capacity import (
     low_budget_asymptote,
 )
 from .fading import CsiKnowledge, CsiLevel
-from .monte_carlo import verify_outage
+from .monte_carlo import _outage_bound, verify_outage
 from .onoff import optimize_threshold
 from .power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from .special_functions import NumericsError
@@ -453,17 +453,16 @@ def cmd_verify(run: RunConfig, out_dir: str, threads: int, strict: bool,
         power_tol = 3.0 * report.power_ci
         power_check = ("average_power_within_budget", p_avg, power, power_tol,
                        power <= p_avg + power_tol)
-    # perfect cross-link knowledge caps every sample: no outage, so no spread
+    # the bin nearest its own bound; a perfect cross link allows no outage
     eps = 0.0 if scen.cl_csi.level is CsiLevel.PERFECT else scen.epsilon
-    outage_tol = 3.0 * math.sqrt(eps * (1.0 - eps)
-                                 / max(run.n_samples // len(report.bins), 1))
-    worst_bin = max((b.outage_rate for b in report.bins if b.count), default=0.0)
+    worst = max((b for b in report.bins if b.count),
+                key=lambda b: b.outage_rate - _outage_bound(eps, b.count))
     checks = [
         ("empirical_rate_matches_quadrature", result.capacity, rate, rate_tol,
          abs(rate - result.capacity) <= rate_tol),
         power_check,
-        ("interference_outage_within_epsilon", eps, worst_bin, outage_tol,
-         bool(outage_ok)),
+        ("interference_outage_within_epsilon", eps, worst.outage_rate,
+         _outage_bound(eps, worst.count) - eps, bool(outage_ok)),
     ]
 
     path = os.path.join(out_dir, "verify.jsonl")

@@ -40,8 +40,6 @@ __all__ = [
     "sample_channel_pair",
 ]
 
-_POWER_FLOOR = 1e-12  # guards divisions by a vanishing channel gain
-
 
 class CsiLevel(Enum):
     """How much the transmitter knows about one link's instantaneous state."""

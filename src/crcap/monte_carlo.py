@@ -201,19 +201,19 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     )
 
 
+def _outage_bound(eps: float, count: int) -> float:
+    """The largest outage rate verify_outage accepts in a bin of count
+    samples allowed rate eps: eps plus 3 binomial standard errors at count."""
+    return eps + 3.0 * float(np.sqrt(eps * (1.0 - eps) / count))
+
+
 def verify_outage(policy, config: ScenarioConfig, n_samples: int, seed: int,
                   threads: int = 1) -> Tuple[bool, SimReport]:
-    """Check the interference-outage constraint empirically.
-
-    Perfect cross-link knowledge must give zero outages (the cap is
-    pointwise). Estimated knowledge must keep every conditioning-state
-    decile at or below epsilon + 3 sigma with sigma the binomial standard
-    error of epsilon at the bin count; absent knowledge applies the same
-    bound to the unconditional fraction.
-    """
+    """Check the interference-outage constraint empirically: every bin with
+    samples stays within _outage_bound of its allowed rate, epsilon in each
+    conditioning-state decile (the one bin of an unknown cross link), or 0
+    under perfect cross-link knowledge, whose cap is pointwise."""
     report = simulate_policy(policy, config, n_samples, seed, threads=threads)
-    eps = config.epsilon
-    if config.cl_csi.level is CsiLevel.PERFECT:
-        return report.outage_fraction == 0.0, report
-    return all(b.outage_rate <= eps + 3.0 * float(np.sqrt(eps * (1.0 - eps) / b.count))
+    eps = 0.0 if config.cl_csi.level is CsiLevel.PERFECT else config.epsilon
+    return all(b.outage_rate <= _outage_bound(eps, b.count)
                for b in report.bins if b.count), report

@@ -89,7 +89,12 @@ _BURST_SERIES_TERMS = 12    # of this many terms; both forms within 1.1e-13 of m
 _LAMBDA_LO = 1e-12    # lower end of the multiplier bracket
 _CAP_CACHE_SIZE = 64  # cap tables kept per process, one per cross-link setup
 _GRID_CACHE_SIZE = 256  # direct-link grids (and budget series) kept per process
-_BUDGET_SERIES_POINTS = 129  # row inversions behind a policy's per-sample budget rule
+_BUDGET_SERIES_POINTS = 129  # row inversions behind a budget series
+_SERIES_TAIL_TOL = 1e-10     # largest last-quarter coefficient of a resolved series, relative
+# chebinterpolate's points, matrix and divisors at _BUDGET_SERIES_POINTS, built once
+_SERIES_NODES = np.polynomial.chebyshev.chebpts1(_BUDGET_SERIES_POINTS)
+_SERIES_BASIS = np.polynomial.chebyshev.chebvander(_SERIES_NODES, _BUDGET_SERIES_POINTS - 1).T
+_SERIES_SCALE = np.r_[1.0, np.full(_BUDGET_SERIES_POINTS - 1, 0.5)] * _BUDGET_SERIES_POINTS
 _ROW_INVERSION_STEPS = 100  # cap on bracketed Newton steps per row inversion
 _RATE_KERNEL_TOL = 1e-15    # relative target of the log-power rate interpolant
 _CHUNK_ELEMS = 2 ** 18      # largest intermediate of every row-blocked kernel
@@ -385,15 +390,6 @@ def _log1p_ratio(c, x) -> np.ndarray:
         return np.where(np.isfinite(r), np.log1p(r), np.log(c) - np.log(x))
 
 
-def _water_fill(lam: float, g) -> np.ndarray:
-    """Perfect-knowledge budget component max(0, 1/lam - 1/g) at gains g;
-    exactly 0 for g <= lam, which the _GAIN_FLOOR divisor misses when
-    lam < _GAIN_FLOOR."""
-    g = np.asarray(g, dtype=float)
-    out = np.clip(1.0 / lam - 1.0 / np.maximum(g, _GAIN_FLOOR), 0.0, None)
-    return np.where(g <= lam, 0.0, out)
-
-
 def _chebyshev_points_needed(half_range: float) -> int:
     """Chebyshev points in u = log P that reach _RATE_KERNEL_TOL.
 
@@ -489,7 +485,7 @@ class _SlGrid:
     states below it contribute nothing to either the budget equation or
     the capacity, so the grid starts at the boundary. Panels straddling
     that kink would otherwise degrade the quadrature order. A level
-    (_sl_grid, PowerPolicy._grid) also holds A, the budget component at lam.
+    (_sl_grid, PowerPolicy._grid) also holds A, _budget_component at lam.
     """
 
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
@@ -506,13 +502,6 @@ class _SlGrid:
         else:
             self.state, self.w = _exp_rule(1.0 - csi.alpha, panels, pts, tail,
                                            lower=lower - csi.alpha)
-        self.n_cells = self.state.size
-
-    def budget_component(self, lam: float) -> np.ndarray:
-        """Per-cell budget component A_j at lam (a link with knowledge)."""
-        if self.csi.level is CsiLevel.PERFECT:
-            return _water_fill(lam, self.state)
-        return _mgf_invert_rate(self.state, self.csi.alpha, lam)
 
     def rate_cells(self, power: np.ndarray, rows=slice(None)) -> np.ndarray:
         """E[log(1 + P g) | cell j] for the cells j in rows at powers P.
@@ -577,17 +566,16 @@ class _SlGrid:
 def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
              lam: float) -> _SlGrid:
     """A direct link's level: its grid at panels from lam's boundary and its
-    budget component A at lam, read-only. One entry serves every search,
-    capacity level and thread in the process. Every search evaluates lam = 1,
-    1e-12, 0.5, ... until its lower end moves, then only the midpoints that
-    decide its answer (_bisect), and the capacity at 2 base_panels reads the
-    search's final midpoint. Threads that miss together each build the same
-    bits; no lock, so sweep threads never wait. It holds a knowledge_grid
-    round's 91 keys, or the 161 of low_budget_asymptote's P and E direct,
-    perfect cross set at -10, 0, 10 and 13 dB.
+    budget component A at lam (_budget_component, the policy's own rule),
+    read-only. One entry serves every search, capacity level and thread in
+    the process; an estimated level at any panel count reads lam's budget
+    series and inverts no row. Threads that miss together each build the
+    same bits; no lock, so sweep threads never wait. It holds a
+    knowledge_grid round's 91 keys, or the 161 of low_budget_asymptote's P
+    and E direct, perfect cross set at -10, 0, 10 and 13 dB.
     """
     sl = _SlGrid(csi, settings, panels, lam=lam)
-    sl.A = sl.budget_component(lam)
+    sl.A = _budget_component(csi, settings, lam, sl.state)
     for a in (sl.state, sl.w, sl.A):
         a.setflags(write=False)
     return sl
@@ -596,17 +584,45 @@ def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _budget_series(csi: CsiKnowledge, settings: NumericSettings, lam: float):
     """An estimated direct link's budget component at lam as (m_c, m_hi,
-    series): 0 below m_c = max(lam - alpha, 0), on [m_c, m_hi] a Chebyshev
-    series in x = log(m + alpha), near the entire 1/lam - e^-x, through
-    _mgf_invert_rate at _BUDGET_SERIES_POINTS points; m_hi is the top of
-    the grid's state range (_state_upper), at least m_c + 1. Memoised like
-    _sl_grid: another lam reads another entry; no policy field is written."""
+    series, dropped): 0 below m_c = max(lam - alpha, 0), on [m_c, m_hi] a
+    Chebyshev series in x = log(m + alpha), near the entire 1/lam - e^-x,
+    interpolating _mgf_invert_rate at _BUDGET_SERIES_POINTS points (as
+    Chebyshev.interpolate does); m_hi = max(_state_upper, m_c + 1). It is
+    chopped after its last term above twice its noise plateau, the largest
+    coefficient of its last quarter (after Aurentz and Trefethen, ACM TOMS
+    43(4), 2017); dropped is the largest term cut off. A plateau above
+    _SERIES_TAIL_TOL of the largest term raises NumericsError: the
+    samples have not resolved the component. Memoised like _sl_grid."""
     alpha = csi.alpha
     m_c = max(lam - alpha, 0.0)
     m_hi = max(_state_upper(1.0 - alpha, settings.tail_mass), m_c + 1.0)
-    return m_c, m_hi, np.polynomial.Chebyshev.interpolate(
-        lambda x: _mgf_invert_rate(np.exp(x) - alpha, alpha, lam),
-        _BUDGET_SERIES_POINTS - 1, domain=np.log([m_c + alpha, m_hi + alpha]))
+    domain = np.log([m_c + alpha, m_hi + alpha])
+    x = np.polynomial.polyutils.mapdomain(_SERIES_NODES, [-1.0, 1.0], domain)
+    coef = _SERIES_BASIS @ _mgf_invert_rate(np.exp(x) - alpha, alpha, lam) / _SERIES_SCALE
+    env = np.maximum.accumulate(np.abs(coef[::-1]))[::-1]
+    plateau = env[-(env.size // 4)]
+    if plateau > _SERIES_TAIL_TOL * env[0]:
+        raise NumericsError(f"budget series at lam={lam:.6g} reached no plateau: its last "
+                            f"quarter rises to {plateau / env[0]:.3g} of its largest term")
+    keep = max(int(np.count_nonzero(env > 2.0 * plateau)), 1)
+    return m_c, m_hi, np.polynomial.Chebyshev(coef[:keep], domain), float(env[keep])
+
+
+def _budget_component(csi: CsiKnowledge, settings: NumericSettings, lam: float,
+                      state) -> np.ndarray:
+    """The budget component at lam of a direct link with knowledge at its
+    states, the one rule every level and every policy reads. Perfect:
+    water-filling max(0, 1/lam - 1/g) on the gain g, exactly 0 for
+    g <= lam, which the _GAIN_FLOOR divisor misses when lam < _GAIN_FLOOR.
+    Estimated: lam's budget series (_budget_series) on the estimate."""
+    s = np.asarray(state, dtype=float)
+    if csi.level is CsiLevel.PERFECT:
+        out = np.clip(1.0 / lam - 1.0 / np.maximum(s, _GAIN_FLOOR), 0.0, None)
+        return np.where(s <= lam, 0.0, out)
+    m_c, m_hi, series, _ = _budget_series(csi, settings, lam)
+    # strict: when the kink sits at m = 0 the component there is positive
+    x = np.log(np.clip(s, m_c, m_hi) + csi.alpha)
+    return np.where(s < m_c, 0.0, np.clip(series(x), 0.0, None))
 
 
 class _Pchip:
@@ -982,14 +998,8 @@ class PowerPolicy:
     power(sl_state, cl_state) evaluates the rule per sample; states that a
     knowledge level does not provide are ignored and may be None. In the
     saturated regime the rule is the cap alone and direct-link state is
-    never consulted. Its levels (_grid) come from _sl_grid and its
-    per-sample budget rule from _budget_series; none is held.
-
-    For estimated knowledge that rule is the Chebyshev series of the
-    levels' row inversion (_mgf_invert_rate): within 1.9e-13 of the largest
-    component (alpha_s 1e-4 to 0.9, -10 to 20 dB, estimates spaced
-    geometrically from the kink) and 4.6e-13 of the tests' density-based
-    inversion.
+    never consulted. Its budget component is _budget_component, the rule
+    its levels (_grid, from _sl_grid) integrate; none is held.
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,
@@ -1029,21 +1039,14 @@ class PowerPolicy:
     def budget_component(self, sl_state=None):
         """Budget-driven component at the given direct-link states."""
         cfg = self.config
-        level = cfg.sl_csi.level
         if self.regime == "saturated":
             raise ValueError("a saturated policy has no budget component")
-        if sl_state is None and level is not CsiLevel.NONE:
+        if cfg.sl_csi.level is CsiLevel.NONE:
+            out = np.full(np.shape(sl_state), float(self._no_csi_const))
+        elif sl_state is None:
             raise ValueError("this policy needs a direct-link state")
-        s = np.asarray(0.0 if sl_state is None else sl_state, dtype=float)
-        if level is CsiLevel.NONE:
-            out = np.full(s.shape, float(self._no_csi_const))
-        elif level is CsiLevel.PERFECT:
-            out = _water_fill(self.lam, s)
         else:
-            m_c, m_hi, series = _budget_series(cfg.sl_csi, cfg.numerics, self.lam)
-            # strict: when the kink sits at m = 0 the component there is positive
-            x = np.log(np.clip(s, m_c, m_hi) + cfg.sl_csi.alpha)
-            out = np.where(s < m_c, 0.0, np.clip(series(x), 0.0, None))
+            out = _budget_component(cfg.sl_csi, cfg.numerics, self.lam, sl_state)
         return out if out.ndim else float(out)
 
     def power(self, sl_state=None, cl_state=None):
@@ -1249,11 +1252,11 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     replayed (_bisect): it evaluates only the midpoints that decide its
     answer, and returns the midpoint that evaluating every one would. Each
     evaluated trial reads its own level from _sl_grid, so a panel edge
-    always sits on the zero-power kink; with an estimated direct link a
-    missed entry costs one MGF row inversion (_mgf_invert_rate). The cap part of each trial
-    comes from the cap table's tail integral (_CapField.capped_mean). The
-    policy holds no grid: its capacity and expected power at the same
-    panel count read the final trial's entry. A direct link without
+    always sits on the zero-power kink; with an estimated direct link a new
+    multiplier builds the budget series (_budget_series) its levels read.
+    The cap part of each trial comes from the cap table's tail integral
+    (_CapField.capped_mean). The policy holds no grid: its capacity and
+    expected power read its multiplier's levels. A direct link without
     knowledge has no multiplier: its constant is the budget, or with
     rescale_no_csi_budget the one whose capped average meets it.
     """

@@ -306,8 +306,10 @@ def _mgf_node_terms(monkeypatch, cfg):
 # rate's small-s tail in closed form; the rate on every node took the
 # full_rule counts, and before that, sampling each row's Chebyshev powers
 # with a trapezoid sum of their own and stepping on r instead of 1 / r,
-# 7,538,060 and 6,172,639
-TAIL_IN_CLOSED_FORM = {"EP": 1_405_031, "EE": 1_308_104}
+# 7,538,060 and 6,172,639. These were 1,405,031 and 1,308,104 (1,081,895
+# and 859,904 once the bisection was replayed); the rows each level
+# inverted are now one budget series per evaluated multiplier
+TAIL_IN_CLOSED_FORM = {"EP": 585_623, "EE": 482_644}
 
 
 @pytest.mark.parametrize("code, p_avg_db, full_rule", [("EP", 13.0, 3_539_930),
@@ -328,10 +330,11 @@ def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grid
                                                          order):
     # the estimated-direct points of the benchmark's knowledge grid in one
     # process: every search evaluates only the midpoints that decide its
-    # answer, from lam = 1, 1e-12, 0.5, ..., and each capacity reads its
-    # search's final midpoint, so the round's 93 level lookups need 38
-    # distinct row inversions (61 when every midpoint was evaluated), and
-    # the grid memo runs each of those once, in any visit order
+    # answer, and each evaluated multiplier builds one budget series, the
+    # row inversion of _BUDGET_SERIES_POINTS estimates, that every level
+    # at every panel count reads; so the round inverts 32 row sets, 4,128
+    # rows (38 sets of a level's cells, 11,200 rows, when each level
+    # inverted its own), and the series memo runs each once, in any order
     keys = []
     invert = power_allocation._mgf_invert_rate
 
@@ -342,7 +345,8 @@ def test_estimated_direct_grid_inverts_each_row_set_once(monkeypatch, fresh_grid
     monkeypatch.setattr(power_allocation, "_mgf_invert_rate", counted)
     for code, p_avg_db in order:
         ergodic_capacity(_grid_point(code, p_avg_db))
-    assert len(keys) == len(set(keys)) <= 38
+    assert len(keys) == len(set(keys)) <= 32
+    assert len(keys) * power_allocation._BUDGET_SERIES_POINTS <= 4128
 
 
 KNOWLEDGE_GRID = [(a + b, p) for a in "PEN" for b in "PEN" for p in (-10.0, 0.0, 10.0, 13.0)]
@@ -415,18 +419,21 @@ def test_capacity_working_set_follows_the_block_budget():
     assert _traced_peak_mb(lambda: ergodic_capacity(_grid_point("EP", 13.0))) < 48.0
 
 
-def test_estimated_grid_and_row_inversion_build_in_row_blocks():
+def test_estimated_grid_and_row_inversion_build_in_row_blocks(fresh_grids):
     # 128 panels: 2560 cells, and the MGF inversion at lam = 0.05 runs on
     # 206 trapezoid nodes a cell, 4 MiB per full-size temporary. The grid
-    # keeps only its states and weights; building it and inverting every
-    # row traced 6.3 MiB in blocks of _CHUNK_ELEMS node values, 11.8 MiB
-    # in one block
-    def build_and_invert():
+    # keeps only its states and weights; inverting every one of its rows
+    # traced 6.3 MiB in blocks of _CHUNK_ELEMS node values, 11.8 MiB in
+    # one block. The level reads the budget series instead: building it,
+    # series and all, traced 0.33 MiB
+    def invert():
         grid = power_allocation._SlGrid(EST, NumericSettings(), 128)
-        assert grid.n_cells == 2560
-        grid.budget_component(0.05)
+        assert grid.state.size == 2560
+        power_allocation._mgf_invert_rate(grid.state, EST.alpha, 0.05)
 
-    assert _traced_peak_mb(build_and_invert) < 9.0
+    assert _traced_peak_mb(invert) < 9.0
+    assert _traced_peak_mb(
+        lambda: power_allocation._sl_grid(EST, NumericSettings(), 128, 0.05)) < 1.0
 
 
 def test_estimated_direct_capacity_stays_under_its_plateau():
@@ -543,9 +550,8 @@ def test_closed_form_tail_matches_the_cross_state_rule(code, p_avg_db):
     ns = cfg.numerics
     for level in range(1, ns.max_refinements + 1):
         panels = ns.base_panels * 2 ** level
-        sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
-        A = sl.budget_component(pol.lam)
-        rule = _cross_state_rule(pol._capf, sl, A, panels)
+        sl = power_allocation._sl_grid(cfg.sl_csi, ns, panels, pol.lam)
+        rule = _cross_state_rule(pol._capf, sl, sl.A, panels)
         assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=0.0,
                                                                    abs=1e-13)
 
@@ -580,9 +586,8 @@ def test_estimated_links_keep_the_cross_state_rule(code, p_avg_db):
     assert pol.regime == "power_limited"
     ns = cfg.numerics
     for panels in (2 * ns.base_panels, 4 * ns.base_panels):
-        sl = power_allocation._SlGrid(cfg.sl_csi, ns, panels, lam=pol.lam)
-        A = sl.budget_component(pol.lam)
-        rule = _cross_state_rule(pol._capf, sl, A, panels)
+        sl = power_allocation._sl_grid(cfg.sl_csi, ns, panels, pol.lam)
+        rule = _cross_state_rule(pol._capf, sl, sl.A, panels)
         assert capacity._capacity_at(pol, panels) == pytest.approx(rule, rel=1e-12,
                                                                    abs=0.0)
 
@@ -601,11 +606,11 @@ def test_shared_tail_does_not_depend_on_the_block_size(monkeypatch, code, p_avg_
 def test_low_budget_asymptote_raises_when_bisection_runs_out(monkeypatch, fresh_grids):
     # a spent-power curve that jumps across the budget at lam = 0.5 can
     # be bracketed but never met: the bisection must not hand back its
-    # last midpoint as if it had converged (budget p_avg = 1)
-    def jump(self, lam):
-        mean = 2.0 if lam < 0.5 else 0.5
-        return np.full(self.n_cells, mean / self.w.sum())
+    # last midpoint as if it had converged (budget p_avg = 1; a level's
+    # weights sum to about e^-lam, so it spends 2 e^-lam, then 0.5 e^-lam)
+    def jump(csi, settings, lam, state):
+        return np.full(state.size, 2.0 if lam < 0.5 else 0.5)
 
-    monkeypatch.setattr(power_allocation._SlGrid, "budget_component", jump)
+    monkeypatch.setattr(power_allocation, "_budget_component", jump)
     with pytest.raises(NumericsError, match="capless multiplier bisection"):
         low_budget_asymptote(scenario(PERFECT, PERFECT))

@@ -596,15 +596,14 @@ def test_component_perfect_water_filling_shape():
 
 
 def test_one_water_filling_formula_for_grid_and_policy():
-    # below the 1e-12 gain floor the divisor is the floor: a gain at or
-    # below lam < floor must still get nothing
+    # the grid and the policy both read _budget_component; below the 1e-12
+    # gain floor the divisor is the floor: a gain at or below lam < floor
+    # must still get nothing
     lam = 1e-13
     g = np.array([5e-14, 1e-13, 2e-13, 0.5, 3.0])
     want = [0.0, 0.0, 1.0 / lam - 1e12, 1.0 / lam - 2.0, 1.0 / lam - 1.0 / 3.0]
-    assert power_allocation._water_fill(lam, g).tolist() == want
-    sl = power_allocation._SlGrid(CsiKnowledge.perfect(), NumericSettings(), 8, lam=0.4)
-    policy = _policy_at(CsiKnowledge.perfect(), 0.4)
-    assert np.array_equal(sl.budget_component(0.4), policy.budget_component(sl.state))
+    got = power_allocation._budget_component(CsiKnowledge.perfect(), NumericSettings(), lam, g)
+    assert got.tolist() == want
 
 
 # e^{1/P} E1(1/P) from mpmath at 40 digits, rounded to 25
@@ -903,31 +902,33 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("p_avg_db", [0.0, -10.0])
 def test_capacity_reads_the_search_final_grid(monkeypatch, fresh_grids, p_avg_db):
-    # every trial inverts the rate through the MGF kernel; the capacity
-    # refines at base_panels and 2 * base_panels, and the second level
-    # reads the search's final trial from the grid memo instead of
-    # inverting it again
+    # every trial builds its multiplier's budget series, one row inversion
+    # of _BUDGET_SERIES_POINTS estimates; the capacity's levels, at every
+    # panel count, read the final trial's series from the memo and invert
+    # no row of their own
     cfg = scenario(CsiKnowledge.estimated(0.5), CsiKnowledge.perfect(),
                    p_avg=10.0 ** (p_avg_db / 10.0))
     inversions = _count_calls(monkeypatch, power_allocation, "_mgf_invert_rate")
     pol = solve_lambda(cfg)
     trials = len(inversions)
     assert trials > 5
+    assert {m.size for m, _, _ in inversions} == {power_allocation._BUDGET_SERIES_POINTS}
+    assert pol.lam in [lam for _, _, lam in inversions]
     res = capacity._capacity_of(pol)
-    assert len(inversions) == trials + 1
-    assert inversions[-1][2] == pol.lam
-    base = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics,
-                                    cfg.numerics.base_panels, lam=pol.lam)
-    assert np.array_equal(inversions[-1][0], base.state)
+    assert len(inversions) == trials
 
-    # a second solve reads every grid from the memo; an empty memo
-    # rebuilds the same bits
+    # a second solve reads every level from the memo; an empty grid memo
+    # rebuilds the same bits from the series memo, and emptying both
+    # inverts the same rows again
     inversions.clear()
+    assert capacity.ergodic_capacity(cfg) == res
+    power_allocation._sl_grid.cache_clear()
     assert capacity.ergodic_capacity(cfg) == res
     assert inversions == []
     power_allocation._sl_grid.cache_clear()
+    power_allocation._budget_series.cache_clear()
     assert capacity.ergodic_capacity(cfg) == res
-    assert len(inversions) == trials + 1
+    assert len(inversions) == trials
 
 
 def test_policy_holds_no_grid(fresh_grids):
@@ -970,7 +971,7 @@ def test_corrupted_lambda_copy_builds_its_own_grid():
     assert np.all(bad.budget_component(m) < good)
     panels = 2 * cfg.numerics.base_panels
     sl = power_allocation._SlGrid(cfg.sl_csi, cfg.numerics, panels, lam=bad.lam)
-    A = sl.budget_component(bad.lam)
+    A = power_allocation._budget_component(cfg.sl_csi, cfg.numerics, bad.lam, sl.state)
     assert bad.expected_power() == float(sl.w @ pol._capf.capped_mean(A))
     assert bad.expected_power() != pol.expected_power()
 
@@ -1040,18 +1041,24 @@ _FROZEN_LAMBDAS = {
 # policy, the capless limit and the capacity each in a way of its own.
 # EP at 13 dB moved by 1 ulp when the log-rate interpolant became numpy's
 # Chebyshev series: with each cell's trapezoid sum at every power instead
-# it is 0x1.2ca2506236098p+1 with the same error estimate, 0x1.0p-49
+# it is 0x1.2ca2506236098p+1 with the same error estimate, 0x1.0p-49.
+# The E-direct capacities moved by 1-2 ulps (at most 2.3e-16 relative),
+# and three error estimates by at most 5.6e-16, when every level read the
+# budget series instead of inverting its own cells; before, in order:
+# EP 0x1.f6c1bd0be0490p-4, 0x1.3c2b542d0be11p-1 (err 0x1.f8p-48),
+# 0x1.2ca2506236097p+1; EE 0x1.f6c1bd2ecfe76p-4 (err 0x1.cp-54),
+# 0x1.3c29be54cdaf7p-1 (err 0x1.12p-46)
 _FROZEN_CAPACITIES = {
     ("PP", -10.0): ("0x1.5661907e7ca42p-3", "0x1.7000000000000p-50", "0x1.5660de06d0686p-3"),
     ("PP", 0.0): ("0x1.6cfcc6378ffc4p-1", "0x1.67ec000000000p-39", "0x1.6d0502d1b887ap-1"),
     ("PP", 13.0): ("0x1.2d70617ff5b6ep+1", "0x1.f7ff8ae400000p-20", "0x1.4fe4a2666360ep+1"),
     ("PE", -10.0): ("0x1.5661908811c9ap-3", "0x1.0000000000000p-54", "0x1.5660de06d0686p-3"),
     ("PE", 0.0): ("0x1.6cf895426040ep-1", "0x1.5187000000000p-37", "0x1.6d0502d1b887ap-1"),
-    ("EP", -10.0): ("0x1.f6c1bd0be0490p-4", "0x1.4000000000000p-54", "0x1.f6c1074c00df4p-4"),
-    ("EP", 0.0): ("0x1.3c2b542d0be11p-1", "0x1.f800000000000p-48", "0x1.3c2a69366fca7p-1"),
-    ("EP", 13.0): ("0x1.2ca2506236097p+1", "0x1.0000000000000p-49", "0x1.4bfff60234a52p+1"),
-    ("EE", -10.0): ("0x1.f6c1bd2ecfe76p-4", "0x1.c000000000000p-54", "0x1.f6c1074c00df4p-4"),
-    ("EE", 0.0): ("0x1.3c29be54cdaf7p-1", "0x1.1200000000000p-46", "0x1.3c2a69366fca7p-1"),
+    ("EP", -10.0): ("0x1.f6c1bd0be0492p-4", "0x1.4000000000000p-54", "0x1.f6c1074c00df4p-4"),
+    ("EP", 0.0): ("0x1.3c2b542d0be10p-1", "0x1.e000000000000p-48", "0x1.3c2a69366fca7p-1"),
+    ("EP", 13.0): ("0x1.2ca2506236098p+1", "0x1.0000000000000p-49", "0x1.4bfff60234a52p+1"),
+    ("EE", -10.0): ("0x1.f6c1bd2ecfe78p-4", "0x1.0000000000000p-53", "0x1.f6c1074c00df4p-4"),
+    ("EE", 0.0): ("0x1.3c29be54cdaf8p-1", "0x1.1c00000000000p-46", "0x1.3c2a69366fca7p-1"),
     ("PN", -10.0): ("0x1.56619088f8712p-3", "0x1.0000000000000p-53", "0x1.5660de06d0686p-3"),
     ("PN", 0.0): ("0x1.6d0640eb28013p-1", "0x1.5200000000000p-46", "0x1.6d0502d1b887ap-1"),
 }
@@ -1129,13 +1136,12 @@ def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch, fresh_grids):
             self.state = np.array([1.0])
             self.w = np.array([1.0])
 
-        def budget_component(self, lam):
-            return np.array([lam])
-
     def jump(self, a):
         return np.where(a < 0.5, 1.0 + 2.5 * tol, 1.0 - 2.5 * tol)
 
     monkeypatch.setattr(power_allocation, "_SlGrid", OneCell)
+    monkeypatch.setattr(power_allocation, "_budget_component",
+                        lambda csi, settings, lam, state: np.array([lam]))
     monkeypatch.setattr(power_allocation._CapField, "capped_mean", jump)
     with pytest.raises(NumericsError,
                        match="power multiplier bisection did not converge in 300 steps"):
@@ -1271,6 +1277,50 @@ def test_spent_power_does_not_rise_with_the_multiplier(fresh_grids, code, p_avg_
              .spent(pol._capf)
              for lam in pol.lam * (1.0 + np.linspace(-0.01, 0.01, 201))]
     assert np.all(np.diff(spent) <= 0.0)
+
+
+@pytest.mark.parametrize("code, p_avg_db", _POWER_LIMITED,
+                         ids=[f"{c}@{p:g}dB" for c, p in _POWER_LIMITED])
+def test_levels_and_policy_read_one_budget_rule(code, p_avg_db):
+    # the cells the quadrature integrates and the samples Monte Carlo
+    # replays read one function: a level's A is the policy's budget
+    # component at the level's states, bit for bit, at every panel count
+    # (under estimated knowledge the two were 1.9e-13 apart when each
+    # level inverted its own cells)
+    cfg = _grid_scenario(code, _db(p_avg_db))
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    for panels in (8, 16, 128):
+        grid = power_allocation._sl_grid(cfg.sl_csi, cfg.numerics, panels, pol.lam)
+        assert np.array_equal(grid.A, pol.budget_component(grid.state))
+
+
+_SERIES_POINTS = ([(_KNOWLEDGE["E"], code, p) for code, p in _POWER_LIMITED if code[0] == "E"]
+                  + [(CsiKnowledge.estimated(a), "EP", p) for a in (1e-4, 1e-6) for p in (10.0, 20.0)])
+
+
+@pytest.mark.parametrize("sl, code, p_avg_db", _SERIES_POINTS,
+                         ids=[f"{c}({sl.alpha:g})@{p:g}dB" for sl, c, p in _SERIES_POINTS])
+def test_budget_series_drops_only_its_noise(sl, code, p_avg_db):
+    # the chopped series keeps the terms above its noise plateau: what it
+    # drops is at most 1e-13 of the largest component (the top estimate's),
+    # and it keeps fewer than the 129 terms sampled
+    cfg = scenario(sl, _KNOWLEDGE[code[1]], p_avg=_db(p_avg_db))
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    m_c, m_hi, series, dropped = power_allocation._budget_series(sl, cfg.numerics, pol.lam)
+    assert 0.0 < dropped <= 1e-13 * float(series(series.domain[1]))
+    assert series.coef.size < power_allocation._BUDGET_SERIES_POINTS
+
+
+def test_budget_series_raises_without_a_plateau(monkeypatch, fresh_grids):
+    # a component with a kink in x = log(m + alpha) has coefficients that
+    # fall like 1/k^2: they reach no noise plateau in 129 terms, and the
+    # series says so instead of biasing every level that reads it
+    monkeypatch.setattr(power_allocation, "_mgf_invert_rate",
+                        lambda m, alpha, lam: np.abs(np.log(m + alpha) - 1.0))
+    with pytest.raises(NumericsError, match="reached no plateau"):
+        power_allocation._budget_series(_KNOWLEDGE["E"], NumericSettings(), 0.3)
 
 
 def test_saturated_regime_above_threshold():
@@ -1464,11 +1514,12 @@ def test_policy_budget_interp_matches_exact_inversion():
 @pytest.mark.parametrize("alpha", [1e-4, 1e-3, 0.1, 0.5])
 @pytest.mark.parametrize("p_avg_db", [-10.0, 10.0, 20.0])
 def test_policy_budget_series_tracks_the_row_inversion(alpha, p_avg_db):
-    # the per-sample rule Monte Carlo replays and the grid cells the
-    # capacity integrates read one function: on 4,000 estimates spaced
-    # geometrically from the kink to the series' top the two agree to
-    # 1.9e-13 of the largest component (measured); the PCHIP table they
-    # replaced erred by up to 1.6e-1 of it (alpha 1e-4, 20 dB)
+    # the budget series that every level and every sample reads against
+    # the row inversion: on 4,000 estimates spaced geometrically from the
+    # kink to the series' top the chopped series is within 1.24e-13 of the
+    # largest component (alpha 1e-4, 20 dB; 1.4e-14 or less at the other
+    # points), the full 129 terms were within 1.9e-13 and the PCHIP table
+    # before them erred by up to 1.6e-1 of it (alpha 1e-4, 20 dB)
     cfg = scenario(CsiKnowledge.estimated(alpha), CsiKnowledge.perfect(),
                    p_avg=10.0 ** (p_avg_db / 10.0),
                    ns=NumericSettings(lambda_rel_tol=1e-12))

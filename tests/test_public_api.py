@@ -3,9 +3,12 @@
 Every name crcap exports must be used by the library itself (a
 definition plus at least one use in src/crcap, outside __init__.py) or by
 a demo or benchmark script; a helper that only the tests call belongs in
-tests/oracles.py instead.
+tests/oracles.py instead. Every module-level constant (an upper-case name
+assigned at the top of a module) must be read somewhere in src/crcap.
 """
 
+import ast
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -33,3 +36,22 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     exported = [n for n in crcap.__all__ if n != "__version__"]
     assert exported
     assert [n for n in exported if in_src[n] < 2 and in_scripts[n] < 1] == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+    defined, read = set(), set()
+    for path in sorted((ROOT / "src" / "crcap").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined.update((path.stem, t.id) for t in targets
+                           if isinstance(t, ast.Name) and constant.match(t.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert sorted(f"{module}.{name}" for module, name in defined if name not in read) == []
