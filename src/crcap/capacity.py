@@ -8,9 +8,10 @@ policy's level (_SlGrid.rate on the direct-link grid at lam): the cap
 table (_CapField) averages over the cross state, expect splitting each
 cell's rate at its crossing state so every quadrature piece is smooth.
 Above the crossings the cross state runs on one grid shared by every
-direct-link cell (_CapField.shared_tail), or, with perfect knowledge of
-both links, in closed form in E1 (_CapField.rate_tail). saturated_mean
-takes the rate at the cap alone. The whole evaluation is repeated with
+direct-link cell (_CapField.shared_tail), or, under a perfect cross link
+and a direct link not estimated, in closed form in E1 (rate_tail,
+burst_tail); a saturated policy's level is one cell without direct-link
+knowledge at A = inf. The whole evaluation is repeated with
 doubled panel counts until two levels agree, and the last change is
 reported as the error estimate. The low-budget limit is the same level
 with the cap dropped, at the multiplier of the same search
@@ -58,10 +59,7 @@ class CapacityResult:
 
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
-    """The capacity at one panel count: the policy's level's rate, or at
-    saturation E[log(1 + cap g)] for the marginal direct gain g."""
-    if policy.regime == "saturated":
-        return policy._capf.saturated_mean(panels)
+    """The capacity at one panel count: the rate of the policy's level."""
     return policy._grid(panels).rate(policy._capf, panels)
 
 
@@ -99,13 +97,11 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
 
 
 def high_budget_asymptote(config: ScenarioConfig) -> float:
-    """The saturated-regime capacity: the plateau above the threshold.
-
-    For finite-threshold scenarios this is exactly the capacity at any
-    p_avg >= average_power_threshold(config); under perfect cross-link
+    """The saturated-regime capacity: the plateau above the threshold, bit
+    for bit the capacity at any p_avg >= the cap table's mean cap. That is
+    average_power_threshold(config) when finite; under perfect cross-link
     knowledge (infinite threshold) it is the p_avg -> infinity limit.
     """
-    ns = config.numerics
-    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
-    return _refine(capf.saturated_mean, ns)[0]
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
+    return ergodic_capacity(config.replace(p_avg=capf.mean_cap)).capacity
 

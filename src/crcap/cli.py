@@ -43,7 +43,7 @@ from .capacity import (
     low_budget_asymptote,
 )
 from .fading import CsiKnowledge, CsiLevel
-from .monte_carlo import _outage_bound, verify_outage
+from .monte_carlo import _allowed_outage, _outage_bound, verify_outage
 from .onoff import optimize_threshold
 from .power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from .special_functions import NumericsError
@@ -453,8 +453,8 @@ def cmd_verify(run: RunConfig, out_dir: str, threads: int, strict: bool,
         power_tol = 3.0 * report.power_ci
         power_check = ("average_power_within_budget", p_avg, power, power_tol,
                        power <= p_avg + power_tol)
-    # the bin nearest its own bound; a perfect cross link allows no outage
-    eps = 0.0 if scen.cl_csi.level is CsiLevel.PERFECT else scen.epsilon
+    # the bin nearest its own bound
+    eps = _allowed_outage(scen)
     worst = max((b for b in report.bins if b.count),
                 key=lambda b: b.outage_rate - _outage_bound(eps, b.count))
     checks = [

@@ -201,6 +201,11 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     )
 
 
+def _allowed_outage(config: ScenarioConfig) -> float:
+    """A bin's allowed outage rate: epsilon, 0 under a pointwise (perfect) cap."""
+    return 0.0 if config.cl_csi.level is CsiLevel.PERFECT else config.epsilon
+
+
 def _outage_bound(eps: float, count: int) -> float:
     """The largest outage rate verify_outage accepts in a bin of count
     samples allowed rate eps: eps plus 3 binomial standard errors at count."""
@@ -210,10 +215,9 @@ def _outage_bound(eps: float, count: int) -> float:
 def verify_outage(policy, config: ScenarioConfig, n_samples: int, seed: int,
                   threads: int = 1) -> Tuple[bool, SimReport]:
     """Check the interference-outage constraint empirically: every bin with
-    samples stays within _outage_bound of its allowed rate, epsilon in each
-    conditioning-state decile (the one bin of an unknown cross link), or 0
-    under perfect cross-link knowledge, whose cap is pointwise."""
+    samples stays within _outage_bound of _allowed_outage: per decile of
+    the cross-link state, or in the one bin of an unknown cross link."""
     report = simulate_policy(policy, config, n_samples, seed, threads=threads)
-    eps = 0.0 if config.cl_csi.level is CsiLevel.PERFECT else config.epsilon
+    eps = _allowed_outage(config)
     return all(b.outage_rate <= _outage_bound(eps, b.count)
                for b in report.bins if b.count), report

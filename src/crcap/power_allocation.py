@@ -15,11 +15,12 @@ budget contributes a direct-link component through a Lagrange multiplier
 lam; the transmitted power is the pointwise minimum of the two.
 
 If the budget is at least the mean cap (the average-power threshold,
-read off the cap table), the budget constraint is slack: lam = 0 and the
-policy transmits at the cap ("saturated" regime). Otherwise lam > 0 is
-found by bisection on the average-power equation of one level
-(_multiplier; "power_limited" regime); the low-budget limit is the same
-search without the cap.
+read off the cap table), the budget constraint is slack: lam = 0, and
+the rule reads no direct-link state and a budget component of +inf, so
+it transmits at the cap ("saturated" regime). Otherwise lam > 0 is found
+by bisection on the average-power equation of one level (_multiplier;
+"power_limited" regime); the low-budget limit is the same search
+without the cap.
 
 The budget component by direct-link knowledge:
   * none       constant (the raw budget by default; optionally rescaled so
@@ -47,16 +48,16 @@ the same powers on one lattice in u = s P (_mgf_lattice) and sums it as
 a Chebyshev series in log P. Every expectation over the cross-link state
 belongs to the cap table _CapField: E[f(min(a, cap(t)))] is split at the
 crossing state where the cap equals a (expect), so each quadrature piece
-is smooth and converges spectrally, and the saturated rate runs over all
-states (saturated_mean). The power's part above the crossing depends on
-the crossing state alone, so each cap table integrates it once into a
-cumulative table, whose total is the mean cap and the one saturation
-threshold (mean_cap), and the average-power equation reads it off
-(capped_mean): a multiplier trial costs one Gauss-Legendre panel per
+is smooth and converges spectrally. The power's part above the crossing
+depends on the crossing state alone, so each cap table integrates it
+once into a cumulative table, whose total is the mean cap and the one
+saturation threshold (mean_cap), and the average-power equation reads it
+off (capped_mean): a multiplier trial costs one Gauss-Legendre panel per
 direct-link cell. The capacity's rate part is a quadrature on one grid
 shared by the direct-link cells (shared_tail, with _SlGrid.rate_sums),
-the on-off rate's one rule per threshold (tail_sum); under perfect
-knowledge both are closed forms in E1 (rate_tail, burst_tail).
+the on-off rate's one rule per threshold (tail_sum); under a perfect
+cross link both are closed forms in E1 (rate_tail, burst_tail) unless
+the direct link is estimated.
 """
 
 from __future__ import annotations
@@ -490,7 +491,7 @@ class _SlGrid:
 
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
                  panels: int, lam: Optional[float] = None):
-        self.csi, self.lam = csi, lam
+        self.csi = csi
         pts = settings.quad_points
         tail = settings.tail_mass
         lower = 0.0 if lam is None else float(lam)
@@ -553,12 +554,15 @@ class _SlGrid:
         """The level's capacity sum w E[log(1 + min(A, cap) g)], capless for None."""
         if capf is None:
             return float(self.w @ self.rate_cells(self.A))
-        if capf.level is CsiLevel.PERFECT and self.csi.level is CsiLevel.PERFECT:
-            # the cross state integrates in closed form at each cell's gain
-            def tail(t_star, rows):
-                return capf.rate_tail(t_star, self.state[rows])
-        else:
+        if capf.level is not CsiLevel.PERFECT or self.csi.level is CsiLevel.ESTIMATED:
             tail = functools.partial(capf.shared_tail, sums=self.rate_sums, panels=panels)
+        else:
+            # closed forms at each cell's state: rate_tail at the gain, or, for
+            # an unknown link's one cell (state 0), burst_tail at tau = 0
+            closed = capf.rate_tail if self.csi.level is CsiLevel.PERFECT else capf.burst_tail
+
+            def tail(t_star, rows):
+                return closed(t_star, self.state[rows])
         return float(self.w @ capf.expect(self.A, self.rate_cells, tail))
 
 
@@ -695,8 +699,7 @@ class _CapField:
 
     Exposes the cap, the state distribution, the crossing state where the
     cap equals a given level, and every expectation over the state: of
-    f(min(a, cap)) split there (expect), of the cap (mean_cap) and of the
-    rate at the cap (saturated_mean).
+    f(min(a, cap)) split there (expect) and of the cap (mean_cap).
     For estimated knowledge the conditional quantile is tabulated once on
     a dense grid and evaluated through monotone (PCHIP) interpolation;
     this table is the library's only interference cap (per sample:
@@ -887,8 +890,7 @@ class _CapField:
             return f(np.minimum(A, self.constant), slice(None))
         t_star = self.crossing_state(A)
         F = self.cdf(t_star)
-        with np.errstate(invalid="ignore"):   # f(inf) may be nan; F = 0 there
-            head = np.where(F > 0.0, f(np.minimum(A, self._cap0), slice(None)) * F, 0.0)
+        head = np.where(F > 0.0, f(np.minimum(A, self._cap0), slice(None)) * F, 0.0)
         above = np.zeros_like(head)
         rows = np.flatnonzero(t_star < self.upper)
         if rows.size:
@@ -952,22 +954,6 @@ class _CapField:
                            lambda t_star, rows: self.tail_integral(t_star))
         return mean.reshape(a.shape)
 
-    def saturated_mean(self, panels: int) -> float:
-        """E[log(1 + cap(t) g)] over the truncated states t and the marginal
-        direct gain g: the saturated policy's rate. A perfectly known cap
-        blows up like 1/t, so its states run on a log grid from 1e-13."""
-        if self.is_constant:
-            return float(_exponential_rate(self.constant))
-        pts = self.settings.quad_points
-        if self.level is CsiLevel.PERFECT:
-            y, w = panel_rule(np.linspace(np.log(1e-13), np.log(self.upper),
-                                          max(panels, 6) + 1), pts)
-            t = np.exp(y)
-            w = w * t * self.pdf(t)
-        else:
-            t, w = _exp_rule(1.0 - self.csi.alpha, panels, pts, self.settings.tail_mass)
-        return float(w @ _exponential_rate(self.cap(t)))
-
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
 def _cap_table(csi: CsiKnowledge, i_peak: float, epsilon: float,
@@ -996,10 +982,10 @@ class PowerPolicy:
     """Solved transmit-power rule for one scenario.
 
     power(sl_state, cl_state) evaluates the rule per sample; states that a
-    knowledge level does not provide are ignored and may be None. In the
-    saturated regime the rule is the cap alone and direct-link state is
-    never consulted. Its budget component is _budget_component, the rule
-    its levels (_grid, from _sl_grid) integrate; none is held.
+    knowledge level does not provide are ignored and may be None. Its
+    budget component is _budget_component, the rule its levels (_grid, from
+    _sl_grid) integrate; none is held. Saturated, it reads no direct-link
+    state and its budget component is +inf: one cell at A = inf.
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,
@@ -1011,14 +997,13 @@ class PowerPolicy:
         self.p_avg_star = float(p_avg_star)
         self._capf = cap_field
         self._no_csi_const = config.p_avg if no_csi_const is None else no_csi_const
+        self._sl_csi = CsiKnowledge.no_csi() if regime == "saturated" else config.sl_csi
 
     # -- interface requirements ----------------------------------------
     @property
     def sl_state_kind(self) -> str:
         """Which direct-link state power() reads: none, gain, or estimate."""
-        if self.regime == "saturated":
-            return "none"
-        return self.config.sl_csi.state_kind
+        return self._sl_csi.state_kind
 
     @property
     def cl_state_kind(self) -> str:
@@ -1039,9 +1024,7 @@ class PowerPolicy:
     def budget_component(self, sl_state=None):
         """Budget-driven component at the given direct-link states."""
         cfg = self.config
-        if self.regime == "saturated":
-            raise ValueError("a saturated policy has no budget component")
-        if cfg.sl_csi.level is CsiLevel.NONE:
+        if self._sl_csi.level is CsiLevel.NONE:
             out = np.full(np.shape(sl_state), float(self._no_csi_const))
         elif sl_state is None:
             raise ValueError("this policy needs a direct-link state")
@@ -1052,23 +1035,19 @@ class PowerPolicy:
     def power(self, sl_state=None, cl_state=None):
         """Transmit power for per-sample states (vectorized)."""
         cap = self.cap_component(cl_state)
-        if self.regime == "saturated":
-            return cap
         return np.minimum(self.budget_component(sl_state), cap)
 
     def expected_power(self, panels: Optional[int] = None) -> float:
         """Average transmitted power under this policy (diagnostic): the
-        mean cap when saturated."""
-        if self.regime == "saturated":
-            return self._capf.mean_cap
+        mean cap, bit for bit, when saturated."""
         return self._grid(panels or self.config.numerics.base_panels * 2).spent(self._capf)
 
     def _grid(self, panels: int) -> _SlGrid:
         """The level _sl_grid at lam (a copy with a changed lam reads another
         entry); without direct-link knowledge the one cell, A the constant."""
         cfg = self.config
-        if cfg.sl_csi.level is CsiLevel.NONE:
-            sl = _SlGrid(cfg.sl_csi, cfg.numerics, panels)
+        if self._sl_csi.level is CsiLevel.NONE:
+            sl = _SlGrid(self._sl_csi, cfg.numerics, panels)
             sl.A = np.array([self.budget_component()])
             return sl
         return _sl_grid(cfg.sl_csi, cfg.numerics, panels, self.lam)
@@ -1245,16 +1224,17 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
 
     Saturation is decided first: when p_avg is at least the cap table's
     mean cap (_CapField.mean_cap, finite under perfect cross-link knowledge
-    too, where the reported threshold is infinite) the multiplier is 0 and
-    the policy transmits at the cap. Otherwise _multiplier bisects until
-    the achieved average power is within lambda_rel_tol of the budget,
-    relative, and raises NumericsError if it cannot. The bisection is
-    replayed (_bisect): it evaluates only the midpoints that decide its
-    answer, and returns the midpoint that evaluating every one would. Each
-    evaluated trial reads its own level from _sl_grid, so a panel edge
-    always sits on the zero-power kink; with an estimated direct link a new
-    multiplier builds the budget series (_budget_series) its levels read.
-    The cap part of each trial comes from the cap table's tail integral
+    too, where the reported threshold is infinite) the multiplier is 0: the
+    policy reads no direct-link state and transmits at the cap, its budget
+    component +inf. Otherwise _multiplier bisects until the achieved
+    average power is within lambda_rel_tol of the budget, relative, and
+    raises NumericsError if it cannot. The bisection is replayed (_bisect):
+    it evaluates only the midpoints that decide its answer, and returns the
+    midpoint that evaluating every one would. Each evaluated trial reads
+    its own level from _sl_grid, so a panel edge always sits on the
+    zero-power kink; with an estimated direct link a new multiplier builds
+    the budget series (_budget_series) its levels read. The cap part of
+    each trial comes from the cap table's tail integral
     (_CapField.capped_mean). The policy holds no grid: its capacity and
     expected power read its multiplier's levels. A direct link without
     knowledge has no multiplier: its constant is the budget, or with
@@ -1264,7 +1244,7 @@ def solve_lambda(config: ScenarioConfig) -> PowerPolicy:
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, ns)
     p_star = average_power_threshold(config)
     if config.p_avg >= capf.mean_cap:
-        return PowerPolicy(config, 0.0, "saturated", p_star, capf)
+        return PowerPolicy(config, 0.0, "saturated", p_star, capf, no_csi_const=np.inf)
 
     if config.sl_csi.level is CsiLevel.NONE:
         const = config.p_avg

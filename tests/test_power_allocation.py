@@ -1533,11 +1533,23 @@ def test_policy_budget_series_tracks_the_row_inversion(alpha, p_avg_db):
     assert err <= 1e-11 * exact.max()
 
 
-def test_saturated_policy_rejects_budget_component():
-    pol = solve_lambda(scenario(CsiKnowledge.perfect(), CsiKnowledge.no_csi(),
-                                p_avg=5.0))
-    with pytest.raises(ValueError):
-        pol.budget_component(np.array([1.0]))
+@pytest.mark.parametrize("cross", [CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5),
+                                   CsiKnowledge.no_csi()], ids=["P", "E", "N"])
+def test_saturated_policy_is_the_cap_under_an_unbounded_budget_component(cross):
+    # a slack budget leaves the same rule min(budget component, cap) with
+    # the component +inf: the power is the cap bit for bit, and no
+    # direct-link state is read
+    pol = solve_lambda(scenario(CsiKnowledge.perfect(), cross, p_avg=1e6))
+    assert pol.regime == "saturated"
+    assert pol.sl_state_kind == "none"
+    rng = np.random.default_rng(7)
+    g, t = rng.exponential(size=1000), rng.exponential(size=1000)
+    cl = None if cross == CsiKnowledge.no_csi() else t
+    assert pol.budget_component(g).tolist() == [math.inf] * g.size
+    assert pol.budget_component(None) == math.inf
+    cap = pol.cap_component(cl)
+    assert np.array_equal(pol.power(g, cl), np.broadcast_to(cap, g.shape))
+    assert np.array_equal(pol.power(None, cl), cap)
 
 
 def test_scenario_validation():

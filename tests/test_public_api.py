@@ -4,7 +4,9 @@ Every name crcap exports must be used by the library itself (a
 definition plus at least one use in src/crcap, outside __init__.py) or by
 a demo or benchmark script; a helper that only the tests call belongs in
 tests/oracles.py instead. Every module-level constant (an upper-case name
-assigned at the top of a module) must be read somewhere in src/crcap.
+assigned at the top of a module) must be read somewhere in src/crcap, and
+every private function or method (one leading underscore) must be used
+there outside its own definition.
 """
 
 import ast
@@ -55,3 +57,22 @@ def test_every_module_constant_is_read_in_the_package():
                 read.add(node.attr)
     assert defined
     assert sorted(f"{module}.{name}" for module, name in defined if name not in read) == []
+
+
+def test_every_private_function_is_used_in_the_package():
+    private = re.compile(r"_[^_]")
+    defs, uses = [], []
+    for path in sorted((ROOT / "src" / "crcap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and private.match(node.name):
+                defs.append((path.stem, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path.stem, node.attr, node.lineno))
+    assert defs
+    unused = [f"{module}.{name}" for module, name, first, last in defs
+              if not any(n == name and not (m == module and first <= line <= last)
+                         for m, n, line in uses)]
+    assert unused == []

@@ -134,9 +134,9 @@ _FROZEN_REFINED = {
                    9.050482372428152e-06),
     (1e-6, 10.0): (1.0720978406153099, 0.6211587093423998,
                    0.48396059027378496),
-    (0.3, 1e-4): (9.720551337147696e-05, 9.719469923007448e-05,
+    (0.3, 1e-4): (9.720551337147696e-05, 9.71946992300745e-05,
                   8.204996495830189e-05),
-    (0.3, 10.0): (9.720551337147699, 1.9377943066671555,
+    (0.3, 10.0): (9.720551337147699, 1.937794306667155,
                   0.6984006456967599),
 }
 _KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
