@@ -40,7 +40,7 @@ _SCAN_POINTS = 64
 # thresholds x nodes temporaries stay at 16 x 320 elements at 16 panels
 _SCAN_BLOCK = 16
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-_POLISH_REL = 1e-10
+_POLISH_REL = 2.0 ** -26
 _POLISH_STEPS = 100
 
 
@@ -86,18 +86,25 @@ def onoff_rate(tau, config: ScenarioConfig):
     return rates if taus.ndim else float(rates[0])
 
 
-def _polish(f, a: float, b: float) -> Tuple[float, float]:
-    """Maximum of f on [a, b] by Brent's localmin, and f there.
+def _polish(f, seeds) -> Tuple[float, float]:
+    """Maximum of f by Brent's localmin from three seeds, and f there.
 
-    Parabolic steps through the three best points, golden-section steps
-    where the parabola is not trusted (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 5). Stops when the bracket is at most
-    _POLISH_REL * max(1, b) wide; raises NumericsError after
-    _POLISH_STEPS steps without getting there.
+    seeds are three (t, f(t)) pairs: the best (the first listed of equal
+    ones) lies between the other two, which span the bracket [a, b]. The
+    first step goes to the vertex of the parabola through the seeds;
+    later steps are parabolic through the three best points, or
+    golden-section where the parabola is not trusted (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5). The best point so far is kept, so the
+    result is never below the best seed. Stops when the bracket is at
+    most _POLISH_REL * max(1, b) wide: 2^-26, the square root of the
+    double epsilon, below which a smooth maximum is flat to rounding
+    (Brent's ch. 5 limit on a minimiser's tolerance); raises
+    NumericsError after _POLISH_STEPS steps without getting there.
     """
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = -f(x)
-    d = e = 0.0
+    (x, fx), (w, fw), (v, fv) = sorted(((t, -ft) for t, ft in seeds),
+                                       key=lambda s: s[1])
+    a, b = min(w, v), max(w, v)
+    d = e = b - a                  # trusts a first parabolic step of up to (b - a) / 2
     for _ in range(_POLISH_STEPS):
         if b - a <= _POLISH_REL * max(1.0, b):
             return x, -fx
@@ -145,13 +152,18 @@ def _polish(f, a: float, b: float) -> Tuple[float, float]:
 def optimize_threshold(config: ScenarioConfig) -> Tuple[float, float]:
     """Best threshold and its rate: batched scan, then Brent's method.
 
-    The search interval is [0, the 1 - 1e-8 quantile of the direct gain].
-    A scan of _SCAN_POINTS evenly spaced thresholds, evaluated
-    _SCAN_BLOCK at a time through array onoff_rate calls, guards against
-    non-unimodal shapes; Brent's localmin then polishes inside the
-    bracket around the best scan point until the bracket [a, b] is at
-    most 1e-10 * max(1, b) wide, and its best point and rate come back.
-    If the polish ends below the scan maximum, the scan maximum is kept.
+    A scan of _SCAN_POINTS evenly spaced thresholds on [0, the 1 - 1e-8
+    quantile of the direct gain], evaluated _SCAN_BLOCK at a time through
+    array onoff_rate calls, guards against non-unimodal shapes. Under a
+    constant cap c (no cross-link knowledge) the burst meets c at the
+    kink tau_c = ln(c / p_avg), past which the rate falls; where the
+    bracket reaches past it, tau_c replaces the scan points beyond it, so
+    the search ends there and never crosses it. The best point and its
+    two neighbours seed _polish, which stops at a bracket of 2^-26 *
+    max(1, b). A best point at an end (0, the scan's last point or
+    tau_c) is checked by one probe 2^-26 * max(1, end) inside: if the
+    probe is no better the end and its rate come back, otherwise the
+    end, the probe and the next point seed the polish.
     """
     _require_perfect_direct(config)
     capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon,
@@ -160,15 +172,28 @@ def optimize_threshold(config: ScenarioConfig) -> Tuple[float, float]:
         # budget exceeds the constant cap: always-on at the cap is optimal
         return 0.0, onoff_rate(0.0, config)
 
+    def f(t):
+        return onoff_rate(t, config)
+
     t_max = marginal_power_quantile(1.0 - 1e-8)
     taus = np.linspace(0.0, t_max, _SCAN_POINTS)
-    rates = np.concatenate([onoff_rate(taus[i:i + _SCAN_BLOCK], config)
+    rates = np.concatenate([f(taus[i:i + _SCAN_BLOCK])
                             for i in range(0, _SCAN_POINTS, _SCAN_BLOCK)])
     k = int(np.argmax(rates))
-    lo = float(taus[max(k - 1, 0)])
-    hi = float(taus[min(k + 1, _SCAN_POINTS - 1)])
-    tau_star, rate_star = _polish(lambda t: onoff_rate(t, config), lo, hi)
-    # the scan maximum is a lower bound; keep it if polishing lost it
-    if rates[k] > rate_star:
-        tau_star, rate_star = float(taus[k]), float(rates[k])
-    return float(tau_star), float(rate_star)
+    if capf.is_constant:
+        tau_c = math.log(capf.constant / config.p_avg)
+        if taus[min(k + 1, _SCAN_POINTS - 1)] > tau_c:
+            below = taus < tau_c
+            taus = np.append(taus[below], tau_c)
+            rates = np.append(rates[below], f(tau_c))
+            k = int(np.argmax(rates))
+    lo = max(k - 1, 0)
+    seeds = list(zip(taus[lo:k + 2].tolist(), rates[lo:k + 2].tolist()))
+    if len(seeds) == 2:                            # the best point is an end
+        end, inner = seeds if k == 0 else seeds[::-1]
+        probe = end[0] + math.copysign(_POLISH_REL * max(1.0, end[0]),
+                                       inner[0] - end[0])
+        seeds = [(probe, f(probe)), end, inner]
+        if seeds[0][1] <= end[1]:
+            return end
+    return _polish(f, seeds)

@@ -1,8 +1,18 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
+
+The benchmark's own checks (benchmarks/recipes.py, workloads.py) are
+importable here, read-only, so tier-1 applies the same gates to the
+recipe outputs and the on-off search.
+"""
+
+import os
+import sys
 
 import pytest
 
 from crcap import power_allocation
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
 
 
 @pytest.fixture

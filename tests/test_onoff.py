@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import workloads
 from scipy import special
 
 from crcap.capacity import ergodic_capacity
@@ -348,8 +349,9 @@ def test_perfect_cross_rate_matches_the_quadrature_oracle(i_peak, p_avg):
 # exp_integral_e1 elements of an optimize_threshold at p_avg = 1 (the
 # benchmark's PP@0dB and PE@0dB): a perfect cross link took 38,961 with
 # its tail a refined quadrature and 750 in closed form; an estimated one
-# still refines its quadrature
-E1_ELEMENTS = {"PP": 1_000, "PE": 44_252}
+# still refines its quadrature. A polish seeded by the scan and stopped
+# at a 2^-26 bracket takes 680 and 34,632 (750 and 44,252 at 1e-10)
+E1_ELEMENTS = {"PP": 680, "PE": 34_632}
 
 
 @pytest.mark.parametrize("code, cl", [("PP", PERFECT), ("PE", EST)],
@@ -384,21 +386,85 @@ def test_threshold_search_e1_work_stays_bounded(code, cl, monkeypatch):
         assert set(refined) == {"tail_sum", "_refine"}
 
 
-@pytest.mark.parametrize("cl", [PERFECT, EST], ids=["PP@0dB", "PE@0dB"])
-def test_search_makes_one_batched_scan_and_a_short_polish(cl, monkeypatch):
-    # 4 scan blocks of 16 thresholds, then Brent's steps; a scalar scan with
-    # golden-section polishing made 114 calls here
+# onoff_rate calls of a search (4 scan blocks included) at p_avg = 1: a
+# scalar scan with golden-section polishing made 114, and a polish from a
+# golden-section point stopped at a 1e-10 bracket 21 and 32
+SEARCH_CALLS = {"PP": 14, "PE": 12}
+
+
+def _search_with_calls(cfg, monkeypatch):
+    """optimize_threshold's answer and its onoff_rate calls as (tau, rate)."""
     calls = []
 
     def counting(tau, config):
-        calls.append(np.size(tau))
-        return onoff_rate(tau, config)
+        calls.append((tau, onoff_rate(tau, config)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(onoff, "onoff_rate", counting)
-    optimize_threshold(scenario(cl).replace(numerics=NumericSettings()))
-    assert calls[:4] == [16, 16, 16, 16]
-    assert set(calls[4:]) == {1}
-    assert len(calls) <= 32
+    with monkeypatch.context() as patch:
+        patch.setattr(onoff, "onoff_rate", counting)
+        tau, rate = optimize_threshold(cfg)
+    return tau, rate, calls
+
+
+def _default(code, p_avg_db):
+    cl = {"N": NONE, "P": PERFECT, "E": EST}[code[1]]
+    return scenario(cl, p_avg=10.0 ** (p_avg_db / 10.0)).replace(numerics=NumericSettings())
+
+
+@pytest.mark.parametrize("code", ["PP", "PE"], ids=["PP@0dB", "PE@0dB"])
+def test_search_makes_one_batched_scan_and_a_short_polish(code, monkeypatch):
+    # 4 scan blocks of 16 thresholds, then Brent's steps, the first of
+    # them to the vertex of the parabola through the best scan point and
+    # its two neighbours
+    _, _, calls = _search_with_calls(_default(code, 0.0), monkeypatch)
+    assert [np.size(tau) for tau, _ in calls[:4]] == [16, 16, 16, 16]
+    assert {np.size(tau) for tau, _ in calls[4:]} == {1}
+    assert len(calls) <= SEARCH_CALLS[code]
+    scan = np.concatenate([rates for _, rates in calls[:4]])
+    k = int(np.argmax(scan))
+    assert 0 < k < SCAN.size - 1
+    lo, mid, hi = scan[k - 1:k + 2]
+    vertex = SCAN[k] + 0.5 * (SCAN[1] - SCAN[0]) * (lo - hi) / (lo - 2.0 * mid + hi)
+    assert calls[4][0] == pytest.approx(vertex, rel=0.0, abs=1e-12)
+
+
+DIFFERENTIAL = [(c, p) for c in ("PN", "PP", "PE") for p in (-10.0, 0.0, 10.0, 20.0)]
+
+
+@pytest.mark.parametrize("code, p_avg_db", DIFFERENTIAL,
+                         ids=[f"{c}@{p:g}dB" for c, p in DIFFERENTIAL])
+def test_polish_stopped_at_root_epsilon_keeps_the_rate(code, p_avg_db, monkeypatch):
+    # below a bracket of 2^-26 the rate is flat to rounding: the same
+    # search stopped at a 1e-10 bracket finds no better rate
+    cfg = _default(code, p_avg_db)
+    _, rate = optimize_threshold(cfg)
+    monkeypatch.setattr(onoff, "_POLISH_REL", 1e-10)
+    assert rate == pytest.approx(optimize_threshold(cfg)[1], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p_avg_db", [4.0, 4.5, 5.0])
+def test_search_returns_the_kink_of_a_constant_cap(p_avg_db, monkeypatch):
+    # with no cross-link knowledge the burst p_avg e^tau meets the cap c
+    # at tau_c = ln(c / p_avg); here the rate still rises there and falls
+    # past it at fixed power c, so tau_c ends the search. The scan, tau_c
+    # and one probe inside it suffice; a 1e-10 stop without the end took
+    # 47-56 calls and ended 1.0-1.6e-12 relative below the rate at tau_c
+    cfg = _default("PN", p_avg_db)
+    tau_c = math.log(cfg.i_peak / marginal_power_quantile(1.0 - cfg.epsilon) / cfg.p_avg)
+    tau, rate, calls = _search_with_calls(cfg, monkeypatch)
+    assert tau.hex() == tau_c.hex()
+    assert rate.hex() == onoff_rate(tau_c, cfg).hex()
+    assert len(calls) <= 6
+
+
+def test_search_confirms_an_optimum_at_zero_threshold(monkeypatch):
+    # PE at 10 dB peaks at tau ~ 7.4e-9, nearer to 0 than the probe
+    # 2^-26 inside that end, so the probe is no better and the end comes
+    # back (its rate is in the differential test above); a 1e-10 stop
+    # without the probe took 49 calls
+    tau, _, calls = _search_with_calls(_default("PE", 10.0), monkeypatch)
+    assert 0.0 <= tau <= 2.0 ** -26
+    assert len(calls) <= 5
 
 
 def test_polish_finds_a_smooth_and_a_kinked_maximum():
@@ -408,13 +474,31 @@ def test_polish_finds_a_smooth_and_a_kinked_maximum():
         calls.append(x)
         return -(x - 0.3) ** 2
 
-    x, fx = onoff._polish(smooth, 0.0, 1.0)
-    # the parabola through three points is exact: a few steps suffice
-    assert x == pytest.approx(0.3, abs=1e-8) and fx == smooth(x)
-    assert len(calls) <= 12
-    # a kink (the burst meeting a constant cap) is found to the bracket
-    x, fx = onoff._polish(lambda t: -abs(t - 0.3), 0.0, 1.0)
-    assert abs(x - 0.3) <= 1e-10 and fx == -abs(x - 0.3)
+    def seeds(f):
+        return [(t, f(t)) for t in (0.5, 0.0, 1.0)]
+
+    x, fx = onoff._polish(smooth, seeds(smooth))
+    # the seed parabola is exact: its vertex is the first step, and two
+    # steps of the least size close the bracket around it
+    assert calls[3] == 0.3 and len(calls) <= 6
+    assert x == pytest.approx(0.3, abs=2.0 ** -26) and fx == smooth(x)
+    # a kink inside the bracket is found to the bracket's width (the
+    # search's own kink, where the burst meets a constant cap, ends its
+    # bracket instead: test_search_returns_the_kink_of_a_constant_cap)
+    kinked = lambda t: -abs(t - 0.3)                   # noqa: E731
+    x, fx = onoff._polish(kinked, seeds(kinked))
+    assert abs(x - 0.3) <= 2.0 ** -26 and fx == kinked(x)
+
+
+def test_search_rates_hold_the_benchmark_reference():
+    # the onoff_search workload's check: each rate within
+    # max(quad_rel_tol * |ref|, 1e-12) of benchmarks/reference/onoff_search.json
+    refs = {"onoff_search": workloads.load_reference("onoff_search")}
+    qrt = NumericSettings().quad_rel_tol
+    for name, (code, p_avg_db) in workloads.tasks("onoff_search").items():
+        out = workloads.summarize("onoff_search",
+                                  optimize_threshold(workloads.scenario(code, p_avg_db)))
+        assert workloads.check_task("onoff_search", name, out, refs, qrt) == [], name
 
 
 def test_polish_out_of_steps_raises(monkeypatch):

@@ -6,7 +6,9 @@ optimal one. So the optimal policy's ergodic capacity is at least the best
 on-off rate: C >= optimize_threshold's rate - err, err the capacity's
 reported quadrature error. Dropping a constraint cannot lower capacity:
 C <= low_budget_asymptote + err without the cap, and
-C <= high_budget_asymptote + err without the budget.
+C <= high_budget_asymptote + err without the budget. Knowing the direct
+link better cannot lower capacity either: C(P) >= C(E, 1e-4) >=
+C(E, 0.5) >= C(E, 0.999) >= C(N), each step within the two errs.
 """
 
 import numpy as np
@@ -81,3 +83,54 @@ def test_asymptote_bounds_hold_at_a_tight_multiplier(code, p_avg_db):
         code, p_avg_db, NumericSettings(lambda_rel_tol=1e-12), search_tol=1e-9)
     assert low <= 0.0
     assert high <= 0.0
+
+
+# direct-link knowledge from best to worst; without it the budget is
+# rescaled, so the policy spends it all and the ordering is a fair one
+DIRECT_LEVELS = [("P", CsiKnowledge.perfect()), ("E(1e-4)", CsiKnowledge.estimated(1e-4)),
+                 ("E(0.5)", CsiKnowledge.estimated(0.5)),
+                 ("E(0.999)", CsiKnowledge.estimated(0.999)), ("N", CsiKnowledge.no_csi())]
+ORDER_POINTS = [(cross, p) for cross in "PEN" for p in (0.0, 10.0)]
+
+# ordering steps broken at the default numerics, keyed (cross link, dB,
+# better level, worse level), by the measured excess C(worse) - C(better)
+# - both errs (rounded up in the third digit). As with KNOWN_WRONG, the
+# multiplier meets the budget within lambda_rel_tol only; an entry that
+# gets worse than its record fails, and so does one that passes.
+KNOWN_WRONG_ORDERING = {
+    ("P", 0.0, "P", "E(1e-4)"): 1.08e-5, ("P", 0.0, "E(0.999)", "N"): 8.01e-6,
+    ("E", 0.0, "E(0.999)", "N"): 7.12e-6, ("N", 0.0, "E(0.999)", "N"): 6.47e-6,
+}
+
+
+def _ordering_excess(cross, p_avg_db, numerics):
+    """{(better, worse): C(worse) - C(better) - both errs} down the levels."""
+    results = []
+    for name, sl in DIRECT_LEVELS:
+        cfg = ScenarioConfig(sl_csi=sl, cl_csi=KNOWLEDGE[cross],
+                             p_avg=10.0 ** (p_avg_db / 10.0), i_peak=10.0, epsilon=0.05,
+                             numerics=numerics, rescale_no_csi_budget=name == "N")
+        res = ergodic_capacity(cfg)
+        results.append((name, res.capacity, res.quadrature_error_estimate))
+    return {(b, w): cw - cb - eb - ew
+            for (b, cb, eb), (w, cw, ew) in zip(results, results[1:])}
+
+
+@pytest.mark.parametrize("cross, p_avg_db", ORDER_POINTS,
+                         ids=[f"cross{c}-{p:g}dB" for c, p in ORDER_POINTS])
+def test_better_direct_knowledge_never_lowers_capacity(cross, p_avg_db):
+    excess = _ordering_excess(cross, p_avg_db, NumericSettings())
+    for (better, worse), value in excess.items():
+        record = KNOWN_WRONG_ORDERING.get((cross, p_avg_db, better, worse))
+        if record is None:
+            assert value <= 0.0, (better, worse, value)
+        else:
+            assert 0.0 < value <= record, (better, worse, value)
+
+
+@pytest.mark.parametrize("cross, p_avg_db", ORDER_POINTS,
+                         ids=[f"cross{c}-{p:g}dB" for c, p in ORDER_POINTS])
+def test_direct_knowledge_ordering_holds_at_a_tight_multiplier(cross, p_avg_db):
+    # solved to 1e-12 the ordering's known-wrong list is empty as well
+    excess = _ordering_excess(cross, p_avg_db, NumericSettings(lambda_rel_tol=1e-12))
+    assert all(value <= 0.0 for value in excess.values()), excess

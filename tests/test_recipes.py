@@ -1,13 +1,15 @@
 """Every checked-in recipe under configs/ must replay cleanly.
 
 The filename prefix up to the first underscore names the subcommand, so
-adding a recipe file is enough to get it exercised here.
+adding a recipe file is enough to get it exercised here. Each output must
+also pass the benchmark's snapshot check (benchmarks/recipes.py).
 """
 
 import json
 import os
 
 import pytest
+from recipes import check_recipe
 
 from crcap.cli import EXIT_OK, main
 
@@ -35,6 +37,9 @@ def test_recipe_replays(name, tmp_path):
     out = str(tmp_path)
     rc = main([command, "--config", cfg, "--out", out, "--threads", "4"])
     assert rc == EXIT_OK
+    # the benchmark's gate: every checked column against its snapshot
+    report = check_recipe({"name": name[:-len(".ini")], "out_dir": out, "exit_code": rc})
+    assert report["failures"] == []
 
     if command == "verify":
         with open(os.path.join(out, "verify.jsonl"), encoding="utf-8") as fh:
