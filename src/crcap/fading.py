@@ -14,9 +14,8 @@ Three power-gain laws follow:
       f(g | m) = (1/alpha) exp(-(g + m)/alpha) I0(2 sqrt(m g)/alpha)
     with mean m + alpha and cdf 1 - Q1(sqrt(2m/alpha), sqrt(2g/alpha)),
     Q1 the first-order Marcum function. Only its quantile is evaluated
-    here (conditional_power_inv_cdf, through scipy's chndtrix);
-    power_allocation reaches the law through its moment generating
-    function.
+    here (conditional_power_inv_cdf); power_allocation reaches the law
+    through its moment generating function.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.special import chndtrix
+
+from .special_functions import NumericsError
 
 __all__ = [
     "CsiLevel",
@@ -132,6 +132,13 @@ class ChannelDraw:
             raise ValueError("estimate and gain arrays must share a shape")
 
 
+_TAIL_BLOCK = 2 ** 14      # nodes per block of rows in _marcum_q1: its temporaries stay in cache
+_TAIL_DIGITS = 36.0        # _marcum_q1's target: e^-36 = 2.3e-16 of Q1
+_NEAR_GAP = 0.25           # |b - a| below which _marcum_q1 takes out the poles
+_HALLEY_STEPS = 20
+_HALLEY_DONE = 2.0 ** -20  # a step this small (relative to max(b, 1)) is the last
+
+
 # ----------------------------------------------------------------------
 # marginal law of the true power: Exp(1)
 
@@ -177,25 +184,71 @@ def estimate_power_quantile(p, alpha: float):
 # ----------------------------------------------------------------------
 # conditional law of the true power given the estimate power
 
-def conditional_power_inv_cdf(p, m, alpha: float):
-    """Quantile of the conditional true-power law.
+def _marcum_q1(a, b, log_eps, digits=_TAIL_DIGITS):
+    """Q1(a, b) near e^log_eps, W = e^{-(a^2+b^2)/2} I0(ab) = -dQ1/db / b
+    and dW/db, per element: Simon and Alouini's integral for Q1 (Proc.
+    IEEE 86(9), 1998) without cancellation, its poles taken out where
+    |b - a| < _NEAR_GAP, by a trapezoid rule whose step and reach keep its
+    error below e^-(digits - log_eps) of Q1 (README, Numerical design)."""
+    gap = b - a
+    big = np.maximum(a, b)
+    zeta, delta, ab = np.minimum(a, b) / big, np.abs(gap) / big, a * b
+    L = digits - log_eps
+    near = np.abs(gap) < _NEAR_GAP
+    with np.errstate(divide="ignore"):
+        reach = np.where(near, np.pi, 2.0 * np.arcsin(np.sqrt(np.minimum(L / (2.0 * ab), 1.0))))
+        pole = np.where(near, np.inf, 4.0 * np.pi / L * np.arcsinh(delta / (2.0 * np.sqrt(zeta))))
+        step = np.minimum(np.minimum(2.0 * np.pi / (2.0 + 1.05 * np.sqrt(2.0 * L * (ab + 0.25 * L))), pole), reach)
+    nodes = int(np.ceil(np.max(reach / step))) + 1
+    weights = np.r_[1.0, np.full(nodes - 2, 2.0), 1.0] / (2.0 * np.pi)
+    h = reach / (nodes - 1)
+    sigma = np.where(gap >= 0.0, 1.0, -1.0)
+    c = sigma * delta * (1.0 - 0.5 * delta)
+    d2 = delta * delta + (delta == 0.0)       # c = 0 there: keeps 0 / 0 out of node 0
+    sums = np.empty((3,) + a.shape)           # of e^-X (1/2 + c/D) (less the poles), e^-X, s^2 e^-X
+    rows = max(1, _TAIL_BLOCK // nodes)
+    for i in range(0, a.size, rows):
+        r = slice(i, i + rows)
+        s2 = np.sin(0.5 * h[r, None] * np.arange(nodes)) ** 2
+        x = 0.5 * gap[r, None] ** 2 + (2.0 * ab[r, None]) * s2
+        e = np.exp(-x)
+        pole_free = np.where(near[r, None], np.expm1(-x), e) if near[r].any() else e
+        f = 0.5 * e + c[r, None] / (d2[r, None] + (4.0 * zeta[r, None]) * s2) * pole_free
+        sums[0, r], sums[1, r], sums[2, r] = f @ weights, e @ weights, (e * s2) @ weights
+    q, w, w_s = h * sums
+    return (gap < 0.0) + 0.5 * sigma * near + q, w, -(gap * w + 2.0 * a * w_s)
 
-    Given m, 2g/alpha is noncentral chi-square with 2 degrees of freedom
-    and noncentrality 2m/alpha, so the quantile is alpha/2 times scipy's
-    inverse of that cdf (chndtrix). At tail levels 1 - p near 1e-6 the
-    cdf residual at the result is about 1e-13, so the tail mass above
-    the quantile is right to about 1e-7 of itself. Vectorized over p and
-    m (broadcast together).
-    """
+
+def conditional_power_inv_cdf(p, m, alpha: float):
+    """Quantile of the conditional true-power law: g with Q1(a, b) = 1 - p,
+    a = sqrt(2m/alpha), b = sqrt(2g/alpha), by Halley's method on log Q1 in
+    b from a normal approximation, to a tail mass within 1e-12 of 1 - p,
+    relative (README, Numerical design). Vectorized over p and m
+    (broadcast together)."""
     alpha = _check_alpha(alpha)
-    p_arr = np.asarray(p, dtype=float)
-    m_arr = np.asarray(m, dtype=float)
+    p_arr, m_arr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(m, dtype=float))
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("quantile level must lie strictly between 0 and 1")
     if np.any(m_arr < 0.0):
         raise ValueError("estimate power must be nonnegative")
-    out = 0.5 * alpha * chndtrix(p_arr, 2.0, 2.0 * m_arr / alpha)
-    return out if np.ndim(out) else float(out)
+    eps = 1.0 - p_arr.ravel()
+    log_eps = np.log(eps)
+    a = np.sqrt(2.0 * m_arr.ravel() / alpha)
+    t = np.sqrt(-2.0 * log_eps)
+    u = np.sqrt(-2.0 * np.log(np.minimum(eps, 1.0 - eps)))
+    z = np.sign(0.5 - eps) * (u - (2.515517 + 0.802853 * u + 0.010328 * u * u)
+                              / (1.0 + u * (1.432788 + u * (0.189269 + 0.001308 * u))))
+    b = np.maximum(a + z + (t - z) / (1.0 + 2.0 * a * (t - z)), 0.5 * t)
+    for k in range(_HALLEY_STEPS):
+        q, w, w_b = _marcum_q1(a, b, log_eps, _TAIL_DIGITS if k else 0.5 * _TAIL_DIGITS)
+        f, f1 = np.log(q) - log_eps, -b * w / q
+        f2 = -(w + b * w_b) / q - f1 * f1
+        step = -f / (f1 - 0.5 * f * f2 / f1)
+        b = np.maximum(b + step, 0.5 * b)
+        if k and np.all(np.abs(step) <= _HALLEY_DONE * np.maximum(b, 1.0)):
+            out = (0.5 * alpha * b * b).reshape(p_arr.shape)
+            return out if out.ndim else float(out)
+    raise NumericsError(f"conditional quantile took over {_HALLEY_STEPS} Halley steps")
 
 
 # ----------------------------------------------------------------------

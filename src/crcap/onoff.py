@@ -42,6 +42,7 @@ _SCAN_BLOCK = 16
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 _POLISH_REL = 2.0 ** -26
 _POLISH_STEPS = 100
+_POLISH_FLAT = 2.0 ** -51   # relative rise of f that rounding alone can make
 
 
 def _require_perfect_direct(config: ScenarioConfig):
@@ -98,16 +99,24 @@ def _polish(f, seeds) -> Tuple[float, float]:
     result is never below the best seed. Stops when the bracket is at
     most _POLISH_REL * max(1, b) wide: 2^-26, the square root of the
     double epsilon, below which a smooth maximum is flat to rounding
-    (Brent's ch. 5 limit on a minimiser's tolerance); raises
-    NumericsError after _POLISH_STEPS steps without getting there.
+    (Brent's ch. 5 limit on a minimiser's tolerance), or sooner where f at
+    both ends is within _POLISH_REL of f(x) and the parabola through the
+    three rises above f(x) by at most _POLISH_FLAT of it: no step can then
+    gain more than rounding. Raises NumericsError after _POLISH_STEPS
+    steps without getting there.
     """
     (x, fx), (w, fw), (v, fv) = sorted(((t, -ft) for t, ft in seeds),
                                        key=lambda s: s[1])
-    a, b = min(w, v), max(w, v)
+    (a, fa), (b, fb) = sorted([(w, fw), (v, fv)])
     d = e = b - a                  # trusts a first parabolic step of up to (b - a) / 2
     for _ in range(_POLISH_STEPS):
         if b - a <= _POLISH_REL * max(1.0, b):
             return x, -fx
+        if a < x < b and max(fa, fb) - fx <= _POLISH_REL * abs(fx):
+            ra, rb = (fa - fx) / (a - x), (fb - fx) / (b - x)   # the parabola rises
+            curv = (ra - rb) / (a - b)                            # slope(x)^2 / 4 curv
+            if (ra - curv * (a - x)) ** 2 <= 4.0 * curv * _POLISH_FLAT * abs(fx):
+                return x, -fx
         m = 0.5 * (a + b)
         tol = 0.25 * _POLISH_REL * max(1.0, abs(x))
         p = q = r = 0.0
@@ -132,15 +141,15 @@ def _polish(f, seeds) -> Tuple[float, float]:
         fu = -f(u)
         if fu <= fx:
             if u < x:
-                b = x
+                b, fb = x, fx
             else:
-                a = x
+                a, fa = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:

@@ -74,7 +74,7 @@ import numpy as np
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
 from .quadrature import _gl_rule, panel_rule, panel_rule_batch
-from .special_functions import NumericsError, exp_integral_e1
+from .special_functions import NumericsError, _scaled_e1_log, exp_integral_e1
 
 __all__ = [
     "NumericSettings",
@@ -829,7 +829,9 @@ class _CapField:
         b = max(t*, 1e-13, _GAIN_FLOOR) and Ê1 the exp-scaled E1,
         integration by parts gives
         ∫_b^x log(1 + c/t) e^{-t} dt = [e^{-t} (Ê1(t) - Ê1(t + c)
-        - log(1 + c/t))] from t = b to x, finite for any finite c. Below
+        - log(1 + c/t))] from t = b to x, finite for any finite c. Where
+        t < 1 and t < c, Ê1(t) - log(1 + c/t) is summed as
+        (Ê1(t) + log t) - log(t + c), without their shared -log t. Below
         _GAIN_FLOOR the cap is the constant i_peak / _GAIN_FLOOR. 0 when
         t* >= upper.
         """
@@ -838,9 +840,12 @@ class _CapField:
         b = np.maximum(a, _GAIN_FLOOR)
 
         def primitive(x):
-            return np.exp(-x) * (exp_integral_e1(x, scaled=True)
-                                 - exp_integral_e1(x + c, scaled=True)
-                                 - _log1p_ratio(c, x))
+            far = exp_integral_e1(x + c, scaled=True)
+            out = exp_integral_e1(x, scaled=True) - far - _log1p_ratio(c, x)
+            small = (x < 1.0) & (c > x)   # Ê1(x) and log(1 + c/x) both near -log x
+            if np.any(small):
+                out = np.where(small, _scaled_e1_log(x) - np.log(x + c) - far, out)
+            return np.exp(-x) * out
 
         sliver = _log1p_ratio(c, _GAIN_FLOOR) * -np.expm1(a - b) * np.exp(-a)
         return np.where(a < self.upper,

@@ -554,18 +554,24 @@ def test_console_script_entry_point(tmp_path):
     assert "wrote" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy_subpackage_but_special():
-    # every CLI run is a fresh process that pays for what `import crcap.cli`
-    # loads: scipy.stats alone adds about 185 ms to that start, and
-    # scipy.interpolate about 190 ms (it brings optimize, linalg, sparse,
-    # spatial, fft and constants along); private modules are not counted
+@pytest.mark.parametrize("runs", [[], [("capacity", "capacity_budget_estimated.ini"),
+                                       ("onoff", "onoff_gap_none.ini"),
+                                       ("verify", "verify_smoke.ini")]],
+                         ids=["import", "recipes"])
+def test_cli_loads_no_scipy_module(runs, tmp_path):
+    # every CLI run is a fresh process that pays for what it loads: scipy
+    # cost about 0.25 s of each start and doubled its peak RSS. Not one
+    # scipy module may load, at `import crcap.cli` or lazily in a
+    # capacity (estimated cross link), onoff or verify run
     src = str(Path(crcap.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, %r); import crcap.cli; "
-            "print(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.')}))" % src)
+    configs = Path(src).parent / "configs"
+    calls = [[command, "--config", str(configs / ini), "--out", str(tmp_path / command)]
+             for command, ini in runs]
+    code = ("import sys; sys.path.insert(0, %r); import crcap.cli\n"
+            "assert all(crcap.cli.main(argv) == 0 for argv in %r)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            % (src, calls))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = ast.literal_eval(proc.stdout.strip())
-    public = [m for m in loaded if not m.startswith("_") and m != "version"]
-    assert set(public) <= {"special"}
+    assert ast.literal_eval(proc.stdout.strip().splitlines()[-1]) == []

@@ -156,13 +156,86 @@ def test_conditional_inv_cdf_roundtrip():
 def test_conditional_inv_cdf_deep_tail_is_relatively_accurate():
     # the cap table asks for the 1 - epsilon quantile; at a tiny epsilon
     # the tail mass above the quantile must be right relative to epsilon,
-    # checked through the oracles' Marcum Q
+    # checked through the oracles' Marcum Q. Measured: 2.9e-11 (the
+    # rounding of 1 - epsilon) and 2.5e-10 at alpha = 1e-4, m = 10, where
+    # the oracle's series stops at 1e-14 of its sum; scipy's chndtrix
+    # was 1.8e-8 off
     eps = 1e-6
     for m in (0.0, 1.0, 10.0):
         for alpha in (1e-4, 0.5, 0.9):
             q = conditional_power_inv_cdf(1.0 - eps, m, alpha)
             tail = 1.0 - conditional_power_cdf(q, m, alpha)
-            assert abs(tail - eps) <= 1e-6 * eps, (m, alpha, tail)
+            assert abs(tail - eps) <= 3e-10 * eps, (m, alpha, tail)
+
+
+# (alpha, epsilon, m, g*, K): g* the 1 - epsilon quantile at m (0, the
+# middle and the top of the cap table's knots), by two Newton steps on the
+# tail P(Pois(g/alpha) <= Pois(m/alpha)) summed in 40-digit mpmath; K =
+# g* f(g*) / epsilon, so that the tail at g is epsilon (1 - K (g/g* - 1))
+# to first order. The kernel's tails measured within 1.4e-13 of epsilon
+# (scipy's chndtrix 5.4e-10 at epsilon = 1e-6, alpha = 0.5). The last
+# three rows, a low quantile at alpha near 1, hold the trapezoid rule's
+# point count where ab is tiny: with too few points a turn it erred there
+# by 1.1e-5 in g
+CONDITIONAL_QUANTILES = [
+    (0.0001, 1e-06, 0.0, 0.0013815510557935518, 13.8155),
+    (0.0001, 1e-06, 11.511774172423731, 11.741037063616265, 1198.94),
+    (0.0001, 1e-06, 23.023548344847462, 23.34728619117381, 1690.68),
+    (0.0001, 0.05, 0.0, 0.000299573227355399, 2.99573),
+    (0.0001, 0.05, 11.511774172423731, 11.590884316206616, 496.572),
+    (0.0001, 0.05, 23.023548344847462, 23.13535017824605, 701.556),
+    (0.0001, 0.3, 0.0, 0.00012039728043259359, 1.20397),
+    (0.0001, 0.3, 11.511774172423731, 11.537000185846875, 278.36),
+    (0.0001, 0.3, 23.023548344847462, 23.059196889781706, 393.533),
+    (0.1, 1e-06, 0.0, 1.381551055793552, 13.8155),
+    (0.1, 1e-06, 10.361632918473205, 18.39171726427375, 47.491),
+    (0.1, 1e-06, 20.72326583694641, 31.585685620803645, 62.2138),
+    (0.1, 0.05, 0.0, 0.29957322735539904, 2.99573),
+    (0.1, 0.05, 10.361632918473205, 12.917562056066577, 16.5946),
+    (0.1, 0.05, 20.72326583694641, 24.259191670962377, 22.7299),
+    (0.1, 0.3, 0.0, 0.1203972804325936, 1.20397),
+    (0.1, 0.3, 10.361632918473205, 11.181226375475038, 8.67567),
+    (0.1, 0.3, 20.72326583694641, 21.85527045671761, 12.1224),
+    (0.5, 1e-06, 0.0, 6.907755278967759, 13.8155),
+    (0.5, 1e-06, 5.756462732485114, 23.156777415658766, 23.9126),
+    (0.5, 1e-06, 11.512925464970229, 33.6131627542246, 28.7644),
+    (0.5, 0.05, 0.0, 1.497866136776995, 2.99573),
+    (0.5, 0.05, 5.756462732485114, 10.669338396831815, 6.78667),
+    (0.5, 0.05, 11.512925464970229, 18.049274226303215, 8.79879),
+    (0.5, 0.3, 0.0, 0.601986402162968, 1.20397),
+    (0.5, 0.3, 5.756462732485114, 7.348235229740606, 3.17128),
+    (0.5, 0.3, 11.512925464970229, 13.62127162050912, 4.29841),
+    (0.9, 1e-06, 0.0, 12.433959502141967, 13.8155),
+    (0.9, 1e-06, 1.1512925464970225, 19.000234221941263, 16.3028),
+    (0.9, 1e-06, 2.302585092994045, 22.904734621419852, 17.8295),
+    (0.9, 0.05, 0.0, 2.6961590461985914, 2.99573),
+    (0.9, 0.05, 1.1512925464970225, 5.380942823045244, 3.69908),
+    (0.9, 0.05, 2.302585092994045, 7.4621160394549335, 4.29704),
+    (0.9, 0.3, 0.0, 1.0835755238933422, 1.20397),
+    (0.9, 0.3, 1.1512925464970225, 2.5714691328507993, 1.47796),
+    (0.9, 0.3, 2.302585092994045, 4.005030381474231, 1.79208),
+    (0.999999, 0.99, 0.0, 0.010050325803165597, 0.0100503),
+    (0.999999, 0.99, 1.1512925465301291e-05, 0.010050441512595909, 0.0100503),
+    (0.999999, 0.99, 2.3025850930602582e-05, 0.010050557223351688, 0.0100503),
+]
+
+
+@pytest.mark.parametrize("alpha, eps, m, g_star, K", CONDITIONAL_QUANTILES)
+def test_conditional_inv_cdf_tail_matches_40_digit_mpmath(alpha, eps, m, g_star, K):
+    g = conditional_power_inv_cdf(1.0 - eps, m, alpha)
+    assert abs(K * (g / g_star - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("eps", [1e-6, 0.05, 0.3])
+def test_conditional_inv_cdf_agrees_with_scipy_on_the_cap_table(alpha, eps):
+    # where scipy is installed (the test extra), chndtrix is a second
+    # reference over a cap table's knots
+    sp = pytest.importorskip("scipy.special")
+    m = np.linspace(0.0, -(1.0 - alpha) * math.log(1e-10), 1025)
+    g = conditional_power_inv_cdf(1.0 - eps, m, alpha)
+    ref = 0.5 * alpha * sp.chndtrix(1.0 - eps, 2.0, 2.0 * m / alpha)
+    assert np.max(np.abs(g / ref - 1.0)) <= 1e-10
 
 
 def test_conditional_inv_cdf_frozen_values():

@@ -6,14 +6,18 @@ a demo or benchmark script; a helper that only the tests call belongs in
 tests/oracles.py instead. Every module-level constant (an upper-case name
 assigned at the top of a module) must be read somewhere in src/crcap, and
 every private function or method (one leading underscore) must be used
-there outside its own definition.
+there outside its own definition. The third-party modules src/crcap
+imports are exactly pyproject.toml's dependencies.
 """
 
 import ast
 import re
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import crcap
 
@@ -76,3 +80,35 @@ def test_every_private_function_is_used_in_the_package():
               if not any(n == name and not (m == module and first <= line <= last)
                          for m, n, line in uses)]
     assert unused == []
+
+
+def _third_party_imports(paths, local=()):
+    """Top-level names of the modules the files import, less the standard
+    library, relative imports and the given local modules."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"crcap"} - set(local)
+
+
+def _declared(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # the package needs exactly what src/crcap imports (numpy alone); the
+    # test extra carries what only the tests and their oracles import
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _declared(project["dependencies"])
+    test = _declared(project["optional-dependencies"]["test"])
+    assert _third_party_imports(sorted((ROOT / "src" / "crcap").glob("*.py"))) == runtime
+    assert runtime == {"numpy"}
+    local = {p.stem for p in [*(ROOT / "tests").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]}
+    assert _third_party_imports(sorted((ROOT / "tests").glob("*.py")), local) <= runtime | test
+    assert {"scipy", "mpmath", "hypothesis", "pytest"} <= test

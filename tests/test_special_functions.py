@@ -2,7 +2,8 @@
 
 Expected values were computed with mpmath at 50 decimal digits and,
 independently, scipy adaptive quadrature of the defining integrals;
-both routes agreed before the digits were frozen here.
+both routes agreed before the digits were frozen here. The range checks
+run 40-digit mpmath live.
 """
 
 import math
@@ -86,6 +87,63 @@ def test_exp_integral_e1_bounds_cutoff_and_array_form(xs):
     at = exp_integral_e1(cut, scaled=True)
     low = x <= cut
     assert np.all(scaled[low] >= above) and np.all(scaled[~low] <= at)
+
+
+def _mpmath_e1(xs):
+    """(E1, e^x E1, e^x E1 + ln min(x, 1)) at each x, from 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e1 = [mpmath.e1(mpmath.mpf(float(x))) for x in xs]
+        scaled = [mpmath.exp(mpmath.mpf(float(x))) * v for x, v in zip(xs, e1)]
+        logged = [v + mpmath.log(min(mpmath.mpf(float(x)), 1)) for x, v in zip(xs, scaled)]
+        return [np.array([float(v) for v in vals]) for vals in (e1, scaled, logged)]
+
+
+# log-spaced over the range, densely where the table's pieces change
+# (below and around 1, at the table's top 40) and where e^-x underflows
+E1_GRID = np.concatenate([np.geomspace(1e-300, 1e300, 2001), np.geomspace(1e-3, 800.0, 2000),
+                          np.linspace(0.99, 1.01, 101), np.linspace(39.9, 40.1, 101)])
+
+
+def test_exp_integral_e1_matches_mpmath_over_the_whole_range():
+    # the bound _e1 states, on every point where E1 is a
+    # normal float; the kernel measured 7.8e-16 (scipy's exp1 1.3e-15)
+    e1, scaled, _ = _mpmath_e1(E1_GRID)
+    normal = e1 >= np.finfo(float).tiny
+    assert normal.sum() >= 2000
+    assert np.max(np.abs(exp_integral_e1(E1_GRID[normal]) / e1[normal] - 1.0)) <= 1.6e-15
+    assert np.max(np.abs(exp_integral_e1(E1_GRID, scaled=True) / scaled - 1.0)) <= 1.6e-15
+
+
+def test_scaled_e1_plus_log_needs_no_cancellation():
+    # e^x E1(x) + ln min(x, 1) tends to -gamma at 0, where e^x E1(x) and
+    # -ln x cancel: the table's E1(x) + ln x keeps it to rounding
+    xs = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.5, 1.5, 101)])
+    *_, logged = _mpmath_e1(xs)
+    got = special_functions._scaled_e1_log(xs)
+    assert np.max(np.abs(got - logged) / np.maximum(np.abs(logged), 1e-300)) <= 2e-15
+    assert np.array_equal(got, [special_functions._scaled_e1_log(x) for x in xs])
+
+
+def test_exp_integral_e1_long_arrays_equal_their_scalar_calls():
+    # arrays longer than _E1_SHORT take numpy's path, shorter ones and
+    # scalars the Python one: both run the same operations
+    rng = np.random.default_rng(5)
+    x = np.concatenate([10.0 ** rng.uniform(-300, 300, 400), rng.uniform(0.0, 2.0, 400),
+                        rng.uniform(30.0, 50.0, 200), [1.0, 40.0, np.nextafter(40.0, 50.0)]])
+    assert x.size > special_functions._E1_SHORT
+    for scaled in (False, True):
+        assert np.array_equal(exp_integral_e1(x, scaled), [exp_integral_e1(v, scaled) for v in x])
+    assert exp_integral_e1(x[:1000].reshape(2, -1)).shape == (2, 500)
+
+
+def test_exp_integral_e1_agrees_with_scipy():
+    # where scipy is installed (the test extra), its exp1 is a second
+    # reference: within 2e-15 relative wherever E1 is a normal float
+    sp = pytest.importorskip("scipy.special")
+    e1 = sp.exp1(E1_GRID)
+    normal = e1 >= np.finfo(float).tiny
+    assert np.max(np.abs(exp_integral_e1(E1_GRID[normal]) / e1[normal] - 1.0)) <= 2e-15
 
 
 def test_exp_integral_e1_small_x_log_singularity():
