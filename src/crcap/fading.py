@@ -136,7 +136,7 @@ _TAIL_BLOCK = 2 ** 14      # nodes per block of rows in _marcum_q1: its temporar
 _TAIL_DIGITS = 36.0        # _marcum_q1's target: e^-36 = 2.3e-16 of Q1
 _NEAR_GAP = 0.25           # |b - a| below which _marcum_q1 takes out the poles
 _HALLEY_STEPS = 20
-_HALLEY_DONE = 2.0 ** -20  # a step this small (relative to max(b, 1)) is the last
+_HALLEY_DONE = 2.0 ** -20  # a step this small (relative to max(b, 1), or in ln b) is the last
 
 
 # ----------------------------------------------------------------------
@@ -184,19 +184,23 @@ def estimate_power_quantile(p, alpha: float):
 # ----------------------------------------------------------------------
 # conditional law of the true power given the estimate power
 
-def _marcum_q1(a, b, log_eps, digits=_TAIL_DIGITS):
-    """Q1(a, b) near e^log_eps, W = e^{-(a^2+b^2)/2} I0(ab) = -dQ1/db / b
-    and dW/db, per element: Simon and Alouini's integral for Q1 (Proc.
-    IEEE 86(9), 1998) without cancellation, its poles taken out where
-    |b - a| < _NEAR_GAP, by a trapezoid rule whose step and reach keep its
-    error below e^-(digits - log_eps) of Q1 (README, Numerical design)."""
+def _marcum_q1(a, b, log_eps, digits=_TAIL_DIGITS, lower=False):
+    """Q1(a, b), or 1 - Q1(a, b) when lower, near e^log_eps, W =
+    e^{-(a^2+b^2)/2} I0(ab) = -dQ1/db / b and dW/db, per element: Simon and
+    Alouini's integral for Q1 (Proc. IEEE 86(9), 1998) without
+    cancellation, its poles taken out where |b - a| < _NEAR_GAP, by a
+    trapezoid rule whose step and reach keep its error below
+    e^-(digits - log_eps) of the tail (README, Numerical design)."""
     gap = b - a
     big = np.maximum(a, b)
     zeta, delta, ab = np.minimum(a, b) / big, np.abs(gap) / big, a * b
     L = digits - log_eps
-    near = np.abs(gap) < _NEAR_GAP
+    # 1 - Q1 for b below a with ab < 1 and zeta < 1/2, where e^-X is nearly
+    # flat and the poles lie off the axis: over a full turn, poles kept
+    flat = lower & (gap < 0.0) & (ab < 1.0) & (zeta < 0.5)
+    near = (np.abs(gap) < _NEAR_GAP) & ~flat
     with np.errstate(divide="ignore"):
-        reach = np.where(near, np.pi, 2.0 * np.arcsin(np.sqrt(np.minimum(L / (2.0 * ab), 1.0))))
+        reach = np.where(near | flat, np.pi, 2.0 * np.arcsin(np.sqrt(np.minimum(L / (2.0 * ab), 1.0))))
         pole = np.where(near, np.inf, 4.0 * np.pi / L * np.arcsinh(delta / (2.0 * np.sqrt(zeta))))
         step = np.minimum(np.minimum(2.0 * np.pi / (2.0 + 1.05 * np.sqrt(2.0 * L * (ab + 0.25 * L))), pole), reach)
     nodes = int(np.ceil(np.max(reach / step))) + 1
@@ -204,6 +208,9 @@ def _marcum_q1(a, b, log_eps, digits=_TAIL_DIGITS):
     h = reach / (nodes - 1)
     sigma = np.where(gap >= 0.0, 1.0, -1.0)
     c = sigma * delta * (1.0 - 0.5 * delta)
+    # 1/2 + c/D = (2 zeta s^2 + c_low)/D, with c_low = -zeta delta below a: the
+    # lower tail's form, whose terms do not cancel as zeta -> 0
+    c_low = sigma * delta * np.where(gap >= 0.0, 1.0, zeta)
     d2 = delta * delta + (delta == 0.0)       # c = 0 there: keeps 0 / 0 out of node 0
     sums = np.empty((3,) + a.shape)           # of e^-X (1/2 + c/D) (less the poles), e^-X, s^2 e^-X
     rows = max(1, _TAIL_BLOCK // nodes)
@@ -212,43 +219,70 @@ def _marcum_q1(a, b, log_eps, digits=_TAIL_DIGITS):
         s2 = np.sin(0.5 * h[r, None] * np.arange(nodes)) ** 2
         x = 0.5 * gap[r, None] ** 2 + (2.0 * ab[r, None]) * s2
         e = np.exp(-x)
-        pole_free = np.where(near[r, None], np.expm1(-x), e) if near[r].any() else e
-        f = 0.5 * e + c[r, None] / (d2[r, None] + (4.0 * zeta[r, None]) * s2) * pole_free
+        D = d2[r, None] + (4.0 * zeta[r, None]) * s2
+        if lower:
+            # 1 - Q1 is [b >= a] (1 - K) - (1/2pi) int (e^-X - K)(1/2 + c/D) for
+            # any constant K: 1 near a, e^-X at phi = 0 where flat, else 0
+            less_k = np.where(near[r, None], np.expm1(-x), np.where(
+                flat[r, None], np.exp(-0.5 * gap[r, None] ** 2) * np.expm1(-(2.0 * ab[r, None]) * s2), e))
+            f = (2.0 * zeta[r, None] * s2 + c_low[r, None]) / D * less_k
+        else:
+            pole_free = np.where(near[r, None], np.expm1(-x), e) if near[r].any() else e
+            f = 0.5 * e + c[r, None] / D * pole_free
         sums[0, r], sums[1, r], sums[2, r] = f @ weights, e @ weights, (e * s2) @ weights
     q, w, w_s = h * sums
-    return (gap < 0.0) + 0.5 * sigma * near + q, w, -(gap * w + 2.0 * a * w_s)
+    tail = ((gap >= 0.0) & ~near) - q if lower else (gap < 0.0) + 0.5 * sigma * near + q
+    return tail, w, -(gap * w + 2.0 * a * w_s)
+
+
+def _quantile_b(a, tail, lower):
+    """b with Q1(a, b) = tail, or 1 - Q1(a, b) = tail when lower, by
+    Halley's method on the log of that tail from a normal approximation:
+    in b, or in ln b when lower, where the tail goes like b^2 as b -> 0."""
+    log_tail = np.log(tail)
+    t = np.sqrt(-2.0 * (np.log1p(-tail) if lower else log_tail))
+    u = np.sqrt(-2.0 * np.log(np.minimum(tail, 1.0 - tail)))
+    z = (-1.0 if lower else np.sign(0.5 - tail)) * (
+        u - (2.515517 + 0.802853 * u + 0.010328 * u * u)
+        / (1.0 + u * (1.432788 + u * (0.189269 + 0.001308 * u))))
+    b = np.maximum(a + z + (t - z) / (1.0 + 2.0 * a * (t - z)), 0.5 * t)
+    for k in range(_HALLEY_STEPS):
+        q, w, w_b = _marcum_q1(a, b, log_tail, _TAIL_DIGITS if k else 0.5 * _TAIL_DIGITS, lower)
+        f = np.log(q) - log_tail
+        if lower:   # d(1 - Q1)/db = b W, so the derivatives in ln b
+            f1 = b * b * w / q
+            f2 = f1 * (2.0 - f1) + b ** 3 * w_b / q
+        else:
+            f1 = -b * w / q
+            f2 = -(w + b * w_b) / q - f1 * f1
+        step = -f / (f1 - 0.5 * f * f2 / f1)
+        b = b * np.exp(np.maximum(step, -np.log(2.0))) if lower else np.maximum(b + step, 0.5 * b)
+        if k and np.all(np.abs(step) <= _HALLEY_DONE * (1.0 if lower else np.maximum(b, 1.0))):
+            return b
+    raise NumericsError(f"conditional quantile took over {_HALLEY_STEPS} Halley steps")
 
 
 def conditional_power_inv_cdf(p, m, alpha: float):
-    """Quantile of the conditional true-power law: g with Q1(a, b) = 1 - p,
-    a = sqrt(2m/alpha), b = sqrt(2g/alpha), by Halley's method on log Q1 in
-    b from a normal approximation, to a tail mass within 1e-12 of 1 - p,
-    relative (README, Numerical design). Vectorized over p and m
-    (broadcast together)."""
+    """Quantile of the conditional true-power law: g with 1 - Q1(a, b) = p,
+    a = sqrt(2m/alpha), b = sqrt(2g/alpha), to a tail mass within 1e-12 of
+    p or 1 - p, whichever is smaller, relative (README, Numerical design):
+    levels below 1/2 solve on 1 - Q1, the others on Q1 = 1 - p. Vectorized
+    over p and m (broadcast together)."""
     alpha = _check_alpha(alpha)
     p_arr, m_arr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(m, dtype=float))
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise ValueError("quantile level must lie strictly between 0 and 1")
     if np.any(m_arr < 0.0):
         raise ValueError("estimate power must be nonnegative")
-    eps = 1.0 - p_arr.ravel()
-    log_eps = np.log(eps)
+    p_flat = p_arr.ravel()
     a = np.sqrt(2.0 * m_arr.ravel() / alpha)
-    t = np.sqrt(-2.0 * log_eps)
-    u = np.sqrt(-2.0 * np.log(np.minimum(eps, 1.0 - eps)))
-    z = np.sign(0.5 - eps) * (u - (2.515517 + 0.802853 * u + 0.010328 * u * u)
-                              / (1.0 + u * (1.432788 + u * (0.189269 + 0.001308 * u))))
-    b = np.maximum(a + z + (t - z) / (1.0 + 2.0 * a * (t - z)), 0.5 * t)
-    for k in range(_HALLEY_STEPS):
-        q, w, w_b = _marcum_q1(a, b, log_eps, _TAIL_DIGITS if k else 0.5 * _TAIL_DIGITS)
-        f, f1 = np.log(q) - log_eps, -b * w / q
-        f2 = -(w + b * w_b) / q - f1 * f1
-        step = -f / (f1 - 0.5 * f * f2 / f1)
-        b = np.maximum(b + step, 0.5 * b)
-        if k and np.all(np.abs(step) <= _HALLEY_DONE * np.maximum(b, 1.0)):
-            out = (0.5 * alpha * b * b).reshape(p_arr.shape)
-            return out if out.ndim else float(out)
-    raise NumericsError(f"conditional quantile took over {_HALLEY_STEPS} Halley steps")
+    b = np.empty_like(a)
+    for lower in (False, True):
+        rows = (p_flat < 0.5) == lower
+        if rows.any():
+            b[rows] = _quantile_b(a[rows], p_flat[rows] if lower else 1.0 - p_flat[rows], lower)
+    out = (0.5 * alpha * b * b).reshape(p_arr.shape)
+    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
@@ -262,17 +296,23 @@ def sample_channel_pair(csi: CsiKnowledge, rng: np.random.Generator,
     same pairs: estimate real, estimate imag, error real, error imag.
     Perfect CSI returns gain == estimate; absent CSI returns zero
     estimates alongside Exp(1) gains (drawn through the same normal path
-    to keep the stream layout identical across levels).
+    to keep the stream layout identical across levels). The four normal
+    arrays are the only ones made: the estimate and the gain are built in
+    two of them, with the same operations in the same order as
+    est_re^2 + est_im^2 and (est_re + err_re)^2 + (est_im + err_im)^2.
     """
     alpha = csi.error_variance
     s_est = np.sqrt(max(1.0 - alpha, 0.0) / 2.0)
     s_err = np.sqrt(max(alpha, 0.0) / 2.0)
-    est_re = rng.normal(0.0, 1.0, size=n) * s_est
-    est_im = rng.normal(0.0, 1.0, size=n) * s_est
-    err_re = rng.normal(0.0, 1.0, size=n) * s_err
-    err_im = rng.normal(0.0, 1.0, size=n) * s_err
-    estimate = est_re * est_re + est_im * est_im
-    re = est_re + err_re
-    im = est_im + err_im
-    gain = re * re + im * im
+    est_re, est_im, err_re, err_im = (rng.normal(0.0, 1.0, size=n) for _ in range(4))
+    est_re *= s_est
+    est_im *= s_est
+    err_re *= s_err
+    err_im *= s_err
+    re = np.add(est_re, err_re, out=err_re)
+    im = np.add(est_im, err_im, out=err_im)
+    estimate = np.multiply(est_re, est_re, out=est_re)
+    estimate += np.multiply(est_im, est_im, out=est_im)
+    gain = np.multiply(re, re, out=re)
+    gain += np.multiply(im, im, out=im)
     return ChannelDraw(estimate=estimate, gain=gain)

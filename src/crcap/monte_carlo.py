@@ -3,7 +3,10 @@
 Draws (estimate, true) power pairs for both links, evaluates a policy on
 exactly the states its knowledge level permits, and accumulates the
 empirical rate, average power, and interference-outage frequency, the
-latter binned by deciles of the cross-link conditioning state.
+latter binned by deciles of the cross-link conditioning state. The
+policy's power() is called on blocks of POLICY_BLOCK samples, so it must
+act elementwise. A shard holds the estimate and gain arrays of both links,
+its powers and one block's temporaries.
 
 Reproducibility contract: streams come from the counter-based Philox
 generator keyed by SeedSequence((seed, shard_index)) with a fixed draw
@@ -41,6 +44,7 @@ from .power_allocation import ScenarioConfig
 __all__ = ["OutageBin", "SimReport", "simulate_policy", "verify_outage"]
 
 SHARD_SIZE = 65536
+POLICY_BLOCK = 8192  # samples per power() call: a shard's temporaries stay this small
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _OUTAGE_GUARD = 1.0 + 1e-9
 N_OUTAGE_BINS = 10
@@ -110,32 +114,42 @@ def _readable_state(draw: ChannelDraw, csi: CsiKnowledge):
 def _run_shard(power_fn: Callable, config: ScenarioConfig, seed: int,
                shard: int, n: int, edges: np.ndarray):
     """The shard's sums of rate, rate^2, power and power^2, and its (2, bins)
-    tally of samples and outages per bin of the cross-link state."""
+    tally of samples and outages per bin of the cross-link state.
+
+    The policy fills P block by block; the four sums run over the whole
+    shard's arrays, so their bits do not depend on the block size. Once P
+    is filled, the direct link's draw is dead and holds the rate and the
+    squares."""
     rng = np.random.Generator(np.random.Philox(
         seed=np.random.SeedSequence((seed, shard))))
     sl = sample_channel_pair(config.sl_csi, rng, n)
     cl = sample_channel_pair(config.cl_csi, rng, n)
+    sl_state = _readable_state(sl, config.sl_csi)
     cl_state = _readable_state(cl, config.cl_csi)
 
-    P = np.asarray(power_fn(_readable_state(sl, config.sl_csi), cl_state),
-                   dtype=float)
-    if P.shape not in ((), (n,)):
-        raise ValueError("policy returned powers with an unexpected shape")
-    P = np.broadcast_to(P, (n,))
-    if np.any(P < 0.0) or not np.all(np.isfinite(P)):
-        raise ValueError("policy returned negative or non-finite power")
+    P = np.empty(n)
+    for lo in range(0, n, POLICY_BLOCK):
+        b = slice(lo, min(lo + POLICY_BLOCK, n))
+        p = np.asarray(power_fn(None if sl_state is None else sl_state[b],
+                                None if cl_state is None else cl_state[b]),
+                       dtype=float)
+        if p.shape not in ((), (b.stop - lo,)):
+            raise ValueError("policy returned powers with an unexpected shape")
+        if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+            raise ValueError("policy returned negative or non-finite power")
+        P[b] = p
 
-    log_rate = np.log1p(P * sl.gain)
-    outage = (P * cl.gain) > (config.i_peak * _OUTAGE_GUARD)
-    sums = np.array([log_rate.sum(), (log_rate * log_rate).sum(),
-                     P.sum(), (P * P).sum()])
+    log_rate = np.log1p(np.multiply(P, sl.gain, out=sl.gain), out=sl.gain)
+    sq = sl.estimate
+    sums = np.array([log_rate.sum(), np.multiply(log_rate, log_rate, out=sq).sum(),
+                     P.sum(), np.multiply(P, P, out=sq).sum()])
+    outage = np.multiply(P, cl.gain, out=sq) > config.i_peak * _OUTAGE_GUARD
     if not edges.size:  # one bin: no search
         return sums, np.array([[n], [np.count_nonzero(outage)]], dtype=np.int64)
     k = edges.size + 1
     idx = np.searchsorted(edges, cl_state, side="right")
     return sums, np.array([np.bincount(idx, minlength=k),
-                           np.bincount(idx, weights=outage, minlength=k)],
-                          dtype=np.int64)
+                           np.bincount(idx[outage], minlength=k)], dtype=np.int64)
 
 
 def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
@@ -147,7 +161,10 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     knowledge levels permit: the true gain under perfect knowledge, the
     estimate power under estimated knowledge, None when the link is
     unknown. Policies that declare needing more (sl_state_kind /
-    cl_state_kind attributes) are rejected up front.
+    cl_state_kind attributes) are rejected up front. power() is called on
+    consecutive blocks of up to POLICY_BLOCK samples and must act
+    elementwise: a sample's power may depend on its own states only. It
+    returns one power per sample of the block, or one for all.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")

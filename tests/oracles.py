@@ -12,7 +12,8 @@ function and scipy's chndtrix; the tests check those kernels against the
 density, the Marcum-Q cdf and the adaptive quadrature here. The
 per-sample interference cap on the exact quantile and the on-off rule
 built on it serve the Monte Carlo checks of the library's cap table and
-on-off rate. plain_bisect is the bisection the multiplier search replays.
+on-off rate. plain_bisect is the bisection the multiplier search replays,
+and plain_sample_channel_pair the sampler before it drew in place.
 Nothing here imports from crcap
 (test_oracles_share_no_code_with_crcap).
 """
@@ -421,3 +422,19 @@ def plain_bisect(f, target: float, lo: float, hi: float, rel_tol: float,
         else:
             hi = mid
     raise RuntimeError(f"{what} bisection did not converge in 300 steps")
+
+
+def plain_sample_channel_pair(error_variance: float, rng, n: int):
+    """(estimate, gain) powers of n draws of a link with MMSE error variance
+    error_variance (0 perfect, 1 none), each product its own array: the
+    library's sampler before it built both in place. Draw order: estimate
+    real, estimate imaginary, error real, error imaginary."""
+    s_est = np.sqrt(max(1.0 - error_variance, 0.0) / 2.0)
+    s_err = np.sqrt(max(error_variance, 0.0) / 2.0)
+    est_re = rng.normal(0.0, 1.0, size=n) * s_est
+    est_im = rng.normal(0.0, 1.0, size=n) * s_est
+    err_re = rng.normal(0.0, 1.0, size=n) * s_err
+    err_im = rng.normal(0.0, 1.0, size=n) * s_err
+    re = est_re + err_re
+    im = est_im + err_im
+    return est_re * est_re + est_im * est_im, re * re + im * im
