@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .capacity import (
 )
 from .fading import CsiKnowledge, CsiLevel
 from .monte_carlo import _allowed_outage, _outage_bound, verify_outage
-from .onoff import optimize_threshold
+from .onoff import _require_perfect_direct, optimize_threshold
 from .power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 from .special_functions import NumericsError
 
@@ -71,42 +71,6 @@ def db_to_linear(db):
 # ----------------------------------------------------------------------
 # config schema and parsing
 
-_SCHEMA: Dict[str, Dict[str, Callable]] = {
-    "scenario": {
-        "sl_csi": str,
-        "cl_csi": str,
-        "p_avg_db": float,
-        "i_peak_db": float,
-        "epsilon": float,
-        "rescale_no_csi_budget": bool,
-    },
-    "sweep": {
-        "axis": str,
-        "start": float,
-        "stop": float,
-        "points": int,
-        "spacing": str,
-    },
-    "numerics": {f.name: type(f.default)
-                 for f in dataclasses.fields(NumericSettings)},
-    "monte_carlo": {
-        "n_samples": int,
-        "seed": int,
-    },
-    "output": {
-        "include_capacity": bool,
-        "plot_script": bool,
-    },
-}
-
-_REQUIRED = {"scenario": ["sl_csi", "cl_csi", "p_avg_db", "i_peak_db", "epsilon"]}
-
-_DEFAULTS = {
-    "monte_carlo": {"n_samples": 1_000_000, "seed": 42},
-    "output": {"include_capacity": True, "plot_script": True},
-}
-
-
 def parse_csi(raw: str) -> CsiKnowledge:
     """Knowledge-level syntax: none | perfect | estimated:<alpha>."""
     token = raw.strip().lower()
@@ -126,6 +90,28 @@ def parse_csi(raw: str) -> CsiKnowledge:
         f"unknown CSI level {raw!r}; use none, perfect, or estimated:<alpha>")
 
 
+class _Key(NamedTuple):
+    """One INI key: its text's parser and its default, None if required."""
+
+    parse: Callable[[str], object]
+    default: object = None
+
+
+# The only description of the config file, in echo order. Only [scenario]
+# must be given; a section left out takes its defaults, but for [sweep].
+_SCHEMA: Dict[str, Dict[str, _Key]] = {
+    "scenario": {"sl_csi": _Key(parse_csi), "cl_csi": _Key(parse_csi),
+                 "p_avg_db": _Key(float), "i_peak_db": _Key(float),
+                 "epsilon": _Key(float), "rescale_no_csi_budget": _Key(bool, False)},
+    "sweep": {"axis": _Key(str), "start": _Key(float), "stop": _Key(float),
+              "points": _Key(int), "spacing": _Key(str, "linear")},
+    "numerics": {f.name: _Key(type(f.default), f.default)
+                 for f in dataclasses.fields(NumericSettings)},
+    "monte_carlo": {"n_samples": _Key(int, 1_000_000), "seed": _Key(int, 42)},
+    "output": {"include_capacity": _Key(bool, True), "plot_script": _Key(bool, True)},
+}
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Fully parsed and validated run description.
@@ -143,7 +129,31 @@ class RunConfig:
     echo: List[Tuple[str, str]]  # effective settings for output headers
 
 
+def _read_section(parser: configparser.ConfigParser, section: str) -> Dict[str, object]:
+    """One section's values in table order, defaults filled in."""
+    values: Dict[str, object] = {}
+    for key, (parse, default) in _SCHEMA[section].items():
+        if not parser.has_option(section, key):
+            if default is None:
+                raise ConfigError(f"missing required key {section}.{key}")
+            values[key] = default
+            continue
+        raw = parser.get(section, key)
+        try:
+            values[key] = parser.getboolean(section, key) if parse is bool else parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    return values
+
+
 def load_config(path: str) -> RunConfig:
+    """Read an INI run configuration against _SCHEMA and check all of it.
+
+    Unknown or missing sections and keys, unparsable values and values the
+    scenario rejects at any grid point raise ConfigError. The header echo
+    lists the effective settings in table order, [sweep] as its axis and
+    grid and [output] not at all.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
@@ -152,117 +162,67 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    values: Dict[str, Dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
+        for key, _ in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            coerce = _SCHEMA[section][key]
-            try:
-                values[section][key] = (parser.getboolean(section, key)
-                                        if coerce is bool else coerce(raw))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r}") from exc
+    if not parser.has_section("scenario"):
+        raise ConfigError("missing required section [scenario]")
+    values = {section: _read_section(parser, section) for section in _SCHEMA
+              if section != "sweep" or parser.has_section(section)}
 
-    for section, keys in _REQUIRED.items():
-        if section not in values:
-            raise ConfigError(f"missing required section [{section}]")
-        for key in keys:
-            if key not in values[section]:
-                raise ConfigError(f"missing required key {section}.{key}")
-
-    scen = values["scenario"]
-    sl = parse_csi(str(scen["sl_csi"]))
-    cl = parse_csi(str(scen["cl_csi"]))
-    p_avg_db = float(scen["p_avg_db"])
-    i_peak_db = float(scen["i_peak_db"])
-    epsilon = float(scen["epsilon"])
-
-    num_kwargs = values.get("numerics", {})
     try:
-        numerics = NumericSettings(**num_kwargs)
-    except (TypeError, ValueError) as exc:
+        numerics = NumericSettings(**values["numerics"])
+    except ValueError as exc:
         raise ConfigError(f"bad numerics settings: {exc}") from exc
-
+    scen = values["scenario"]
     try:
         scenario = ScenarioConfig(
-            sl_csi=sl, cl_csi=cl,
-            p_avg=db_to_linear(p_avg_db),
-            i_peak=db_to_linear(i_peak_db),
-            epsilon=epsilon,
-            numerics=numerics,
-            rescale_no_csi_budget=bool(scen.get("rescale_no_csi_budget", False)),
-        )
-    except (TypeError, ValueError) as exc:
+            sl_csi=scen["sl_csi"], cl_csi=scen["cl_csi"], p_avg=db_to_linear(scen["p_avg_db"]),
+            i_peak=db_to_linear(scen["i_peak_db"]), epsilon=scen["epsilon"], numerics=numerics,
+            rescale_no_csi_budget=scen["rescale_no_csi_budget"])
+    except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
-    sweep_axis, sweep_grid = "p_avg", np.array([p_avg_db])
+    sweep_axis, sweep_grid = "p_avg", np.array([scen["p_avg_db"]])
     if "sweep" in values:
         sw = values["sweep"]
-        for key in ("axis", "start", "stop", "points"):
-            if key not in sw:
-                raise ConfigError(f"missing required key sweep.{key}")
-        sweep_axis = str(sw["axis"]).strip().lower()
-        start, stop = float(sw["start"]), float(sw["stop"])
-        points = int(sw["points"])
-        spacing = str(sw.get("spacing", "linear")).strip().lower()
+        sweep_axis, spacing = sw["axis"].strip().lower(), sw["spacing"].strip().lower()
+        start, stop, points = sw["start"], sw["stop"], sw["points"]
         if points < 1:
             raise ConfigError("sweep.points must be at least 1")
         if points > 1 and start == stop:
             raise ConfigError("sweep.start and sweep.stop must differ")
-        if spacing == "linear":
-            sweep_grid = np.linspace(start, stop, points)
-        elif spacing == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise ConfigError("log spacing needs positive start and stop")
-            sweep_grid = np.geomspace(start, stop, points)
-        else:
+        spaced = {"linear": np.linspace, "log": np.geomspace}.get(spacing)
+        if spaced is None:
             raise ConfigError(f"sweep.spacing must be linear or log, got {spacing!r}")
+        if spacing == "log" and (start <= 0.0 or stop <= 0.0):
+            raise ConfigError("log spacing needs positive start and stop")
+        sweep_grid = spaced(start, stop, points)
     for v in sweep_grid:
         try:
             _scenario_at(scenario, sweep_axis, v)
         except ValueError as exc:
             raise ConfigError(f"bad sweep point {sweep_axis} = {v:.10g}: {exc}") from exc
 
-    mc = {**_DEFAULTS["monte_carlo"], **values.get("monte_carlo", {})}
-    out = {**_DEFAULTS["output"], **values.get("output", {})}
-    n_samples, seed = int(mc["n_samples"]), int(mc["seed"])
-    if n_samples < 1000:
+    mc = values["monte_carlo"]
+    if mc["n_samples"] < 1000:
         raise ConfigError("monte_carlo.n_samples must be at least 1000")
-    if seed < 0:
+    if mc["seed"] < 0:
         raise ConfigError("monte_carlo.seed must be nonnegative")
 
-    echo: List[Tuple[str, str]] = [
-        ("scenario.sl_csi", sl.describe()),
-        ("scenario.cl_csi", cl.describe()),
-        ("scenario.p_avg_db", f"{p_avg_db:.10g}"),
-        ("scenario.i_peak_db", f"{i_peak_db:.10g}"),
-        ("scenario.epsilon", f"{epsilon:.10g}"),
-        ("scenario.rescale_no_csi_budget", str(scenario.rescale_no_csi_budget).lower()),
-    ]
     if "sweep" in values:
-        echo.append(("sweep.axis", sweep_axis))
-        echo.append(("sweep.grid", ",".join(f"{v:.10g}" for v in sweep_grid)))
-    for f in dataclasses.fields(NumericSettings):
-        echo.append((f"numerics.{f.name}", f"{getattr(numerics, f.name):.10g}"))
-    echo.append(("monte_carlo.n_samples", str(n_samples)))
-    echo.append(("monte_carlo.seed", str(seed)))
+        values["sweep"] = {"axis": sweep_axis, "grid": ",".join(map(_fmt, sweep_grid))}
+    # numerics echo every setting at 10 digits, integers too
+    echo = [(f"{section}.{key}", _fmt(float(v) if section == "numerics" else v))
+            for section, settings in values.items() if section != "output"
+            for key, v in settings.items()]
 
-    return RunConfig(
-        scenario=scenario,
-        sweep_axis=sweep_axis,
-        sweep_grid=sweep_grid,
-        n_samples=n_samples,
-        seed=seed,
-        include_capacity=bool(out["include_capacity"]),
-        plot_script=bool(out["plot_script"]),
-        echo=echo,
-    )
+    # [monte_carlo] and [output] keys are RunConfig fields by name
+    return RunConfig(scenario=scenario, sweep_axis=sweep_axis, sweep_grid=sweep_grid,
+                     echo=echo, **mc, **values["output"])
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +236,12 @@ def _scenario_at(scenario: ScenarioConfig, axis: str, value: float) -> ScenarioC
 
 
 def _fmt(x) -> str:
-    return f"{x:.10g}" if isinstance(x, float) else str(x)
+    """A value as the CSV writes it, in its rows and in its header echo."""
+    if isinstance(x, CsiKnowledge):
+        return x.describe()
+    if isinstance(x, float):
+        return f"{x:.10g}"
+    return str(x).lower() if isinstance(x, bool) else str(x)
 
 
 def _write_csv(path: str, run: RunConfig, command: str, columns: Sequence[str],
@@ -376,10 +341,7 @@ def _asymptote_row(run: RunConfig, scen: ScenarioConfig) -> tuple:
 
 
 def _onoff_row(run: RunConfig, scen: ScenarioConfig) -> tuple:
-    try:
-        tau_star, rate_star = optimize_threshold(scen)
-    except ValueError as exc:  # the on-off scheme needs perfect direct-link knowledge
-        raise ConfigError(str(exc)) from exc
+    tau_star, rate_star = optimize_threshold(scen)
     cap = ergodic_capacity(scen).capacity
     gap = (cap - rate_star) / cap if cap > 0 else 0.0
     return tau_star, rate_star, cap, gap
@@ -481,14 +443,16 @@ def cmd_verify(run: RunConfig, out_dir: str, threads: int, strict: bool,
 # entry point
 
 def _build_parser() -> argparse.ArgumentParser:
+    numerics, mc = NumericSettings(), _SCHEMA["monte_carlo"]
     parser = argparse.ArgumentParser(
         prog="crcap",
         description=(
             "Ergodic capacity and optimal power control for an underlay "
             "spectrum-sharing link under average-power and interference-"
             "outage constraints. Defaults: quadrature relative tolerance "
-            "1e-7, power-multiplier relative tolerance 1e-4, Monte Carlo "
-            "1000000 samples with seed 42."
+            f"{numerics.quad_rel_tol:g}, power-multiplier relative tolerance "
+            f"{numerics.lambda_rel_tol:g}, Monte Carlo {mc['n_samples'].default} "
+            f"samples with seed {mc['seed'].default}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -518,6 +482,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = load_config(args.config)
         if args.threads < 1:
             raise ConfigError("--threads must be positive")
+        if args.command == "onoff":
+            for v in run.sweep_grid:
+                try:
+                    _require_perfect_direct(_scenario_at(run.scenario, run.sweep_axis, v))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
         out_dir = args.out
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -6,7 +6,9 @@ the installed console script end to end, and one checks what a fresh
 """
 
 import ast
+import configparser
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -23,7 +25,9 @@ from crcap.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _SCHEMA,
     ConfigError,
+    _fmt,
     _map_grid,
     db_to_linear,
     load_config,
@@ -189,6 +193,86 @@ def test_every_numeric_setting_is_a_config_key_echoed_in_field_order(tmp_path):
         [f"numerics.{f.name}" for f in fields]
 
 
+# every key of every section, in the looser spellings the parser takes
+EVERY_KEY = """\
+[scenario]
+sl_csi = Estimated:0.25
+cl_csi = none
+p_avg_db = 2.5
+i_peak_db = 10
+epsilon = 5e-2
+rescale_no_csi_budget = yes
+
+[sweep]
+axis = P_AVG
+start = -10
+stop = 10
+points = 3
+spacing = Linear
+
+[numerics]
+quad_rel_tol = 1e-7
+quad_points = 20
+base_panels = 8
+max_refinements = 4
+lambda_rel_tol = 2.5e-5
+tail_mass = 1e-10
+
+[monte_carlo]
+n_samples = 20000000000
+seed = 0
+
+[output]
+include_capacity = off
+plot_script = false
+"""
+
+EVERY_KEY_HEADER = """\
+# crcap asymptote
+# scenario.sl_csi = estimated(alpha=0.25)
+# scenario.cl_csi = none
+# scenario.p_avg_db = 2.5
+# scenario.i_peak_db = 10
+# scenario.epsilon = 0.05
+# scenario.rescale_no_csi_budget = true
+# sweep.axis = p_avg
+# sweep.grid = -10,0,10
+# numerics.quad_rel_tol = 1e-07
+# numerics.quad_points = 20
+# numerics.base_panels = 8
+# numerics.max_refinements = 4
+# numerics.lambda_rel_tol = 2.5e-05
+# numerics.tail_mass = 1e-10
+# monte_carlo.n_samples = 20000000000
+# monte_carlo.seed = 0
+p_avg_db,low_snr_npcu,high_snr_npcu
+"""
+
+
+def test_a_config_setting_every_key_writes_the_pinned_header(tmp_path):
+    parsed = configparser.ConfigParser()
+    parsed.read_string(EVERY_KEY)
+    assert {s: set(parsed[s]) for s in parsed.sections()} == \
+        {s: set(keys) for s, keys in _SCHEMA.items()}
+    out = tmp_path / "out"
+    assert main(["asymptote", "--config", write(tmp_path, EVERY_KEY),
+                 "--out", str(out), "--threads", "1"]) == EXIT_OK
+    assert (out / "asymptote.csv").read_bytes().startswith(EVERY_KEY_HEADER.encode())
+    assert not (out / "asymptote_plot.py").exists()
+
+
+def test_readme_config_table_is_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    head = "| section | key | type | default | required |"
+    lines = readme[readme.index(head):].splitlines()[2:]
+    rows = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
+    assert rows == [
+        (section, key, "knowledge" if k.parse is parse_csi else k.parse.__name__,
+         "—" if k.default is None else _fmt(k.default), "yes" if k.default is None else "no")
+        for section, keys in _SCHEMA.items() for key, k in keys.items()]
+
+
 def test_load_config_log_spacing(tmp_path):
     text = BASE + """
 [sweep]
@@ -308,11 +392,19 @@ def test_onoff_command_gap_nonnegative(tmp_path):
         assert float(r[2]) <= float(r[3]) + 1e-8
 
 
-def test_onoff_rejects_imperfect_direct_knowledge(tmp_path):
-    cfg = write(tmp_path, BASE.replace("sl_csi = perfect",
-                                       "sl_csi = estimated:0.5"))
-    assert main(["onoff", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+def test_onoff_rejects_imperfect_direct_knowledge(tmp_path, capsys):
+    # every grid point is checked before anything is created on disk, also
+    # when the sweep's first point (alpha_s = 0) is perfect knowledge
+    for text, got in [
+            (BASE.replace("sl_csi = perfect", "sl_csi = estimated:0.5"), "estimated(alpha=0.5)"),
+            (_sweep_of("alpha_s", 0.0, 0.5), "estimated(alpha=0.25)")]:
+        out = tmp_path / "o"
+        assert main(["onoff", "--config", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: the on-off scheme thresholds the true direct gain and needs "
+            f"perfect direct-link knowledge; got {got}\n")
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
