@@ -69,8 +69,12 @@ def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
 
 
 def _capacity_of(policy: PowerPolicy) -> CapacityResult:
-    """Integrate the ergodic capacity of an already solved policy."""
-    val, err = _refine(lambda p: _capacity_at(policy, p), policy.config.numerics)
+    """Integrate the ergodic capacity of an already solved policy; a
+    saturated one's is its cap table's plateau (_CapField.plateau)."""
+    if policy.regime == "saturated":
+        val, err = policy._capf.plateau
+    else:
+        val, err = _refine(lambda p: _capacity_at(policy, p), policy.config.numerics)
     return CapacityResult(capacity=val, lam=policy.lam,
                           p_avg_star=policy.p_avg_star, regime=policy.regime,
                           quadrature_error_estimate=err)
@@ -102,6 +106,5 @@ def high_budget_asymptote(config: ScenarioConfig) -> float:
     average_power_threshold(config) when finite; under perfect cross-link
     knowledge (infinite threshold) it is the p_avg -> infinity limit.
     """
-    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
-    return ergodic_capacity(config.replace(p_avg=capf.mean_cap)).capacity
+    return _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics).plateau[0]
 

@@ -215,8 +215,7 @@ def load_config(path: str) -> RunConfig:
 
     if "sweep" in values:
         values["sweep"] = {"axis": sweep_axis, "grid": ",".join(map(_fmt, sweep_grid))}
-    # numerics echo every setting at 10 digits, integers too
-    echo = [(f"{section}.{key}", _fmt(float(v) if section == "numerics" else v))
+    echo = [(f"{section}.{key}", _fmt(v))
             for section, settings in values.items() if section != "output"
             for key, v in settings.items()]
 

@@ -144,13 +144,13 @@ _HALLEY_DONE = 2.0 ** -20  # a step this small (relative to max(b, 1), or in ln 
 
 def marginal_power_pdf(g):
     g = np.asarray(g, dtype=float)
-    out = np.where(g >= 0.0, np.exp(-np.clip(g, 0.0, None)), 0.0)
+    out = np.where(g >= 0.0, np.exp(-np.maximum(g, 0.0)), 0.0)
     return out if out.ndim else float(out)
 
 
 def marginal_power_cdf(g):
     g = np.asarray(g, dtype=float)
-    out = np.where(g >= 0.0, -np.expm1(-np.clip(g, 0.0, None)), 0.0)
+    out = np.where(g >= 0.0, -np.expm1(-np.maximum(g, 0.0)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -304,7 +304,7 @@ def sample_channel_pair(csi: CsiKnowledge, rng: np.random.Generator,
     alpha = csi.error_variance
     s_est = np.sqrt(max(1.0 - alpha, 0.0) / 2.0)
     s_err = np.sqrt(max(alpha, 0.0) / 2.0)
-    est_re, est_im, err_re, err_im = (rng.normal(0.0, 1.0, size=n) for _ in range(4))
+    est_re, est_im, err_re, err_im = (rng.standard_normal(n) for _ in range(4))
     est_re *= s_est
     est_im *= s_est
     err_re *= s_err

@@ -66,6 +66,7 @@ import dataclasses
 import functools
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,7 +74,7 @@ import numpy as np
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import _gl_rule, panel_rule, panel_rule_batch
+from .quadrature import _gl_rule, _refine, panel_rule, panel_rule_batch
 from .special_functions import NumericsError, _scaled_e1_log, exp_integral_e1
 
 __all__ = [
@@ -486,7 +487,8 @@ class _SlGrid:
     states below it contribute nothing to either the budget equation or
     the capacity, so the grid starts at the boundary. Panels straddling
     that kink would otherwise degrade the quadrature order. A level
-    (_sl_grid, PowerPolicy._grid) also holds A, _budget_component at lam.
+    (_sl_grid, PowerPolicy._grid) also holds A, _budget_component at lam,
+    and is read-only apart from its write-once memo of spent() (_spent).
     """
 
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
@@ -544,11 +546,21 @@ class _SlGrid:
             sums[s:s + step] = np.einsum("jpn,pn->jp", r.reshape(-1, *P.shape), w)
         return sums, np.einsum("jn,jn->j", self.rate_cells(Q, rows), v)
 
+    @functools.cached_property
+    def _spent(self) -> weakref.WeakKeyDictionary:
+        """Cap table -> spent(table), weak on the table, so a table dropped
+        from _cap_table and from every policy leaves no entry."""
+        return weakref.WeakKeyDictionary()
+
     def spent(self, capf: Optional[_CapField]) -> float:
-        """The level's average power sum w E[min(A, cap)], capless for None."""
+        """The level's average power sum w E[min(A, cap)], capless for None;
+        capped, integrated once per cap table (_spent)."""
         if capf is None:
             return float(self.w @ self.A)
-        return float(self.w @ capf.capped_mean(self.A))
+        value = self._spent.get(capf)
+        if value is None:
+            value = self._spent[capf] = float(self.w @ capf.capped_mean(self.A))
+        return value
 
     def rate(self, capf: Optional[_CapField], panels: int) -> float:
         """The level's capacity sum w E[log(1 + min(A, cap) g)], capless for None."""
@@ -621,12 +633,12 @@ def _budget_component(csi: CsiKnowledge, settings: NumericSettings, lam: float,
     Estimated: lam's budget series (_budget_series) on the estimate."""
     s = np.asarray(state, dtype=float)
     if csi.level is CsiLevel.PERFECT:
-        out = np.clip(1.0 / lam - 1.0 / np.maximum(s, _GAIN_FLOOR), 0.0, None)
+        out = np.maximum(1.0 / lam - 1.0 / np.maximum(s, _GAIN_FLOOR), 0.0)
         return np.where(s <= lam, 0.0, out)
     m_c, m_hi, series, _ = _budget_series(csi, settings, lam)
     # strict: when the kink sits at m = 0 the component there is positive
     x = np.log(np.clip(s, m_c, m_hi) + csi.alpha)
-    return np.where(s < m_c, 0.0, np.clip(series(x), 0.0, None))
+    return np.where(s < m_c, 0.0, np.maximum(series(x), 0.0))
 
 
 class _Pchip:
@@ -682,8 +694,8 @@ class _Pchip:
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         flat = v.ravel()
-        i = np.clip(np.searchsorted(self._x, flat, side="right") - 1,
-                    0, self._x.size - 2)
+        i = np.minimum(np.maximum(np.searchsorted(self._x, flat, side="right") - 1, 0),
+                       self._x.size - 2)
         s = flat - self._x[i]
         out = self._c2[i] * s
         out += self._c3[i]
@@ -722,7 +734,8 @@ class _CapField:
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
-    class must stay immutable after __init__.
+    class must stay immutable after __init__ apart from its write-once
+    memo plateau, the saturated (capacity, error).
     """
 
     def __init__(self, csi: CsiKnowledge, i_peak: float, epsilon: float,
@@ -766,37 +779,37 @@ class _CapField:
             return np.full(t.shape, self.constant)
         if self.level is CsiLevel.PERFECT:
             return self.i_peak / np.maximum(t, _GAIN_FLOOR)
-        return self.i_peak / np.clip(self._q_of_m(np.clip(t, 0.0, self.upper)),
-                                     self._q_lo, None)
+        return self.i_peak / np.maximum(self._q_of_m(np.clip(t, 0.0, self.upper)), self._q_lo)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         if self.level is CsiLevel.PERFECT:
             return fading.marginal_power_cdf(t)
-        return 1.0 - np.exp(-np.clip(t, 0.0, None) / (1.0 - self.csi.alpha))
+        return 1.0 - np.exp(-np.maximum(t, 0.0) / (1.0 - self.csi.alpha))
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         if self.level is CsiLevel.PERFECT:
             return fading.marginal_power_pdf(t)
-        return np.exp(-np.clip(t, 0.0, None) / (1.0 - self.csi.alpha)) / (1.0 - self.csi.alpha)
+        return np.exp(-np.maximum(t, 0.0) / (1.0 - self.csi.alpha)) / (1.0 - self.csi.alpha)
 
     def crossing_state(self, a):
         """State t* with cap(t*) = a, clipped to [0, upper].
 
         The cap decreases in t, so min(a, cap(t)) equals a below t* and
         cap(t) above; splitting expectations there keeps both integrands
-        smooth. a = 0 maps to upper (the cap never reaches zero).
+        smooth. a = 0 maps to upper (the cap never reaches zero). q* =
+        i_peak / a is positive and the interpolated t* never -0.0, so
+        np.minimum and np.maximum clip them as np.clip would.
         """
         a = np.asarray(a, dtype=float)
-        with np.errstate(divide="ignore"):
-            q_star = np.where(a > 0.0, self.i_peak / np.maximum(a, 1e-300), np.inf)
+        q_star = np.where(a > 0.0, self.i_peak / np.maximum(a, 1e-300), np.inf)
         if self.level is CsiLevel.PERFECT:
-            return np.clip(q_star, 0.0, self.upper)
+            return np.minimum(q_star, self.upper)
         t = np.where(q_star >= self._q_hi, self.upper,
                      np.where(q_star <= self._q_lo, 0.0,
-                              self._m_of_q(np.clip(q_star, self._q_lo, self._q_hi))))
-        return np.clip(t, 0.0, self.upper)
+                              self._m_of_q(np.minimum(np.maximum(q_star, self._q_lo), self._q_hi))))
+        return np.minimum(np.maximum(t, 0.0), self.upper)
 
     def tail_rule(self, t_star: np.ndarray, panels: int):
         """Per-row rule for E over states above t_star; weights include pdf."""
@@ -814,11 +827,12 @@ class _CapField:
         """G(t*): the integral of cap * pdf over [t*, upper], from the table.
 
         States below the first knot count as the first knot, so with
-        perfect knowledge G(t*) = G(1e-13) for t* <= 1e-13.
+        perfect knowledge G(t*) = G(1e-13) for t* <= 1e-13. t* comes from
+        crossing_state, never -0.0, so np.maximum clips it as np.clip would.
         """
         knots = self._knots
-        t = np.clip(np.asarray(t_star, dtype=float), knots[0], self.upper)
-        i = np.clip(np.searchsorted(knots, t, side="right"), 1, knots.size - 1)
+        t = np.minimum(np.maximum(np.asarray(t_star, dtype=float), knots[0]), self.upper)
+        i = np.minimum(np.searchsorted(knots, t, side="right"), knots.size - 1)
         return self._tail[i] + self._panel_integral(t, knots[i])
 
     def rate_tail(self, t_star, g):
@@ -958,6 +972,17 @@ class _CapField:
         mean = self.expect(a.ravel(), lambda P, rows: P,
                            lambda t_star, rows: self.tail_integral(t_star))
         return mean.reshape(a.shape)
+
+    @functools.cached_property
+    def plateau(self) -> tuple:
+        """The saturated policy's (capacity, error): its level is one cell
+        without direct-link knowledge at A = inf whatever the direct link
+        and p_avg, so each table refines it once."""
+        def rate(panels):
+            sl = _SlGrid(CsiKnowledge.no_csi(), self.settings, panels)
+            sl.A = np.array([np.inf])
+            return sl.rate(self, panels)
+        return _refine(rate, self.settings)
 
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)

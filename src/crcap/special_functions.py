@@ -80,7 +80,7 @@ def _e1(x, form: int):
         lo, hi = x.min(), x.max()
         if not (lo > 0.0 and hi < np.inf):
             raise ValueError("exp_integral_e1 requires finite x > 0")
-        m, e = np.frexp(np.clip(x, _E1_LOW, _E1_SCALED_CUTOFF))
+        m, e = np.frexp(np.minimum(np.maximum(x, _E1_LOW), _E1_SCALED_CUTOFF))
         u = m * 16.0
         j = u.astype(np.intp)
         c = np.take(_E1_COEF, j + (e * 8 + _E1_OFFSET), axis=2)

@@ -10,7 +10,9 @@ tolerance dwarfs the quadrature error.
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,11 +146,14 @@ def test_high_budget_asymptote_none_cross_closed_form():
 
 
 def test_high_budget_asymptote_matches_saturated_capacity():
-    # the plateau is the saturated policy's capacity, read on the same level
+    # the plateau is the saturated policy's capacity, read on the same level;
+    # a fresh cap table for each, so each integrates its own plateau
     for cross in (PERFECT, EST, NONE):
         cfg = scenario(PERFECT, cross, p_avg=1e6)
+        power_allocation._cap_table.cache_clear()
         res = ergodic_capacity(cfg)
         assert res.regime == "saturated"
+        power_allocation._cap_table.cache_clear()
         assert high_budget_asymptote(cfg).hex() == res.capacity.hex()
 
 
@@ -235,7 +240,8 @@ def _grid_point(code, p_avg_db):
 def _solved(monkeypatch, code, p_avg_db):
     """Capacity, error, multiplier and expected power, plus every tail
     rate and rate sum the capacity quadrature computed, flattened in call
-    order."""
+    order. Levels and cap tables are built afresh, so a saturated point
+    integrates its plateau instead of reading a table's memo."""
     tails = []
 
     def recorded(self, power, rows=slice(None)):
@@ -252,6 +258,7 @@ def _solved(monkeypatch, code, p_avg_db):
     monkeypatch.setattr(power_allocation._SlGrid, "rate_cells", recorded)
     monkeypatch.setattr(power_allocation._SlGrid, "rate_sums", recorded_sums)
     power_allocation._sl_grid.cache_clear()
+    power_allocation._cap_table.cache_clear()
     pol = solve_lambda(_grid_point(code, p_avg_db))
     res = capacity._capacity_of(pol)
     values = (res.capacity, res.quadrature_error_estimate, res.lam,
@@ -384,6 +391,84 @@ def test_knowledge_grid_searches_evaluate_few_levels(monkeypatch, fresh_grids):
     for code, p_avg_db in KNOWLEDGE_GRID:
         ergodic_capacity(_grid_point(code, p_avg_db))
     assert len(calls) <= 158
+
+
+def test_knowledge_grid_integrates_each_level_spend_once(monkeypatch, fresh_grids):
+    # 33 of those 158 spent() calls come back to a (level, cap table) pair
+    # already evaluated, a bisection point that budgets share; the level
+    # keeps each table's spend, so capped_mean runs once per pair
+    pairs, calls = set(), []
+    spent = power_allocation._SlGrid.spent
+    capped_mean = power_allocation._CapField.capped_mean
+
+    def recorded(self, capf):
+        pairs.add((self, capf))
+        return spent(self, capf)
+
+    def counted(self, a):
+        calls.append(self)
+        return capped_mean(self, a)
+
+    monkeypatch.setattr(power_allocation._SlGrid, "spent", recorded)
+    monkeypatch.setattr(power_allocation._CapField, "capped_mean", counted)
+    for code, p_avg_db in KNOWLEDGE_GRID:
+        ergodic_capacity(_grid_point(code, p_avg_db))
+    assert len(calls) == len(pairs) == 125
+
+
+SATURATED_GRID = [(code, p) for code in ("PE", "EE", "NE") for p in (10.0, 13.0)]
+
+
+def test_the_plateau_is_integrated_once_per_cap_table(monkeypatch):
+    # a saturated policy reads no budget and no direct-link state, so the
+    # six saturated points under the estimated cross link share one
+    # plateau: the first integrates it and keeps it on the cap table, the
+    # other five and the high-budget limit read it; a rebuilt table
+    # integrates it again, to the same bits
+    refined = []
+    refine = capacity._refine
+
+    def counted(*args):
+        refined.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(capacity, "_refine", counted)
+    monkeypatch.setattr(power_allocation, "_refine", counted)
+    power_allocation._cap_table.cache_clear()
+    results = [ergodic_capacity(_grid_point(code, p)) for code, p in SATURATED_GRID]
+    assert {r.regime for r in results} == {"saturated"}
+    assert len(set(results)) == 1
+    assert len(refined) == 1
+    assert high_budget_asymptote(_grid_point("EE", 0.0)) == results[0].capacity
+    assert len(refined) == 1
+    power_allocation._cap_table.cache_clear()
+    assert ergodic_capacity(_grid_point("NE", 13.0)) == results[0]
+    assert len(refined) == 2
+
+
+def test_memos_shared_between_threads(fresh_grids):
+    # sweep threads share both memos: threads that miss together store
+    # the same bits, so every capacity and spend equals the serial one
+    points = [_grid_point(code, p) for code, p in
+              [("EE", 0.0), ("PE", 10.0), ("NE", 13.0), ("PP", 0.0)]]
+
+    def run(cfg):
+        pol = solve_lambda(cfg)
+        return capacity._capacity_of(pol), pol.expected_power()
+
+    power_allocation._cap_table.cache_clear()
+    expected = [run(cfg) for cfg in points]
+    power_allocation._cap_table.cache_clear()
+    power_allocation._sl_grid.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, points[i % 4]) for i in range(16)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 4
 
 
 def test_capless_limit_set_builds_few_levels(fresh_grids):

@@ -261,6 +261,29 @@ def test_a_config_setting_every_key_writes_the_pinned_header(tmp_path):
     assert not (out / "asymptote_plot.py").exists()
 
 
+def test_every_numerics_echo_line_reads_back_as_its_setting(tmp_path):
+    # integers past ten digits echo whole (10 digits turned 10000000000
+    # into 1e+10, which the int parser rejects), floats at ten digits: a
+    # [numerics] section written from the header echo is the same settings
+    text = BASE + """
+[numerics]
+quad_rel_tol = 2.5e-9
+quad_points = 12345678901
+base_panels = 10000000000
+max_refinements = 10000000000
+lambda_rel_tol = 0.125
+tail_mass = 1e-30
+"""
+    run = load_config(write(tmp_path, text))
+    lines = [f"# {key} = {val}" for key, val in run.echo if key.startswith("numerics.")]
+    assert len(lines) == len(_SCHEMA["numerics"])
+    echoed = BASE + "\n[numerics]\n" + "\n".join(
+        line.removeprefix("# numerics.") for line in lines) + "\n"
+    again = load_config(write(tmp_path, echoed, name="echoed.ini"))
+    assert again.scenario.numerics == run.scenario.numerics
+    assert again.echo == run.echo
+
+
 def test_readme_config_table_is_the_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     head = "| section | key | type | default | required |"

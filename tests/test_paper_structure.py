@@ -12,18 +12,21 @@ C(E, 0.5) >= C(E, 0.999) >= C(N), each step within the two errs.
 
 The paper's two headline claims are checked at a tight multiplier: at low
 SNR the cross link's knowledge leaves C alone, and once the policy
-saturates the direct link's knowledge does. So is the unified
-expression's limit: an estimate at alpha -> 1 is no knowledge, with a gap
-that closes as (1 - alpha)^2.
+saturates the direct link's knowledge does. So are the unified
+expression's limits: an estimate at alpha -> 1 is no knowledge, with a gap
+that closes as (1 - alpha)^2, and at alpha -> 0 perfect knowledge, with a
+gap that closes as alpha on the direct link and as sqrt(alpha) on the
+cross link.
 """
 
 import numpy as np
 import pytest
 
+from crcap import power_allocation
 from crcap.capacity import ergodic_capacity, high_budget_asymptote, low_budget_asymptote
 from crcap.fading import CsiKnowledge
 from crcap.onoff import optimize_threshold
-from crcap.power_allocation import NumericSettings, ScenarioConfig
+from crcap.power_allocation import NumericSettings, ScenarioConfig, solve_lambda
 
 KNOWLEDGE = {"P": CsiKnowledge.perfect(), "E": CsiKnowledge.estimated(0.5),
              "N": CsiKnowledge.no_csi()}
@@ -177,8 +180,12 @@ SATURATED_POINTS = [("P", 25.0), ("P", 30.0), ("E", 10.0), ("E", 20.0), ("N", 10
                          ids=[f"cross{c}-{p:g}dB" for c, p in SATURATED_POINTS])
 def test_at_high_snr_only_the_cross_link_knowledge_matters(cross, p_avg_db):
     # the paper's high-SNR claim: a saturated policy reads no direct state,
-    # so the three direct links give the same C to the last bit
-    results = [_capacity(KNOWLEDGE[direct], KNOWLEDGE[cross], p_avg_db) for direct in "PEN"]
+    # so the three direct links give the same C to the last bit; each runs
+    # on a fresh cap table, so each integrates its own plateau
+    results = []
+    for direct in "PEN":
+        power_allocation._cap_table.cache_clear()
+        results.append(_capacity(KNOWLEDGE[direct], KNOWLEDGE[cross], p_avg_db))
     assert [r.regime for r in results] == ["saturated"] * 3
     assert len({r.capacity.hex() for r in results}) == 1
 
@@ -217,3 +224,66 @@ def test_the_gap_to_no_knowledge_closes_as_the_square_of_one_minus_alpha(code):
         _, gaps = _gaps_to_no_knowledge(code, p_avg_db, [1e-2, 1e-3, 1e-4])
         ratios += [far / near for far, near in zip(gaps, gaps[1:]) if far > 1e-8]
     assert ratios and all(90.0 <= r <= 110.0 for r in ratios), ratios
+
+
+# an estimate at alpha -> 0 tends to perfect knowledge: EP - PP is O(alpha_s)
+# and PE - PP is O(sqrt(alpha_p)), so a gap falls 10x, or sqrt(10) = 3.16x,
+# a decade of alpha nearer 0. Per code: the alphas, and the band of the
+# ratio of one gap to the next (measured at a tight multiplier 9.956-10.000
+# and 3.172-3.199). At -10 dB the PE gap stays below 1e-11: there a
+# cross-link estimate leaves C alone (the low-SNR claim)
+TO_PERFECT = {"EP": ([1e-3, 1e-4, 1e-5], (9.5, 10.5)), "PE": ([1e-4, 1e-5, 1e-6], (3.1, 3.4))}
+TO_PERFECT_POINTS = [("EP", -10.0), ("EP", 0.0), ("EP", 10.0), ("PE", 0.0), ("PE", 10.0)]
+
+# rates broken at the default numerics, keyed (code, dB, the nearer gap's
+# alpha), by how far the ratio lies outside its band (rounded up in the
+# third digit): each capacity carries its own multiplier residual, up to
+# lambda_rel_tol = 1e-4 of the budget, and at these alphas the gaps are
+# about as small. As with KNOWN_WRONG, an entry that gets worse than its
+# record fails, and so does one that passes.
+KNOWN_WRONG_RATES = {
+    ("EP", -10.0, 1e-4): 4.88, ("EP", -10.0, 1e-5): 6.79, ("EP", 0.0, 1e-4): 28.7,
+    ("EP", 0.0, 1e-5): 12.1, ("EP", 10.0, 1e-4): 3.21, ("PE", 0.0, 1e-5): 8.79,
+    ("PE", 10.0, 1e-5): 0.141, ("PE", 10.0, 1e-6): 0.433,
+}
+
+
+def _rate_excess(code, p_avg_db, numerics):
+    """{alpha: how far the ratio of the gap to PP at 10 alpha to the one at
+    alpha lies outside the code's band}, for every policy having met its
+    budget within lambda_rel_tol (so a gap is one of capacities)."""
+    alphas, (lo, hi) = TO_PERFECT[code]
+
+    def capacity(sl, cl):
+        cfg = ScenarioConfig(sl_csi=sl, cl_csi=cl, p_avg=10.0 ** (p_avg_db / 10.0),
+                             i_peak=10.0, epsilon=0.05, numerics=numerics)
+        spent = solve_lambda(cfg).expected_power()
+        assert abs(spent - cfg.p_avg) <= numerics.lambda_rel_tol * cfg.p_avg
+        return ergodic_capacity(cfg).capacity
+
+    perfect = KNOWLEDGE["P"]
+    at_perfect = capacity(perfect, perfect)
+    gaps = [capacity(*((CsiKnowledge.estimated(a), perfect) if code == "EP"
+                       else (perfect, CsiKnowledge.estimated(a)))) - at_perfect
+            for a in alphas]
+    return {near: max(lo - far / gap, far / gap - hi)
+            for near, far, gap in zip(alphas[1:], gaps, gaps[1:])}
+
+
+@pytest.mark.parametrize("code, p_avg_db", TO_PERFECT_POINTS,
+                         ids=[f"{c}-{p:g}dB" for c, p in TO_PERFECT_POINTS])
+def test_an_estimate_at_alpha_near_zero_closes_on_perfect_knowledge(code, p_avg_db):
+    for alpha, excess in _rate_excess(code, p_avg_db, NumericSettings()).items():
+        record = KNOWN_WRONG_RATES.get((code, p_avg_db, alpha))
+        if record is None:
+            assert excess <= 0.0, (alpha, excess)
+        else:
+            assert 0.0 < excess <= record, (alpha, excess)
+
+
+@pytest.mark.parametrize("code, p_avg_db", TO_PERFECT_POINTS,
+                         ids=[f"{c}-{p:g}dB" for c, p in TO_PERFECT_POINTS])
+def test_the_rate_to_perfect_knowledge_holds_at_a_tight_multiplier(code, p_avg_db):
+    # solved to 1e-12 the rates' known-wrong list is empty
+    excess = _rate_excess(code, p_avg_db, TIGHT)
+    assert all(value <= 0.0 for value in excess.values()), excess

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from crcap import capacity, power_allocation
-from crcap.fading import CsiKnowledge, estimate_power_quantile
+from crcap import capacity, fading, power_allocation, special_functions
+from crcap.fading import CsiKnowledge, CsiLevel, estimate_power_quantile
 from crcap.power_allocation import (
     NumericSettings,
     PowerPolicy,
@@ -956,6 +956,146 @@ def test_memoised_grid_is_read_only(fresh_grids):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
     assert power_allocation._sl_grid(*key).A is A
+
+
+@pytest.mark.parametrize("code, p_avg_db", [("PP", 0.0), ("PE", 0.0), ("PN", 0.0),
+                                            ("EP", 13.0), ("EE", 0.0), ("EN", -10.0)])
+def test_expected_power_after_a_solve_reads_the_solve_spend(monkeypatch, fresh_grids,
+                                                            code, p_avg_db):
+    # the search always evaluates the multiplier it returns, at base_panels
+    # * 2 panels, expected_power's default: the level keeps that spend, so
+    # expected_power() integrates nothing
+    spends = {}
+    spent = power_allocation._SlGrid.spent
+
+    def recorded(self, capf):
+        spends[self, capf] = value = spent(self, capf)
+        return value
+
+    monkeypatch.setattr(power_allocation._SlGrid, "spent", recorded)
+    cfg = _grid_scenario(code, _db(p_avg_db))
+    pol = solve_lambda(cfg)
+    assert pol.regime == "power_limited"
+    level = power_allocation._sl_grid(cfg.sl_csi, cfg.numerics,
+                                      2 * cfg.numerics.base_panels, pol.lam)
+    calls = _count_calls(monkeypatch, power_allocation._CapField, "capped_mean")
+    assert pol.expected_power() == spends[level, pol._capf]
+    assert calls == []
+
+
+def test_a_level_keeps_no_spend_of_a_dropped_cap_table(fresh_grids):
+    # the spend memo is weak on the cap table: a table that _cap_table has
+    # evicted and no policy holds leaves no entry, nor keeps its arrays alive
+    level = power_allocation._sl_grid(CsiKnowledge.perfect(), NumericSettings(), 16, 0.1)
+    capf = power_allocation._CapField(CsiKnowledge.estimated(0.5), 10.0, 0.05,
+                                      NumericSettings())
+    value = level.spent(capf)
+    assert value == float(level.w @ capf.capped_mean(level.A))
+    assert dict(level._spent) == {capf: value}
+    del capf
+    assert len(level._spent) == 0
+
+
+# states and levels at the ends of every clip: signed zeros, negatives,
+# the floors, the truncation point and the infinities
+_CLIP_EDGES = np.array([-np.inf, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-13, 1e-12,
+                        0.5, -np.log(1e-10), 2.0 * -np.log(1e-10), 1e300, np.inf])
+
+
+def _clip_cases():
+    """name -> () -> (value, the value by np.clip as the code once did)."""
+    ns = NumericSettings()
+    est = CsiKnowledge.estimated(0.5)
+    perfect = power_allocation._cap_field(CsiKnowledge.perfect(), 10.0, 0.05, ns)
+    estimated = power_allocation._cap_field(est, 10.0, 0.05, ns)
+    t = _CLIP_EDGES
+
+    def crossing(capf, a):
+        q_star = np.where(a > 0.0, capf.i_peak / np.maximum(a, 1e-300), np.inf)
+        if capf.level is CsiLevel.PERFECT:
+            return np.clip(q_star, 0.0, capf.upper)
+        inner = capf._m_of_q(np.clip(q_star, capf._q_lo, capf._q_hi))
+        return np.clip(np.where(q_star >= capf._q_hi, capf.upper,
+                                np.where(q_star <= capf._q_lo, 0.0, inner)), 0.0, capf.upper)
+
+    def tail(capf, t_star):
+        knots = capf._knots
+        s = np.clip(t_star, knots[0], capf.upper)
+        i = np.clip(np.searchsorted(knots, s, side="right"), 1, knots.size - 1)
+        return capf._tail[i] + capf._panel_integral(s, knots[i])
+
+    def pchip(p, v):
+        i = np.clip(np.searchsorted(p._x, v, side="right") - 1, 0, p._x.size - 2)
+        s = v - p._x[i]
+        return ((p._c2[i] * s + p._c3[i]) + p._c1[i] * (s * s)) + p._c0[i] * (s * s * s)
+
+    def knot_ends(p):   # the interpolants take clipped arguments: near their knots only
+        x = p._x
+        return np.r_[x[0] - 1.0, np.nextafter(x[0], -1.0), x[[0, 1, -2, -1]],
+                     np.nextafter(x[-1], np.inf), x[-1] + 1.0]
+
+    q_of_m, m_of_q = estimated._q_of_m, estimated._m_of_q
+    m = np.r_[-0.0, 5e-324, knot_ends(q_of_m)]
+    q = knot_ends(m_of_q)
+    lam = 0.9   # the budget series dips to -9e-15 just above its kink m_c = 0.4
+    m_c, _, series, _ = power_allocation._budget_series(est, ns, lam)
+    states = np.r_[t[np.isfinite(t)], lam, m_c, m_c * (1.0 + np.geomspace(1e-16, 1e-3, 14))]
+    return {
+        "marginal_pdf": lambda: (fading.marginal_power_pdf(t),
+                                 np.where(t >= 0.0, np.exp(-np.clip(t, 0.0, None)), 0.0)),
+        "marginal_cdf": lambda: (fading.marginal_power_cdf(t),
+                                 np.where(t >= 0.0, -np.expm1(-np.clip(t, 0.0, None)), 0.0)),
+        "estimated_cdf": lambda: (estimated.cdf(t),
+                                  1.0 - np.exp(-np.clip(t, 0.0, None) / 0.5)),
+        "estimated_pdf": lambda: (estimated.pdf(t),
+                                  np.exp(-np.clip(t, 0.0, None) / 0.5) / 0.5),
+        "estimated_cap": lambda: (estimated.cap(t), 10.0 / np.clip(
+            estimated._q_of_m(np.clip(t, 0.0, estimated.upper)), estimated._q_lo, None)),
+        "perfect_crossing": lambda: (perfect.crossing_state(t), crossing(perfect, t)),
+        "estimated_crossing": lambda: (estimated.crossing_state(t), crossing(estimated, t)),
+        "perfect_tail": lambda: (perfect.tail_integral(t), tail(perfect, t)),
+        "estimated_tail": lambda: (estimated.tail_integral(t), tail(estimated, t)),
+        "pchip_ends": lambda: (np.r_[q_of_m(m), m_of_q(q)],
+                               np.r_[pchip(q_of_m, m), pchip(m_of_q, q)]),
+        "perfect_budget": lambda: (
+            power_allocation._budget_component(CsiKnowledge.perfect(), ns, lam, states),
+            np.where(states <= lam, 0.0, np.clip(
+                1.0 / lam - 1.0 / np.maximum(states, power_allocation._GAIN_FLOOR), 0.0, None))),
+        "estimated_budget": lambda: (
+            power_allocation._budget_component(est, ns, lam, states),
+            np.where(states < m_c, 0.0, np.clip(series(np.log(
+                np.clip(states, m_c, power_allocation._budget_series(est, ns, lam)[1]) + 0.5)),
+                0.0, None))),
+        "e1_table_ends": lambda: (
+            special_functions.exp_integral_e1(E1_ENDS, scaled=True),
+            np.array([special_functions.exp_integral_e1(x, scaled=True) for x in E1_ENDS])),
+    }
+
+
+# around the E1 table's ends 2^-53 and 40, long enough for numpy's path
+E1_ENDS = np.array([5e-324, 2.0 ** -60, 2.0 ** -53, 2.0 ** -52, 1.0,
+                    np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 50.0), 1e300])
+
+
+_CLIP_CASES = ["marginal_pdf", "marginal_cdf", "estimated_cdf", "estimated_pdf",
+               "estimated_cap", "perfect_crossing", "estimated_crossing", "perfect_tail",
+               "estimated_tail", "pchip_ends", "perfect_budget", "estimated_budget",
+               "e1_table_ends"]
+
+
+def test_clip_cases_are_all_listed():
+    assert sorted(_clip_cases()) == sorted(_CLIP_CASES)
+
+
+@pytest.mark.parametrize("case", _CLIP_CASES)
+def test_ufunc_clips_give_the_np_clip_bits(case):
+    # np.clip(x, lo, None) is np.maximum(x, lo) inside numpy, and an index
+    # or a value that is never -0.0 clips the same by np.minimum and
+    # np.maximum: every rewritten clip gives the old bits, signs of zero too
+    got, old = _clip_cases()[case]()
+    got, old = np.asarray(got, dtype=float), np.asarray(old, dtype=float)
+    assert got.shape == old.shape
+    assert np.array_equal(got.view(np.int64), old.view(np.int64)), (got, old)
 
 
 def test_corrupted_lambda_copy_builds_its_own_grid():
