@@ -31,11 +31,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._parallel import fork_map
 from .capacity import (
     _capacity_of,
     ergodic_capacity,
@@ -255,7 +255,10 @@ def _map_grid(fn: Callable[[float], tuple], grid: np.ndarray, threads: int,
               strict: bool) -> List[tuple]:
     """Evaluate fn over the grid, preserving order; collect failures.
 
-    Without --strict a failed point becomes a row of NaNs and the sweep
+    The points go to up to `threads` forked worker processes
+    (_parallel.fork_map); a point does not depend on which process
+    computes it or in what order, so the rows keep their bits. Without
+    --strict a failed point becomes a row of NaNs and the sweep
     continues; with --strict the first failure aborts the command.
     """
     def safe(v: float):
@@ -264,11 +267,7 @@ def _map_grid(fn: Callable[[float], tuple], grid: np.ndarray, threads: int,
         except (NumericsError, FloatingPointError) as exc:
             return exc
 
-    if threads > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, grid))
-    else:
-        results = [safe(v) for v in grid]
+    results = fork_map(safe, grid, threads)
     for i, (v, res) in enumerate(zip(grid, results)):
         if isinstance(res, Exception):
             record = json.dumps({"error": type(res).__name__, "message": str(res),
@@ -465,7 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (default: machine parallelism)")
+                       help="worker processes, forked where the platform can "
+                            "(default: machine parallelism)")
         p.add_argument("--strict", action="store_true",
                        help="abort the whole sweep on any point failure")
         if name == "verify":

@@ -13,7 +13,7 @@ generator keyed by SeedSequence((seed, shard_index)) with a fixed draw
 order per shard (direct-link pair first, then cross-link pair), shards
 are a fixed 65536 samples, and shard results are reduced in shard order.
 Identical (policy, config, n_samples, seed) therefore give bit-identical
-reports, serial or threaded.
+reports, serial or spread over worker processes.
 
 Outage semantics: an outage is interference strictly above i_peak with a
 1e-9 relative guard band. Policies built from perfect cross-link
@@ -25,12 +25,12 @@ boundary and are unaffected by the band.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
+from ._parallel import fork_map
 from .fading import (
     ChannelDraw,
     CsiKnowledge,
@@ -164,7 +164,10 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     cl_state_kind attributes) are rejected up front. power() is called on
     consecutive blocks of up to POLICY_BLOCK samples and must act
     elementwise: a sample's power may depend on its own states only. It
-    returns one power per sample of the block, or one for all.
+    returns one power per sample of the block, or one for all. Up to
+    `threads` shards run at once, in worker processes that
+    _parallel.fork_map forks where the platform can; what power() changes
+    in a worker stays in that worker.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -180,11 +183,7 @@ def simulate_policy(policy, config: ScenarioConfig, n_samples: int,
     def job(i: int):
         return _run_shard(policy.power, config, seed, i, sizes[i], edges)
 
-    if threads > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(n_shards)))
-    else:
-        results = [job(i) for i in range(n_shards)]
+    results = fork_map(job, range(n_shards), threads)
 
     # reduce in shard order: sums only, so the merge is order-independent
     # in value and made bit-identical by fixing the order anyway

@@ -584,9 +584,10 @@ def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
     """A direct link's level: its grid at panels from lam's boundary and its
     budget component A at lam (_budget_component, the policy's own rule),
     read-only. One entry serves every search, capacity level and thread in
-    the process; an estimated level at any panel count reads lam's budget
-    series and inverts no row. Threads that miss together each build the
-    same bits; no lock, so sweep threads never wait. It holds a
+    the process, and a forked sweep worker starts with a copy; an estimated
+    level at any panel count reads lam's budget series and inverts no row.
+    Threads that miss together each build the same bits; no lock, so no
+    thread waits. It holds a
     knowledge_grid round's 91 keys, or the 161 of low_budget_asymptote's P
     and E direct, perfect cross set at -10, 0, 10 and 13 dB.
     """

@@ -3,6 +3,9 @@
 The benchmark's own checks (benchmarks/recipes.py, workloads.py) are
 importable here, read-only, so tier-1 applies the same gates to the
 recipe outputs and the on-off search.
+
+Every test must reap the child processes it starts (no_child_left): the
+forked workers of crcap._parallel.fork_map, and any subprocess.
 """
 
 import os
@@ -27,3 +30,17 @@ def fresh_grids():
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")

@@ -447,7 +447,7 @@ def test_the_plateau_is_integrated_once_per_cap_table(monkeypatch):
 
 
 def test_memos_shared_between_threads(fresh_grids):
-    # sweep threads share both memos: threads that miss together store
+    # threads share both memos: threads that miss together store
     # the same bits, so every capacity and spend equals the serial one
     points = [_grid_point(code, p) for code, p in
               [("EE", 0.0), ("PE", 10.0), ("NE", 13.0), ("PP", 0.0)]]

@@ -485,9 +485,9 @@ def test_verify_solves_the_policy_once(tmp_path, monkeypatch, fresh_grids):
 
 
 def test_threaded_sweep_matches_serial_bit_for_bit(fresh_grids):
-    # the CLI's sweep threads share the direct-link grid memo without a
-    # lock: threads that miss together build the same bits, so the 2-thread
-    # pool gives the serial sweep, from an empty memo and from a full one
+    # the CLI's sweep workers are forked once the first point has filled
+    # the memos; a point does not depend on which memo entries exist, so
+    # two workers give the serial sweep, from an empty memo and a full one
     from crcap import power_allocation
     est = CsiKnowledge.estimated(0.5)
     base = ScenarioConfig(sl_csi=est, cl_csi=est, p_avg=1.0, i_peak=10.0,

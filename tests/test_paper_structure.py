@@ -12,7 +12,9 @@ C(E, 0.5) >= C(E, 0.999) >= C(N), each step within the two errs.
 
 The paper's two headline claims are checked at a tight multiplier: at low
 SNR the cross link's knowledge leaves C alone, and once the policy
-saturates the direct link's knowledge does. So are the unified
+saturates the direct link's knowledge does; there, on-off loses nothing
+unless the cross link is known perfectly, and then its gap falls as
+1/p_avg. So are the unified
 expression's limits: an estimate at alpha -> 1 is no knowledge, with a gap
 that closes as (1 - alpha)^2, and at alpha -> 0 perfect knowledge, with a
 gap that closes as alpha on the direct link and as sqrt(alpha) on the
@@ -188,6 +190,32 @@ def test_at_high_snr_only_the_cross_link_knowledge_matters(cross, p_avg_db):
         results.append(_capacity(KNOWLEDGE[direct], KNOWLEDGE[cross], p_avg_db))
     assert [r.regime for r in results] == ["saturated"] * 3
     assert len({r.capacity.hex() for r in results}) == 1
+
+
+def _onoff_gap(cross, p_avg_db):
+    """(C - R) / C of the best on-off rate R on a perfect direct link."""
+    cfg = ScenarioConfig(sl_csi=KNOWLEDGE["P"], cl_csi=KNOWLEDGE[cross],
+                         p_avg=10.0 ** (p_avg_db / 10.0), i_peak=10.0, epsilon=0.05,
+                         numerics=TIGHT)
+    cap = ergodic_capacity(cfg).capacity
+    return (cap - optimize_threshold(cfg)[1]) / cap
+
+
+@pytest.mark.parametrize("cross", ["E", "N"])
+@pytest.mark.parametrize("p_avg_db", [10.0, 20.0, 30.0, 40.0])
+def test_at_high_snr_onoff_is_optimal_without_perfect_cross_knowledge(cross, p_avg_db):
+    # a saturated policy sends at the cap whatever the direct link, which
+    # is on-off with every direct state on: measured gap exactly 0 under an
+    # unknown cross link, -1.64e-16 under an estimated one (R one ulp above C)
+    assert abs(_onoff_gap(cross, p_avg_db)) <= 1e-15
+
+
+def test_at_high_snr_the_onoff_gap_under_a_perfect_cross_link_falls_with_the_budget():
+    # a perfect cross link never saturates the policy; the gap falls about
+    # tenfold per decade of p_avg: measured 3.718e-2, 3.885e-3 and 3.906e-4
+    # at 20, 30 and 40 dB
+    gaps = [_onoff_gap("P", p_avg_db) for p_avg_db in (20.0, 30.0, 40.0)]
+    assert all(9.0 <= a / b <= 11.0 for a, b in zip(gaps, gaps[1:])), gaps
 
 
 # an estimate at alpha -> 1 tends to no knowledge: each code's limit is the

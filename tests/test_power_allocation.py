@@ -743,7 +743,7 @@ def test_cap_table_shared_across_budgets_not_across_epsilon():
 
 
 def test_cap_table_shared_between_threads():
-    # the CLI solves sweep points on a thread pool, all reading one table
+    # a caller may solve points on a thread pool, all reading one table
     fast = NumericSettings(quad_points=8, base_panels=4, max_refinements=2)
     cfg = scenario(CsiKnowledge.perfect(), CsiKnowledge.estimated(0.5), ns=fast)
     power_allocation._cap_table.cache_clear()

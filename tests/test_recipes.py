@@ -11,6 +11,7 @@ import os
 import pytest
 from recipes import check_recipe
 
+from crcap import power_allocation
 from crcap.cli import EXIT_OK, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -59,3 +60,22 @@ def test_recipe_replays(name, tmp_path):
     assert os.path.exists(plot)
     with open(plot, encoding="utf-8") as fh:
         compile(fh.read(), plot, "exec")
+
+
+@pytest.mark.parametrize("name", ["capacity_budget_estimated", "capacity_outage_tolerance",
+                                  "verify_smoke"])
+def test_recipe_output_bytes_do_not_depend_on_threads(name, tmp_path):
+    # from empty memos each time: capacity_budget_estimated's workers read
+    # the memos its first point filled, capacity_outage_tolerance builds a
+    # cap table per point, and verify_smoke's shards run in workers
+    outputs = []
+    for threads in ("1", "2"):
+        for memo in (power_allocation._sl_grid, power_allocation._budget_series,
+                     power_allocation._cap_table):
+            memo.cache_clear()
+        out = tmp_path / threads
+        assert main([name.split("_", 1)[0], "--config", os.path.join(CONFIG_DIR, f"{name}.ini"),
+                     "--out", str(out), "--threads", threads]) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.suffix in (".csv", ".jsonl")})
+    assert outputs[0] and outputs[0] == outputs[1]
