@@ -4,14 +4,15 @@ high-budget limits.
 capacity = E[ log(1 + P(states) * g_direct) ] in nats per channel use,
 averaged over both links' fading, with P the policy from
 power_allocation.solve_lambda. Each panel count reads the rate of the
-policy's level (_SlGrid.rate on the direct-link grid at lam): the cap
-table (_CapField) averages over the cross state, expect splitting each
-cell's rate at its crossing state so every quadrature piece is smooth.
-Above the crossings the cross state runs on one grid shared by every
-direct-link cell (_CapField.shared_tail), or, under a perfect cross link
-and a direct link not estimated, in closed form in E1 (rate_tail,
-burst_tail); a saturated policy's level is one cell without direct-link
-knowledge at A = inf. The whole evaluation is repeated with
+policy's level (_SlGrid.rate on a grid from _sl_grid, the one path for
+every knowledge level and both regimes; a saturated policy's level is one
+cell without direct-link knowledge at A = inf), which a level keeps per
+cap table. The cap table (_CapField) averages over the cross state,
+expect splitting each cell's rate at its crossing state so every
+quadrature piece is smooth. Above the crossings the cross state runs on
+one grid shared by every direct-link cell (_CapField.shared_tail), or,
+under a perfect cross link and a direct link not estimated, in closed
+form in E1 (rate_tail, burst_tail). The whole evaluation is repeated with
 doubled panel counts until two levels agree, and the last change is
 reported as the error estimate. The low-budget limit is the same level
 with the cap dropped, at the multiplier of the same search
@@ -60,7 +61,7 @@ class CapacityResult:
 
 def _capacity_at(policy: PowerPolicy, panels: int) -> float:
     """The capacity at one panel count: the rate of the policy's level."""
-    return policy._grid(panels).rate(policy._capf, panels)
+    return policy._grid(panels).rate(policy._capf)
 
 
 def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
@@ -69,12 +70,8 @@ def ergodic_capacity(config: ScenarioConfig) -> CapacityResult:
 
 
 def _capacity_of(policy: PowerPolicy) -> CapacityResult:
-    """Integrate the ergodic capacity of an already solved policy; a
-    saturated one's is its cap table's plateau (_CapField.plateau)."""
-    if policy.regime == "saturated":
-        val, err = policy._capf.plateau
-    else:
-        val, err = _refine(lambda p: _capacity_at(policy, p), policy.config.numerics)
+    """Integrate the ergodic capacity of an already solved policy."""
+    val, err = _refine(lambda p: _capacity_at(policy, p), policy.config.numerics)
     return CapacityResult(capacity=val, lam=policy.lam,
                           p_avg_star=policy.p_avg_star, regime=policy.regime,
                           quadrature_error_estimate=err)
@@ -95,16 +92,16 @@ def low_budget_asymptote(config: ScenarioConfig) -> float:
     def evaluate(panels: int) -> float:
         # the policy's search without the cap; each trial's grid starts at its kink
         lam = _multiplier(config, None, panels, 1e-9, "capless multiplier")
-        return _sl_grid(config.sl_csi, ns, panels, lam).rate(None, panels)
+        return _sl_grid(config.sl_csi, ns, panels, lam).rate(None)
 
     return _refine(evaluate, ns)[0]
 
 
 def high_budget_asymptote(config: ScenarioConfig) -> float:
-    """The saturated-regime capacity: the plateau above the threshold, bit
-    for bit the capacity at any p_avg >= the cap table's mean cap. That is
+    """The saturated-regime capacity: the capacity at the cap table's mean
+    cap, bit for bit the plateau at any p_avg above it. That is
     average_power_threshold(config) when finite; under perfect cross-link
     knowledge (infinite threshold) it is the p_avg -> infinity limit.
     """
-    return _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics).plateau[0]
-
+    capf = _cap_field(config.cl_csi, config.i_peak, config.epsilon, config.numerics)
+    return ergodic_capacity(config.replace(p_avg=capf.mean_cap)).capacity

@@ -74,7 +74,7 @@ import numpy as np
 
 from . import fading
 from .fading import CsiKnowledge, CsiLevel
-from .quadrature import _gl_rule, _refine, panel_rule, panel_rule_batch
+from .quadrature import _gl_rule, panel_rule, panel_rule_batch
 from .special_functions import NumericsError, _scaled_e1_log, exp_integral_e1
 
 __all__ = [
@@ -481,30 +481,31 @@ class _SlGrid:
     has state 0, weight 1 and the rate _exponential_rate; under estimated
     knowledge the conditional rates come from the MGF kernels.
 
-    When the multiplier lam is known, pass it: the budget component is
-    identically zero below a state boundary (gain lam under perfect
-    knowledge, estimate lam - alpha under estimated knowledge), and
-    states below it contribute nothing to either the budget equation or
-    the capacity, so the grid starts at the boundary. Panels straddling
-    that kink would otherwise degrade the quadrature order. A level
-    (_sl_grid, PowerPolicy._grid) also holds A, _budget_component at lam,
-    and is read-only apart from its write-once memo of spent() (_spent).
+    lam is the level's multiplier: the budget component is identically
+    zero below a state boundary (gain lam under perfect knowledge,
+    estimate lam - alpha under estimated knowledge), and states below it
+    contribute nothing to either the budget equation or the capacity, so
+    the grid starts at the boundary. Panels straddling that kink would
+    otherwise degrade the quadrature order. Without knowledge there is no
+    boundary and the one cell ignores lam. Build levels through _sl_grid,
+    which also sets A, _budget_component at lam; a level is read-only
+    apart from its write-once memo of spent() and rate() (_memo).
     """
 
     def __init__(self, csi: CsiKnowledge, settings: NumericSettings,
-                 panels: int, lam: Optional[float] = None):
+                 panels: int, lam: float):
         self.csi = csi
+        self.panels = panels
         pts = settings.quad_points
         tail = settings.tail_mass
-        lower = 0.0 if lam is None else float(lam)
         if csi.level is CsiLevel.NONE:
             self.w = np.array([1.0])
             self.state = np.array([0.0])
         elif csi.level is CsiLevel.PERFECT:
-            self.state, self.w = _exp_rule(1.0, panels, pts, tail, lower=lower)
+            self.state, self.w = _exp_rule(1.0, panels, pts, tail, lower=lam)
         else:
             self.state, self.w = _exp_rule(1.0 - csi.alpha, panels, pts, tail,
-                                           lower=lower - csi.alpha)
+                                           lower=lam - csi.alpha)
 
     def rate_cells(self, power: np.ndarray, rows=slice(None)) -> np.ndarray:
         """E[log(1 + P g) | cell j] for the cells j in rows at powers P.
@@ -547,27 +548,32 @@ class _SlGrid:
         return sums, np.einsum("jn,jn->j", self.rate_cells(Q, rows), v)
 
     @functools.cached_property
-    def _spent(self) -> weakref.WeakKeyDictionary:
-        """Cap table -> spent(table), weak on the table, so a table dropped
-        from _cap_table and from every policy leaves no entry."""
+    def _memo(self) -> weakref.WeakKeyDictionary:
+        """Cap table -> {"spent": ..., "rate": ...}, weak on the table, so a
+        table dropped from _cap_table and from every policy leaves no entry."""
         return weakref.WeakKeyDictionary()
+
+    def _per_table(self, capf: _CapField, what: str, integrate) -> float:
+        """integrate(), kept in _memo under capf and what: once per cap table."""
+        memo = self._memo.setdefault(capf, {})
+        if what not in memo:
+            memo[what] = integrate()
+        return memo[what]
 
     def spent(self, capf: Optional[_CapField]) -> float:
         """The level's average power sum w E[min(A, cap)], capless for None;
-        capped, integrated once per cap table (_spent)."""
+        capped, integrated once per cap table."""
         if capf is None:
             return float(self.w @ self.A)
-        value = self._spent.get(capf)
-        if value is None:
-            value = self._spent[capf] = float(self.w @ capf.capped_mean(self.A))
-        return value
+        return self._per_table(capf, "spent", lambda: float(self.w @ capf.capped_mean(self.A)))
 
-    def rate(self, capf: Optional[_CapField], panels: int) -> float:
-        """The level's capacity sum w E[log(1 + min(A, cap) g)], capless for None."""
+    def rate(self, capf: Optional[_CapField]) -> float:
+        """The level's capacity sum w E[log(1 + min(A, cap) g)], capless for
+        None; capped, integrated once per cap table."""
         if capf is None:
             return float(self.w @ self.rate_cells(self.A))
         if capf.level is not CsiLevel.PERFECT or self.csi.level is CsiLevel.ESTIMATED:
-            tail = functools.partial(capf.shared_tail, sums=self.rate_sums, panels=panels)
+            tail = functools.partial(capf.shared_tail, sums=self.rate_sums, panels=self.panels)
         else:
             # closed forms at each cell's state: rate_tail at the gain, or, for
             # an unknown link's one cell (state 0), burst_tail at tau = 0
@@ -575,23 +581,26 @@ class _SlGrid:
 
             def tail(t_star, rows):
                 return closed(t_star, self.state[rows])
-        return float(self.w @ capf.expect(self.A, self.rate_cells, tail))
+        return self._per_table(
+            capf, "rate", lambda: float(self.w @ capf.expect(self.A, self.rate_cells, tail)))
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _sl_grid(csi: CsiKnowledge, settings: NumericSettings, panels: int,
              lam: float) -> _SlGrid:
-    """A direct link's level: its grid at panels from lam's boundary and its
-    budget component A at lam (_budget_component, the policy's own rule),
-    read-only. One entry serves every search, capacity level and thread in
-    the process, and a forked sweep worker starts with a copy; an estimated
-    level at any panel count reads lam's budget series and inverts no row.
-    Threads that miss together each build the same bits; no lock, so no
-    thread waits. It holds a
-    knowledge_grid round's 91 keys, or the 161 of low_budget_asymptote's P
-    and E direct, perfect cross set at -10, 0, 10 and 13 dB.
+    """A direct link's level, the only way to get one: its grid at panels
+    from lam's boundary and its budget component A at lam
+    (_budget_component, the policy's own rule), read-only. lam is the
+    policy's one number: the multiplier with direct-link knowledge, else
+    the constant component (+inf saturated). One entry serves every
+    search, capacity level and thread in the process, and a forked sweep
+    worker starts with a copy; an estimated level at any panel count reads
+    lam's budget series and inverts no row. Threads that miss together
+    each build the same bits; no lock, so no thread waits. It holds a
+    knowledge_grid round's 101 keys, or the 161 of low_budget_asymptote's
+    P and E direct, perfect cross set at -10, 0, 10 and 13 dB.
     """
-    sl = _SlGrid(csi, settings, panels, lam=lam)
+    sl = _SlGrid(csi, settings, panels, lam)
     sl.A = _budget_component(csi, settings, lam, sl.state)
     for a in (sl.state, sl.w, sl.A):
         a.setflags(write=False)
@@ -627,11 +636,15 @@ def _budget_series(csi: CsiKnowledge, settings: NumericSettings, lam: float):
 
 def _budget_component(csi: CsiKnowledge, settings: NumericSettings, lam: float,
                       state) -> np.ndarray:
-    """The budget component at lam of a direct link with knowledge at its
-    states, the one rule every level and every policy reads. Perfect:
-    water-filling max(0, 1/lam - 1/g) on the gain g, exactly 0 for
-    g <= lam, which the _GAIN_FLOOR divisor misses when lam < _GAIN_FLOOR.
-    Estimated: lam's budget series (_budget_series) on the estimate."""
+    """The budget component at lam of a direct link with knowledge csi at
+    its states, the one rule every level and every policy reads. None: lam
+    is the constant itself (the budget, its rescaled value, or +inf when
+    saturated), at every state. Perfect: water-filling max(0, 1/lam - 1/g)
+    on the gain g, exactly 0 for g <= lam, which the _GAIN_FLOOR divisor
+    misses when lam < _GAIN_FLOOR. Estimated: lam's budget series
+    (_budget_series) on the estimate."""
+    if csi.level is CsiLevel.NONE:
+        return np.full(np.shape(state), float(lam))
     s = np.asarray(state, dtype=float)
     if csi.level is CsiLevel.PERFECT:
         out = np.maximum(1.0 / lam - 1.0 / np.maximum(s, _GAIN_FLOOR), 0.0)
@@ -735,8 +748,8 @@ class _CapField:
 
     Build instances through _cap_field: one instance per cross-link
     setup is shared by every policy and thread in the process, so the
-    class must stay immutable after __init__ apart from its write-once
-    memo plateau, the saturated (capacity, error).
+    class must stay immutable after __init__. It knows no direct-link
+    level: each level keeps its own spend and rate per table (_SlGrid).
     """
 
     def __init__(self, csi: CsiKnowledge, i_peak: float, epsilon: float,
@@ -946,7 +959,7 @@ class _CapField:
         evaluated once per shared node. sums(shared, own, rows) takes
         (powers, weights) pairs shaped (panels, n) and (rows, n) and
         returns each row's panel sums (rows, panels) and own-panel sums
-        (rows,) (_SlGrid.rate_sums).
+        (rows,) (a direct-link level's rate_sums).
         """
         pts = self.settings.quad_points
         lo = float(t_star.min())
@@ -973,17 +986,6 @@ class _CapField:
         mean = self.expect(a.ravel(), lambda P, rows: P,
                            lambda t_star, rows: self.tail_integral(t_star))
         return mean.reshape(a.shape)
-
-    @functools.cached_property
-    def plateau(self) -> tuple:
-        """The saturated policy's (capacity, error): its level is one cell
-        without direct-link knowledge at A = inf whatever the direct link
-        and p_avg, so each table refines it once."""
-        def rate(panels):
-            sl = _SlGrid(CsiKnowledge.no_csi(), self.settings, panels)
-            sl.A = np.array([np.inf])
-            return sl.rate(self, panels)
-        return _refine(rate, self.settings)
 
 
 @functools.lru_cache(maxsize=_CAP_CACHE_SIZE)
@@ -1014,9 +1016,10 @@ class PowerPolicy:
 
     power(sl_state, cl_state) evaluates the rule per sample; states that a
     knowledge level does not provide are ignored and may be None. Its
-    budget component is _budget_component, the rule its levels (_grid, from
-    _sl_grid) integrate; none is held. Saturated, it reads no direct-link
-    state and its budget component is +inf: one cell at A = inf.
+    budget component is _budget_component at the policy's one number
+    (_level_arg), the rule its levels (_grid, from _sl_grid) integrate;
+    none is held. Saturated, it reads no direct-link state and its budget
+    component is +inf: one cell at A = inf.
     """
 
     def __init__(self, config: ScenarioConfig, lam: float, regime: str,
@@ -1029,6 +1032,12 @@ class PowerPolicy:
         self._capf = cap_field
         self._no_csi_const = config.p_avg if no_csi_const is None else no_csi_const
         self._sl_csi = CsiKnowledge.no_csi() if regime == "saturated" else config.sl_csi
+
+    @property
+    def _level_arg(self) -> float:
+        """The policy's one number, _sl_grid's lam (a copy with a changed lam
+        reads another level)."""
+        return self._no_csi_const if self._sl_csi.level is CsiLevel.NONE else self.lam
 
     # -- interface requirements ----------------------------------------
     @property
@@ -1054,13 +1063,9 @@ class PowerPolicy:
 
     def budget_component(self, sl_state=None):
         """Budget-driven component at the given direct-link states."""
-        cfg = self.config
-        if self._sl_csi.level is CsiLevel.NONE:
-            out = np.full(np.shape(sl_state), float(self._no_csi_const))
-        elif sl_state is None:
+        if sl_state is None and self._sl_csi.level is not CsiLevel.NONE:
             raise ValueError("this policy needs a direct-link state")
-        else:
-            out = _budget_component(cfg.sl_csi, cfg.numerics, self.lam, sl_state)
+        out = _budget_component(self._sl_csi, self.config.numerics, self._level_arg, sl_state)
         return out if out.ndim else float(out)
 
     def power(self, sl_state=None, cl_state=None):
@@ -1070,18 +1075,13 @@ class PowerPolicy:
 
     def expected_power(self, panels: Optional[int] = None) -> float:
         """Average transmitted power under this policy (diagnostic): the
-        mean cap, bit for bit, when saturated."""
+        mean cap, bit for bit, when saturated. A level keeps its spend, so
+        a repeated call integrates nothing."""
         return self._grid(panels or self.config.numerics.base_panels * 2).spent(self._capf)
 
     def _grid(self, panels: int) -> _SlGrid:
-        """The level _sl_grid at lam (a copy with a changed lam reads another
-        entry); without direct-link knowledge the one cell, A the constant."""
-        cfg = self.config
-        if self._sl_csi.level is CsiLevel.NONE:
-            sl = _SlGrid(self._sl_csi, cfg.numerics, panels)
-            sl.A = np.array([self.budget_component()])
-            return sl
-        return _sl_grid(cfg.sl_csi, cfg.numerics, panels, self.lam)
+        """The policy's level at panels: _sl_grid at _level_arg."""
+        return _sl_grid(self._sl_csi, self.config.numerics, panels, self._level_arg)
 
 
 # ----------------------------------------------------------------------

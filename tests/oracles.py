@@ -12,7 +12,9 @@ function and scipy's chndtrix; the tests check those kernels against the
 density, the Marcum-Q cdf and the adaptive quadrature here. The
 per-sample interference cap on the exact quantile and the on-off rule
 built on it serve the Monte Carlo checks of the library's cap table and
-on-off rate. plain_bisect is the bisection the multiplier search replays,
+on-off rate. Water-filling without a binding cap and the best on-off
+rate under a constant cap have closed forms in E1 (water_filling,
+best_onoff_rate_constant_cap). plain_bisect is the bisection the multiplier search replays,
 and plain_sample_channel_pair the sampler before it drew in place.
 Nothing here imports from crcap
 (test_oracles_share_no_code_with_crcap).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy import integrate, optimize
 from scipy import special as _sp
@@ -391,6 +394,46 @@ def perfect_cross_rate_tail(t_star: float, c: float, upper: float,
         lo, math.log(upper), points=[floor] if lo < floor else None,
         epsabs=0.0, epsrel=1e-13, limit=400)
     return val
+
+
+def scaled_e1(x: float) -> float:
+    """e^x E1(x) by mpmath at 30 digits, rounded once: as a product of
+    doubles e^x overflows past x = 709.78, while the scaled value is
+    about 1/x there."""
+    with mpmath.workdps(30):
+        return float(mpmath.exp(x) * mpmath.e1(x))
+
+
+def water_filling(p_avg: float):
+    """(lam, C) of water-filling max(0, 1/lam - 1/g) on a Rayleigh direct
+    gain g without a cap (Goldsmith and Varaiya, IEEE Trans. Inf. Theory
+    43, 1997): p_avg = e^-lam / lam - E1(lam) and C = E1(lam). lam is
+    scipy's brentq on e^-lam (1/lam - e^lam E1(lam)) = p_avg, to a few ulps.
+    """
+    def spent(lam):
+        return math.exp(-lam) * (1.0 / lam - scaled_e1(lam)) - p_avg
+
+    lam = optimize.brentq(spent, 1e-6, 700.0, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    return lam, float(_sp.exp1(lam))
+
+
+def best_onoff_rate_constant_cap(p_avg: float, cap: float) -> float:
+    """The best on-off rate on a Rayleigh direct link under a constant cap.
+
+    A burst at power P above the threshold tau earns
+    R = e^-tau (log(1 + P tau) + e^x E1(x)), x = tau + 1/P, with
+    P = min(p_avg e^tau, cap). Past tau_c = ln(cap / p_avg) the power stays
+    at the cap and R falls with tau, so the maximum lies in [0, tau_c]:
+    scipy's bounded minimize_scalar of -R there, to 1e-12 in tau. Needs
+    p_avg < cap.
+    """
+    def minus_rate(tau):
+        power = min(p_avg * math.exp(tau), cap)
+        return -math.exp(-tau) * (math.log1p(power * tau) + scaled_e1(tau + 1.0 / power))
+
+    best = optimize.minimize_scalar(minus_rate, bounds=(0.0, math.log(cap / p_avg)),
+                                    method="bounded", options={"xatol": 1e-12})
+    return -float(best.fun)
 
 
 def plain_bisect(f, target: float, lo: float, hi: float, rel_tol: float,

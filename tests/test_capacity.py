@@ -368,12 +368,13 @@ def test_grid_memo_holds_a_whole_knowledge_grid(fresh_grids, order):
     # direct-link grid key is built once, so none is evicted and built
     # again while the round runs, in any visit order; the hit count pins
     # the lookups, so a change that adds or drops one fails here (165 and
-    # 132 when every bisection midpoint was evaluated)
+    # 132 when every bisection midpoint was evaluated; 105 and 91 while
+    # levels without direct-link knowledge were built outside the memo)
     for code, p_avg_db in order:
         ergodic_capacity(_grid_point(code, p_avg_db))
     info = power_allocation._sl_grid.cache_info()
     assert info.misses == info.currsize
-    assert (info.hits, info.misses) == (105, 91)
+    assert (info.hits, info.misses) == (135, 101)
 
 
 def test_knowledge_grid_searches_evaluate_few_levels(monkeypatch, fresh_grids):
@@ -421,29 +422,33 @@ SATURATED_GRID = [(code, p) for code in ("PE", "EE", "NE") for p in (10.0, 13.0)
 
 def test_the_plateau_is_integrated_once_per_cap_table(monkeypatch):
     # a saturated policy reads no budget and no direct-link state, so the
-    # six saturated points under the estimated cross link share one
-    # plateau: the first integrates it and keeps it on the cap table, the
-    # other five and the high-budget limit read it; a rebuilt table
-    # integrates it again, to the same bits
-    refined = []
-    refine = capacity._refine
+    # six saturated points under the estimated cross link share one level
+    # per panel count (_sl_grid at A = inf): the first point integrates
+    # each level's rate and the level keeps it per cap table, the other
+    # five and the high-budget limit read it; a rebuilt table integrates
+    # it again, to the same bits
+    integrated = []
+    expect = power_allocation._CapField.expect
 
-    def counted(*args):
-        refined.append(args)
-        return refine(*args)
+    def counted(self, A, f, tail):
+        level = getattr(f, "__self__", None)   # the level whose rate_cells these are
+        if isinstance(level, power_allocation._SlGrid):
+            integrated.append((self, level.panels))
+        return expect(self, A, f, tail)
 
-    monkeypatch.setattr(capacity, "_refine", counted)
-    monkeypatch.setattr(power_allocation, "_refine", counted)
+    monkeypatch.setattr(power_allocation._CapField, "expect", counted)
     power_allocation._cap_table.cache_clear()
     results = [ergodic_capacity(_grid_point(code, p)) for code, p in SATURATED_GRID]
     assert {r.regime for r in results} == {"saturated"}
     assert len(set(results)) == 1
-    assert len(refined) == 1
+    once = [panels for _, panels in integrated]
+    assert len({capf for capf, _ in integrated}) == 1
+    assert once == sorted(set(once)) and len(once) >= 2
     assert high_budget_asymptote(_grid_point("EE", 0.0)) == results[0].capacity
-    assert len(refined) == 1
+    assert len(integrated) == len(once)
     power_allocation._cap_table.cache_clear()
     assert ergodic_capacity(_grid_point("NE", 13.0)) == results[0]
-    assert len(refined) == 2
+    assert [panels for _, panels in integrated] == once * 2
 
 
 def test_memos_shared_between_threads(fresh_grids):
@@ -514,7 +519,7 @@ def test_estimated_grid_and_row_inversion_build_in_row_blocks(fresh_grids):
     # one block. The level reads the budget series instead: building it,
     # series and all, traced 0.33 MiB
     def invert():
-        grid = power_allocation._SlGrid(EST, NumericSettings(), 128)
+        grid = power_allocation._SlGrid(EST, NumericSettings(), 128, 0.05)
         assert grid.state.size == 2560
         power_allocation._mgf_invert_rate(grid.state, EST.alpha, 0.05)
 

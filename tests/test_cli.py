@@ -468,7 +468,7 @@ def test_verify_solves_the_policy_once(tmp_path, monkeypatch, fresh_grids):
         return calls[-1]
 
     class Recorded(power_allocation._SlGrid):
-        def __init__(self, csi, settings, panels, lam=None):
+        def __init__(self, csi, settings, panels, lam):
             builds.append((panels, lam))
             super().__init__(csi, settings, panels, lam)
 

@@ -14,15 +14,19 @@ The paper's two headline claims are checked at a tight multiplier: at low
 SNR the cross link's knowledge leaves C alone, and once the policy
 saturates the direct link's knowledge does; there, on-off loses nothing
 unless the cross link is known perfectly, and then its gap falls as
-1/p_avg. So are the unified
+1/p_avg. At low SNR, against closed forms in tests/oracles.py, on-off
+keeps a gap that shrinks only like 1/ln(1/p_avg). So are the unified
 expression's limits: an estimate at alpha -> 1 is no knowledge, with a gap
 that closes as (1 - alpha)^2, and at alpha -> 0 perfect knowledge, with a
 gap that closes as alpha on the direct link and as sqrt(alpha) on the
 cross link.
 """
 
+import math
+
 import numpy as np
 import pytest
+from oracles import best_onoff_rate_constant_cap, water_filling
 
 from crcap import power_allocation
 from crcap.capacity import ergodic_capacity, high_budget_asymptote, low_budget_asymptote
@@ -216,6 +220,32 @@ def test_at_high_snr_the_onoff_gap_under_a_perfect_cross_link_falls_with_the_bud
     # at 20, 30 and 40 dB
     gaps = [_onoff_gap("P", p_avg_db) for p_avg_db in (20.0, 30.0, 40.0)]
     assert all(9.0 <= a / b <= 11.0 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def test_at_low_snr_the_onoff_gap_shrinks_like_one_over_the_log_budget():
+    # an unknown cross link's constant cap (3.34) never binds at these
+    # budgets, so C is water-filling's E1(lam) and the best on-off rate is
+    # the closed-form burst rate maximised over tau (tests/oracles.py);
+    # tail_mass 1e-30 keeps the direct link's truncation out of the way.
+    # Measured: C within 3.5e-13 of E1, R equal to rounding, and
+    # gap ln(1/p_avg) 0.112, 0.199 and 0.244 at -20, -40 and -60 dB
+    cfg = ScenarioConfig(sl_csi=KNOWLEDGE["P"], cl_csi=KNOWLEDGE["N"], p_avg=1.0,
+                         i_peak=10.0, epsilon=0.05,
+                         numerics=NumericSettings(lambda_rel_tol=1e-12, tail_mass=1e-30))
+    cap = 10.0 / math.log(1.0 / 0.05)
+    scaled_gaps = []
+    for p_avg_db in (-20.0, -40.0, -60.0):
+        p_avg = 10.0 ** (p_avg_db / 10.0)
+        point = cfg.replace(p_avg=p_avg)
+        res = ergodic_capacity(point)
+        assert res.regime == "power_limited"
+        assert res.capacity == pytest.approx(water_filling(p_avg)[1], rel=1e-11, abs=0.0)
+        rate = optimize_threshold(point)[1]
+        assert rate == pytest.approx(best_onoff_rate_constant_cap(p_avg, cap),
+                                     rel=1e-12, abs=0.0)
+        scaled_gaps.append((res.capacity - rate) / res.capacity * math.log(1.0 / p_avg))
+    assert all(0.1 <= g <= 0.32 for g in scaled_gaps), scaled_gaps
+    assert scaled_gaps == sorted(scaled_gaps) and len(set(scaled_gaps)) == 3
 
 
 # an estimate at alpha -> 1 tends to no knowledge: each code's limit is the

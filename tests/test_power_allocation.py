@@ -616,7 +616,7 @@ EXPONENTIAL_RATE_MPMATH = [
 
 
 def test_no_knowledge_rate_cells_is_the_closed_form():
-    sl = power_allocation._SlGrid(CsiKnowledge.no_csi(), NumericSettings(), 8)
+    sl = power_allocation._SlGrid(CsiKnowledge.no_csi(), NumericSettings(), 8, 1.0)
     assert sl.state.tolist() == [0.0] and sl.w.tolist() == [1.0]
     P, want = (np.array(col) for col in zip(*EXPONENTIAL_RATE_MPMATH))
     np.testing.assert_allclose(sl.rate_cells(P[None, :])[0], want, rtol=1e-14, atol=0.0)
@@ -983,17 +983,35 @@ def test_expected_power_after_a_solve_reads_the_solve_spend(monkeypatch, fresh_g
     assert calls == []
 
 
+@pytest.mark.parametrize("code, p_avg, regime", [("NP", 1.0, "power_limited"),
+                                                  ("PE", 20.0, "saturated")])
+def test_expected_power_without_direct_knowledge_integrates_once(monkeypatch, fresh_grids,
+                                                                 code, p_avg, regime):
+    # a policy that reads no direct-link state, saturated or not, reads its
+    # level from _sl_grid like every other: ten calls run capped_mean once
+    # (each used to build a fresh one-cell level and run it again)
+    pol = solve_lambda(_grid_scenario(code, p_avg))
+    assert pol.regime == regime and pol.sl_state_kind == "none"
+    calls = _count_calls(monkeypatch, power_allocation._CapField, "capped_mean")
+    values = {pol.expected_power() for _ in range(10)}
+    assert len(calls) == 1
+    assert len(values) == 1
+
+
 def test_a_level_keeps_no_spend_of_a_dropped_cap_table(fresh_grids):
-    # the spend memo is weak on the cap table: a table that _cap_table has
-    # evicted and no policy holds leaves no entry, nor keeps its arrays alive
+    # the spend and rate memo is weak on the cap table: a table that
+    # _cap_table has evicted and no policy holds leaves no entry, nor keeps
+    # its arrays alive
     level = power_allocation._sl_grid(CsiKnowledge.perfect(), NumericSettings(), 16, 0.1)
     capf = power_allocation._CapField(CsiKnowledge.estimated(0.5), 10.0, 0.05,
                                       NumericSettings())
     value = level.spent(capf)
     assert value == float(level.w @ capf.capped_mean(level.A))
-    assert dict(level._spent) == {capf: value}
+    assert dict(level._memo) == {capf: {"spent": value}}
+    rate = level.rate(capf)
+    assert dict(level._memo) == {capf: {"spent": value, "rate": rate}}
     del capf
-    assert len(level._spent) == 0
+    assert len(level._memo) == 0
 
 
 # states and levels at the ends of every clip: signed zeros, negatives,
@@ -1272,7 +1290,7 @@ def test_multiplier_bisection_raises_when_it_runs_out(monkeypatch, fresh_grids):
     tol = NumericSettings().lambda_rel_tol
 
     class OneCell(power_allocation._SlGrid):
-        def __init__(self, csi, settings, panels, lam=None):
+        def __init__(self, csi, settings, panels, lam):
             self.state = np.array([1.0])
             self.w = np.array([1.0])
 

@@ -112,3 +112,43 @@ def test_declared_dependencies_are_the_imported_ones():
     local = {p.stem for p in [*(ROOT / "tests").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]}
     assert _third_party_imports(sorted((ROOT / "tests").glob("*.py")), local) <= runtime | test
     assert {"scipy", "mpmath", "hypothesis", "pytest"} <= test
+
+
+def _definitions(tree):
+    """(name, node) of each top-level function and each method of a
+    top-level class, the method named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _names(node):
+    """Every name and attribute that node's code reads or writes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _builds_level(node):
+    return isinstance(node, ast.Call) and "_SlGrid" in _names(node.func)
+
+
+def test_direct_link_levels_come_from_one_path():
+    # one capacity path for every knowledge level and both regimes:
+    # _sl_grid alone builds a direct-link level (_SlGrid), and the cap
+    # table (_CapField) knows no level, no _sl_grid and no panel-doubling
+    # loop (_refine) of its own
+    builders, everywhere, cap_table = [], 0, []
+    for path in sorted((ROOT / "src" / "crcap").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        everywhere += sum(map(_builds_level, ast.walk(tree)))
+        for name, node in _definitions(tree):
+            builders += [f"{path.stem}.{name}"] * sum(map(_builds_level, ast.walk(node)))
+            if name.startswith("_CapField."):
+                cap_table += [f"{name}: {n}" for n in
+                              sorted(_names(node) & {"_SlGrid", "_sl_grid", "_refine"})]
+    assert builders == ["power_allocation._sl_grid"]
+    assert everywhere == len(builders)
+    assert cap_table == []
